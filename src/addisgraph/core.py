@@ -165,14 +165,23 @@ def validate_conflicts(structure: ConflictStructure, lag_form: bool = False) -> 
     between ``j`` and ``i``.  When every set is a contiguous suffix
     ``{i-L_i, ..., i-1}`` the lag view is attached; requesting ``lag_form``
     for a non-suffix structure raises ``NonContiguousSuffix``.
+
+    Monotonicity holds iff ``X_i \\ {i-1}`` is a subset of ``X_{i-1}`` for
+    every ``i`` (induct down from ``i-1``), which costs O(sum |X_i|).  The
+    first ``i`` failing it is the first ``i`` with any violating ``(j, k)``;
+    the reported ``j`` is the first such member of ``X_i`` and ``k`` the
+    first index past ``j`` whose set lacks it.
     """
     sets = structure.conflict_sets
     n = structure.n
-    for i in range(1, n + 1):
+    for i in range(2, n + 1):
+        prev = sets[i - 2]
         for j in sets[i - 1]:
-            for k in range(j + 1, i):
-                if j not in sets[k - 1]:
-                    raise NonMonotoneConflicts(j, k, i)
+            if j < i - 1 and j not in prev:
+                k = j + 1
+                while j in sets[k - 1]:
+                    k += 1
+                raise NonMonotoneConflicts(j, k, i)
     lags = []
     contiguous = True
     for i in range(1, n + 1):

@@ -99,7 +99,8 @@ class FwerEngine:
         lam_i = self.lam if lam is None else lam
         self._check_gap(tau_i, lam_i)
         x = self._declare_conflicts(i, conflicts)
-        alpha_i = self._compute_level(i, x, tau_i, lam_i)
+        # a plain float, so that the stream's full-precision repr is a number
+        alpha_i = float(self._compute_level(i, x, tau_i, lam_i))
         self._alpha_tilde.append(alpha_i / (tau_i - lam_i))
         self.ledger.append(LedgerEntry(index=i, level=alpha_i, tau=tau_i, lam=lam_i))
         self._events.append(["L", i, tau_i, lam_i, sorted(x)])
@@ -195,7 +196,9 @@ class FwerEngine:
         kind = cfg.pop("kind")
         cfg.pop("version")
         cfg["lam"] = cfg.pop("lambda")
-        engine = make_engine(kind, **cfg)
+        from .extensions import FdrGraph  # extensions imports this module
+
+        engine = FdrGraph(**cfg) if kind == FdrGraph.kind else make_engine(kind, **cfg)
         for ev in events:
             if ev[0] == "L":
                 _, i, tau_i, lam_i, conf = ev

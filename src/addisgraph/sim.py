@@ -179,7 +179,29 @@ def levels_graph_conf(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
     return (tau - lam) * at
 
 
-def _confu_levels_chunk(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
+def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
+    """Reroute-adjusted levels by the held-mass recursion, O(T n^2) time.
+
+    With the spending counter t_m, the base weight
+    g[m, i] = (gamma_{t_m+i-m-1} - gamma_{t_m+i-m}) / gamma_{t_m} and the
+    first conflicting index c_i = i - L_i:
+
+        at_i = alpha gamma_i + sum_{m < c_i} g[m, i] z_m
+        z_i  = U_i at_i + sum_{c_i <= k < i} g[k, i] z_k
+        level_i = (tau - lambda) at_i
+
+    z_m is the mass source m holds for later targets: its own recycled
+    wealth plus what was rerouted to it by blocked pairs.  Derivation from
+    the reroute table g-[j, m] of :func:`.weights.algorithm1_weights`: the
+    level is at_i = alpha gamma_i + sum_{j < c_i} (g[j, i]
+    + sum_{m < c_i} g-[j, m] g[m, i]) U_j at_j.  Since g-[j, m] = 0 for
+    m <= j, the inner sums regroup to sum_{m < c_i} g[m, i] (U_m at_m + y_m)
+    with y_m = sum_{j < m} U_j at_j g-[j, m], and substituting the g-
+    recursion (blocked rows take g[j, m] plus all inflow, clear rows only
+    the inflow through m's window [c_m, m)) gives
+    y_m = sum_{c_m <= k < m} g[k, m] (U_k at_k + y_k).  So z = U at + y and
+    the table itself is never formed.
+    """
     ttr, n = p.shape
     _, _, u = _indicator_arrays(p, tau, lam)
     t = np.empty((ttr, n), dtype=np.int64)
@@ -187,49 +209,19 @@ def _confu_levels_chunk(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
     if n > 1:
         t[:, 1:] = 1 + np.cumsum(1.0 - u[:, :-1], axis=1).astype(np.int64)
     gl = spec.values(int(t.max()) + n + 1)
+    # g[m, i] = step[t_m - m + i - 2] / gamma_{t_m}, step[k-1] = gamma_k - gamma_{k+1}
+    step = gl[:-1] - gl[1:]
+    head = gl[t - 1]
+    off = t - np.arange(2, n + 2)
 
-    g = np.zeros((ttr, n + 1, n + 1))
-    for j in range(1, n + 1):
-        if n - j > 0:
-            idx = t[:, j - 1 : j] + np.arange(1, n - j + 1)[None, :]
-            g[:, j, j + 1 :] = (gl[idx - 2] - gl[idx - 1]) / gl[t[:, j - 1 : j] - 1]
-
-    gm = np.zeros((ttr, n + 1, n + 1))
-    for l in range(2, n + 1):
-        lo = l - int(lags[l - 1])
-        col = g[:, 1:l, l]
-        inflow = np.einsum("tjm,tm->tj", gm[:, 1:l, 1:l], col)
-        if lo <= l - 1:
-            window = np.einsum("tjm,tm->tj", gm[:, 1:l, lo:l], g[:, lo:l, l])
-        else:
-            window = np.zeros((ttr, l - 1))
-        blocked = np.arange(1, l) >= lo
-        gm[:, 1:l, l] = np.where(blocked[None, :], col + inflow, window)
-
-    at = np.zeros((ttr, n))
+    at = np.empty((ttr, n))
+    z = np.empty((ttr, n))
     for i0 in range(n):
-        i = i0 + 1
-        c = i - int(lags[i0])
-        if c > 1:
-            col = g[:, 1:c, i] + np.einsum(
-                "tjm,tm->tj", gm[:, 1:c, 1:c], g[:, 1:c, i]
-            )
-            carried = np.einsum("tj,tj->t", col, u[:, : c - 1] * at[:, : c - 1])
-        else:
-            carried = 0.0
-        at[:, i0] = alpha * spec.value(i) + carried
+        c0 = i0 - int(lags[i0])  # 0-based first conflicting index
+        g = step[off[:, :i0] + i0] / head[:, :i0]
+        at[:, i0] = alpha * gl[i0] + np.einsum("tm,tm->t", g[:, :c0], z[:, :c0])
+        z[:, i0] = u[:, i0] * at[:, i0] + np.einsum("tm,tm->t", g[:, c0:], z[:, c0:i0])
     return (tau - lam) * at
-
-
-def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
-    n = p.shape[1]
-    chunk = max(1, 4_000_000 // max(n * n, 1))
-    out = np.empty_like(p)
-    for start in range(0, p.shape[0], chunk):
-        out[start : start + chunk] = _confu_levels_chunk(
-            p[start : start + chunk], lags, alpha, tau, lam, spec
-        )
-    return out
 
 
 def levels_closed_spending(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:

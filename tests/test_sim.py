@@ -1,14 +1,18 @@
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addisgraph.engines import make_engine
 from addisgraph.errors import EmptyOutcomeSet, InvalidConfig
 from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
 from addisgraph.core import ConflictStructure
 from addisgraph.gammas import GammaSpec
+from addisgraph.weights import algorithm1_weights
 from addisgraph.sim import (
     ALL_PROCEDURES,
     CSV_HEADER,
@@ -19,6 +23,7 @@ from addisgraph.sim import (
     generate_data,
     generate_trial,
     levels_adaptive_corr,
+    levels_graph_conf_u,
     max_budget_spend,
     metrics,
     parse_grid_file,
@@ -128,6 +133,60 @@ def test_runner_matches_engine(kind):
     for t in range(cfg.trials):
         seq = _engine_levels(kind, cfg, p[t], lags)
         np.testing.assert_allclose(vec[t], seq, rtol=1e-10, atol=1e-15)
+
+
+@pytest.mark.parametrize("design", [{"b": 20}, {"e": 5}], ids=["b20", "e5"])
+def test_confu_runner_matches_engine_at_scale(design):
+    """Long streams and wide windows, at the 1e-12 cross-check bound."""
+    cfg = SimConfig(procedure="graph-conf-u", n=200, trials=1, seed=6, **design)
+    p, _ = generate_data(cfg)
+    vec = compute_levels(cfg, p)
+    seq = _engine_levels("graph-conf-u", cfg, p[0], cfg.lags())
+    np.testing.assert_allclose(vec[0], seq, rtol=1e-12, atol=0)
+
+
+def _confu_levels_from_table(p_row, lags, alpha, tau, lam, spec):
+    """graph-conf-u levels of one trial from the full reroute table."""
+    n = p_row.size
+    u = (p_row <= lam).astype(int) - (p_row <= tau).astype(int) + 1
+    table, _ = algorithm1_weights(spec, lags, n, u)
+    gam = spec.values(n)
+    at = np.empty(n)
+    for i0 in range(n):
+        at[i0] = alpha * gam[i0] + table[:i0, i0] @ (u[:i0] * at[:i0])
+    return (tau - lam) * at
+
+
+@given(
+    raw=st.lists(st.integers(0, 8), min_size=1, max_size=40),
+    gamma=st.sampled_from(["basel", "power:1.6", "logq"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_confu_runner_matches_reroute_table(raw, gamma, seed):
+    lags = [0] * len(raw)
+    for i in range(1, len(raw)):  # monotone contiguous lags: L_{i+1} <= L_i + 1
+        lags[i] = min(raw[i], lags[i - 1] + 1)
+    spec = GammaSpec.parse(gamma)
+    p = np.random.default_rng(seed).uniform(size=(3, len(raw)))
+    alpha, tau, lam = 0.2, 0.8, 0.16
+    got = levels_graph_conf_u(p, np.array(lags), alpha, tau, lam, spec)
+    for t in range(p.shape[0]):
+        ref = _confu_levels_from_table(p[t], lags, alpha, tau, lam, spec)
+        np.testing.assert_allclose(got[t], ref, rtol=1e-12, atol=0)
+
+
+def test_confu_runner_memory_is_linear_in_n():
+    """No (T, n, n) reroute tensor: 1000 x 200 x 200 doubles alone are 320 MB."""
+    cfg = SimConfig(procedure="graph-conf-u", n=200, b=20, trials=1000, seed=2)
+    p, _ = generate_data(cfg)
+    tracemalloc.start()
+    try:
+        compute_levels(cfg, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_adaptive_corr_quadrature_is_converged():

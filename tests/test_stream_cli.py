@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from addisgraph.cli import main
-from addisgraph.engines import GraphConf, make_engine
+from addisgraph.engines import ENGINE_KINDS, GraphConf, make_engine
+from addisgraph.extensions import FdrGraph
 from addisgraph.stream import StreamSession, run_session
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "recovery.study"
@@ -87,6 +88,42 @@ def test_snapshot_resume_equivalence(tmp_path):
     resumed = StreamSession.from_snapshot(snap)
     part2 = [resumed.handle(x) for x in lines[3:]]
     assert part1 + part2 == full_out
+
+
+def _conflict_script(n, seed):
+    """H i with conflicts {i-2, i-1}, each P i right after H i."""
+    p = np.random.default_rng(seed).uniform(size=n)
+    lines = []
+    for i in range(1, n + 1):
+        conflicts = ",".join(str(j) for j in range(max(1, i - 2), i))
+        lines.append(f"H {i} conflicts={conflicts}" if conflicts else f"H {i}")
+        lines.append(f"P {i} {float(p[i - 1])!r}")
+    return lines
+
+
+def _new_engine(kind):
+    return FdrGraph() if kind == FdrGraph.kind else make_engine(kind)
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS) + [FdrGraph.kind])
+def test_full_precision_levels_are_plain_floats(kind):
+    session = StreamSession(_new_engine(kind), full_precision=True)
+    replies = [session.handle(x) for x in _conflict_script(30, seed=3)]
+    levels = [r.split()[2] for r in replies if r.startswith("LEVEL")]
+    assert len(levels) == 30
+    assert [float(x) for x in levels] == [e.level for e in session.engine.ledger.entries]
+
+
+def test_fdr_snapshot_resume_is_bit_identical(tmp_path):
+    session = StreamSession(FdrGraph(), full_precision=True)
+    for line in _conflict_script(40, seed=4):
+        assert not session.handle(line).startswith("ERR")
+    snap = tmp_path / "fdr.json"
+    assert session.handle(f"SAVE {snap}") == f"SAVED {snap}"
+    resumed = StreamSession.from_snapshot(snap, full_precision=True)
+    assert type(resumed.engine) is FdrGraph
+    assert resumed.engine.ledger.entries == session.engine.ledger.entries
+    assert resumed.handle("H 41 conflicts=40") == session.handle("H 41 conflicts=40")
 
 
 def test_run_session_stops_on_quit():
