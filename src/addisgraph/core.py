@@ -158,6 +158,27 @@ class ConflictStructure:
         return validate_conflicts(cls([frozenset()] * n), lag_form=True)
 
 
+def check_monotone_step(sets, i: int, x) -> None:
+    """Raise ``NonMonotoneConflicts`` unless ``x \\ {i-1}`` is a subset of ``X_{i-1}``.
+
+    ``sets[k-1]`` is ``X_k`` for every ``k < i`` and these sets must already
+    be monotone; then a member ``j`` of ``x`` lies in every ``X_k`` with
+    ``j < k < i`` iff it lies in ``X_{i-1}`` (induct down from ``i-1``).  The
+    reported ``j`` is the first violating member of ``x`` and ``k`` the first
+    index past ``j`` whose set lacks it, the triple a scan over every
+    ``(j, k)`` pair reports.
+    """
+    if i < 2:
+        return
+    prev = sets[i - 2]
+    for j in x:
+        if j < i - 1 and j not in prev:
+            k = j + 1
+            while j in sets[k - 1]:
+                k += 1
+            raise NonMonotoneConflicts(j, k, i)
+
+
 def validate_conflicts(structure: ConflictStructure, lag_form: bool = False) -> ConflictStructure:
     """Check monotonicity and derive lags where the sets are contiguous suffixes.
 
@@ -166,22 +187,22 @@ def validate_conflicts(structure: ConflictStructure, lag_form: bool = False) -> 
     ``{i-L_i, ..., i-1}`` the lag view is attached; requesting ``lag_form``
     for a non-suffix structure raises ``NonContiguousSuffix``.
 
-    Monotonicity holds iff ``X_i \\ {i-1}`` is a subset of ``X_{i-1}`` for
-    every ``i`` (induct down from ``i-1``), which costs O(sum |X_i|).  The
-    first ``i`` failing it is the first ``i`` with any violating ``(j, k)``;
-    the reported ``j`` is the first such member of ``X_i`` and ``k`` the
-    first index past ``j`` whose set lacks it.
+    Every member of ``X_i`` must be an earlier index in ``[1, i-1]``; the
+    first set holding another index raises ``DomainError`` before the
+    monotonicity pass.  Monotonicity holds iff ``X_i \\ {i-1}`` is a subset
+    of ``X_{i-1}`` for every ``i`` (see :func:`check_monotone_step`), which
+    costs O(sum |X_i|).
     """
     sets = structure.conflict_sets
     n = structure.n
+    for i in range(1, n + 1):
+        bad = [j for j in sets[i - 1] if not 1 <= j < i]
+        if bad:
+            raise DomainError(
+                f"conflict set of {i} contains index {min(bad)} outside [1, {i - 1}]"
+            )
     for i in range(2, n + 1):
-        prev = sets[i - 2]
-        for j in sets[i - 1]:
-            if j < i - 1 and j not in prev:
-                k = j + 1
-                while j in sets[k - 1]:
-                    k += 1
-                raise NonMonotoneConflicts(j, k, i)
+        check_monotone_step(sets, i, sets[i - 1])
     lags = []
     contiguous = True
     for i in range(1, n + 1):

@@ -24,6 +24,7 @@ from .core import (
     Indicators,
     LedgerEntry,
     TrajectoryLedger,
+    check_monotone_step,
     compute_indicators,
 )
 from .errors import (
@@ -33,7 +34,6 @@ from .errors import (
     InvalidConfig,
     MissingIndicator,
     NonContiguousSuffix,
-    NonMonotoneConflicts,
     ScheduleViolation,
     UnknownIndex,
 )
@@ -67,7 +67,6 @@ class FwerEngine:
         self.structure = structure
         self.ledger = TrajectoryLedger()
         self._sets: list[frozenset[int]] = []
-        self._lags: list[int] = []
         self._alpha_tilde: list[float] = []  # issued alpha_i / (tau_i - lambda_i)
         self._events: list[list] = []
         self._warned_lambda = False
@@ -101,6 +100,7 @@ class FwerEngine:
         x = self._declare_conflicts(i, conflicts)
         # a plain float, so that the stream's full-precision repr is a number
         alpha_i = float(self._compute_level(i, x, tau_i, lam_i))
+        self._sets.append(x)
         self._alpha_tilde.append(alpha_i / (tau_i - lam_i))
         self.ledger.append(LedgerEntry(index=i, level=alpha_i, tau=tau_i, lam=lam_i))
         self._events.append(["L", i, tau_i, lam_i, sorted(x)])
@@ -128,25 +128,18 @@ class FwerEngine:
     # -- conflict bookkeeping ----------------------------------------------
 
     def _declare_conflicts(self, i: int, conflicts) -> frozenset[int]:
+        """Check the conflict set of i and return it; mutates nothing."""
         if conflicts is None:
             x = self.structure.conflict_set(i) if self.structure is not None else frozenset()
         else:
             x = frozenset(conflicts)
         if any(not 1 <= j < i for j in x):
             raise DomainError(f"conflict set of {i} contains out-of-range indices")
-        for j in x:
-            for k in range(j + 1, i):
-                if j not in self._sets[k - 1]:
-                    raise NonMonotoneConflicts(j, k, i)
-        lag = len(x)
-        if x and x != frozenset(range(i - lag, i)):
-            if self.needs_lag_form:
-                raise NonContiguousSuffix(
-                    f"{self.kind} requires contiguous-suffix conflict sets; got {sorted(x)} at {i}"
-                )
-            lag = -1  # sentinel: not a contiguous suffix
-        self._sets.append(x)
-        self._lags.append(lag)
+        check_monotone_step(self._sets, i, x)
+        if self.needs_lag_form and x and x != frozenset(range(i - len(x), i)):
+            raise NonContiguousSuffix(
+                f"{self.kind} requires contiguous-suffix conflict sets; got {sorted(x)} at {i}"
+            )
         return x
 
     # -- helpers over recorded indicators -----------------------------------
@@ -365,15 +358,6 @@ class ClosedGraph(FwerEngine):
             row[i] = w
         return w
 
-    def _declare_conflicts(self, i, conflicts):
-        x = super()._declare_conflicts(i, conflicts)
-        if self.structure is not None:
-            # freeze this source's weights toward its future conflicting targets
-            for k in range(i + 1, self.structure.n + 1):
-                if i in self.structure.conflict_set(k):
-                    self._frozen_weight(i, k)
-        return x
-
     def _compute_level(self, i, x, tau_i, lam_i):
         self._require_observed(range(1, i))
         carried = 0.0
@@ -386,7 +370,14 @@ class ClosedGraph(FwerEngine):
                 * (max(ind.r, ind.c) - ind.s + 1)
                 * self._alpha_tilde[j - 1]
             )
-        return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
+        level = (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
+        if self.structure is not None:
+            # freeze this source's weights toward its future conflicting targets,
+            # once its own level stands
+            for k in range(i + 1, self.structure.n + 1):
+                if i in self.structure.conflict_set(k):
+                    self._frozen_weight(i, k)
+        return level
 
 
 ENGINE_KINDS: dict[str, type[FwerEngine]] = {

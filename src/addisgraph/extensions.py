@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
@@ -44,9 +43,8 @@ from .errors import (
     UnknownIndex,
 )
 from .gammas import GammaSpec
+from .sim import gauss_legendre
 from .weights import IncrementalRenormalizer, RenormalizedConflict, ShiftedGamma, WeightRule
-
-QUAD_SPAN = 8.0
 
 
 def alpha_c_gaussian(
@@ -76,9 +74,7 @@ def alpha_c_gaussian(
     prev = None
     m = 64
     while m <= max_nodes:
-        x, w = leggauss(m)
-        z = QUAD_SPAN * x
-        w = QUAD_SPAN * w
+        z, w, _ = gauss_legendre(m)
         cond_prior = ndtr((c_prior[:, None] - sr * z[None, :]) / s1)
         cond_j = 1.0 - ndtr((c_j - sr * z) / s1)
         est = float(np.sum(w * norm.pdf(z) * np.prod(cond_prior, axis=0) * cond_j))

@@ -84,6 +84,20 @@ def test_non_monotone_triple_is_named():
     assert exc.value.triple == (1, 3, 4)
 
 
+@pytest.mark.parametrize(
+    "sets, i, bad",
+    [
+        ([frozenset(), frozenset({3}), frozenset({7})], 2, 3),
+        ([frozenset(), frozenset({1}), frozenset({1, 3})], 3, 3),
+        ([frozenset(), frozenset({0})], 2, 0),
+    ],
+)
+def test_conflict_indices_must_be_earlier(sets, i, bad):
+    """Indices outside [1, i-1] are a domain error, named before monotonicity."""
+    with pytest.raises(DomainError, match=f"conflict set of {i} contains index {bad} "):
+        validate_conflicts(ConflictStructure(sets))
+
+
 def test_finish_time_form():
     # every test finishes two steps after entry
     s = ConflictStructure.from_finish_times([i + 2 for i in range(1, 6)])

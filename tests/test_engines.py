@@ -18,6 +18,7 @@ from addisgraph.errors import (
     DuplicateObservation,
     InvalidConfig,
     MissingIndicator,
+    NonMonotoneConflicts,
     ScheduleViolation,
     UnknownIndex,
 )
@@ -166,6 +167,20 @@ def test_levels_issued_in_order(kind):
     e.level(1)
     with pytest.raises(Exception):
         e.level(3)
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+def test_inline_non_monotone_conflicts_are_named(kind):
+    """1 conflicts with 2 and 4 but not 3: the triple is (1, 3, 4), state untouched."""
+    e = make_engine(kind)
+    for i, x in enumerate([(), (1,), (2,)], start=1):
+        e.level(i, conflicts=x)
+        e.observe(i, 0.5)
+    with pytest.raises(NonMonotoneConflicts) as exc:
+        e.level(4, conflicts=(1, 3))
+    assert exc.value.triple == (1, 3, 4)
+    assert e.issued == 3
+    e.level(4, conflicts=(3,))
 
 
 def test_observe_requires_issued_level():

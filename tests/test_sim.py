@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtr, ndtri
 
 from addisgraph.engines import make_engine
 from addisgraph.errors import EmptyOutcomeSet, InvalidConfig
@@ -16,12 +18,15 @@ from addisgraph.weights import algorithm1_weights
 from addisgraph.sim import (
     ALL_PROCEDURES,
     CSV_HEADER,
+    QUAD_SPAN,
     SimConfig,
+    _renorm_table,
     TrialSet,
     compute_levels,
     expand_grid,
     generate_data,
     generate_trial,
+    gauss_legendre,
     levels_adaptive_corr,
     levels_graph_conf_u,
     max_budget_spend,
@@ -196,6 +201,91 @@ def test_adaptive_corr_quadrature_is_converged():
     fixed, _ = levels_adaptive_corr(p, cfg.b, cfg.rho, cfg.alpha, cfg.lam, BASEL, nodes=512)
     finer, _ = levels_adaptive_corr(p, cfg.b, cfg.rho, cfg.alpha, cfg.lam, BASEL, nodes=2048)
     np.testing.assert_allclose(fixed, finer, rtol=1e-10)
+
+
+def _adaptive_corr_dense(p, b, rho, alpha, lam, spec, nodes):
+    """The correlation runner with the quadrature over every (trial, member, node)."""
+    ttr, n = p.shape
+    gam = spec.values(n)
+    w = _renorm_table(spec, (np.arange(1, n + 1) - 1) % b, n)
+    c_ind = (p <= lam).astype(np.float64)
+    x, wq = leggauss(nodes)
+    z = QUAD_SPAN * x
+    wq = QUAD_SPAN * wq * np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+    sr, s1 = np.sqrt(rho), np.sqrt(1.0 - rho)
+    levels, alpha_c, coef = np.empty((ttr, n)), np.empty((ttr, n)), np.zeros((ttr, n))
+    for start in range(0, n, b):
+        for i0 in range(start, start + b):
+            levels[:, i0] = (1.0 - lam) * (
+                alpha * gam[i0] + coef[:, :start] @ w[1 : start + 1, i0 + 1]
+            )
+        crit = ndtri(1.0 - levels[:, start : start + b])
+        cond = ndtr((crit[:, :, None] - sr * z[None, None, :]) / s1)
+        prefix, n_prior = np.ones((ttr, nodes)), np.zeros(ttr)
+        for j0 in range(b):
+            i0 = start + j0
+            est = (prefix * (1.0 - cond[:, j0, :])) @ wq
+            alpha_c[:, i0] = np.where(n_prior == 0, levels[:, i0], est)
+            keep = c_ind[:, i0] == 0.0
+            prefix *= np.where(keep[:, None], cond[:, j0, :], 1.0)
+            n_prior += keep
+            coef[:, i0] = np.where(
+                c_ind[:, i0] == 1.0, levels[:, i0], levels[:, i0] - alpha_c[:, i0]
+            ) / (1.0 - lam)
+    return levels, alpha_c
+
+
+@st.composite
+def _corr_case(draw):
+    b_kind = draw(st.sampled_from(["1", "2", "n"]))
+    n = 2 * draw(st.integers(1, 20)) if b_kind == "2" else draw(st.integers(1, 40))
+    b = {"1": 1, "2": 2, "n": n}[b_kind]
+    return n, b
+
+
+@given(
+    case=_corr_case(),
+    trials=st.integers(1, 6),
+    rho=st.floats(0.05, 0.95),
+    nodes=st.sampled_from([64, 512]),
+    p_kind=st.sampled_from(["uniform", "all-candidates", "no-candidates"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_adaptive_corr_runner_is_bit_identical_to_dense(case, trials, rho, nodes, p_kind, seed):
+    """Skipping the quadrature values that are never read changes no bit."""
+    n, b = case
+    alpha, lam = 0.2, 0.16
+    u = np.random.default_rng(seed).uniform(size=(trials, n))
+    p = {
+        "uniform": u,
+        "all-candidates": lam * u,
+        "no-candidates": lam + (1.0 - lam) * (1.0 - u),
+    }[p_kind]
+    levels, alpha_c = levels_adaptive_corr(p, b, rho, alpha, lam, BASEL, nodes=nodes)
+    ref_levels, ref_alpha_c = _adaptive_corr_dense(p, b, rho, alpha, lam, BASEL, nodes)
+    assert np.array_equal(levels, ref_levels)
+    assert np.array_equal(alpha_c, ref_alpha_c)
+
+
+def test_quadrature_rule_is_cached_and_read_only():
+    rule = gauss_legendre(64)
+    assert gauss_legendre(64) is rule
+    for a in rule:
+        assert a.shape == (64,) and not a.flags.writeable
+
+
+def test_adaptive_corr_runner_memory_has_no_member_axis():
+    """No (T, b, nodes) quadrature array: 1000 x 20 x 512 doubles alone are 82 MB."""
+    cfg = SimConfig(procedure="adaptive-graph-corr", n=200, b=20, trials=1000, seed=2)
+    p, _ = generate_data(cfg)
+    tracemalloc.start()
+    try:
+        compute_levels(cfg, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 # ---------------------------------------------------------------------------

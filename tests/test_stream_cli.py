@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from addisgraph.cli import main
-from addisgraph.engines import ENGINE_KINDS, GraphConf, make_engine
+from addisgraph.engines import ENGINE_KINDS, FwerEngine, GraphConf, make_engine
 from addisgraph.extensions import FdrGraph
 from addisgraph.stream import StreamSession, run_session
 
@@ -124,6 +124,40 @@ def test_fdr_snapshot_resume_is_bit_identical(tmp_path):
     assert type(resumed.engine) is FdrGraph
     assert resumed.engine.ledger.entries == session.engine.ledger.entries
     assert resumed.handle("H 41 conflicts=40") == session.handle("H 41 conflicts=40")
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+def test_failed_level_request_leaves_no_trace(kind):
+    """A level request that fails on missing feedback changes no engine state.
+
+    The failed ``H 2`` must not shift the monotonicity checks of later
+    requests, and the live session, its restored snapshot and a replay of
+    only the accepted lines must agree bit for bit.  The closed procedures
+    need feedback for conflicting predecessors too, so they get ``P 2``
+    before ``H 3``.
+    """
+    lines = ["H 1", "H 2", "P 1 0.9", "H 2"]  # the first H 2 has no feedback for 1
+    if kind.startswith("closed"):
+        lines += ["P 2 0.5", "H 3 conflicts=2"]
+    else:
+        lines += ["H 3 conflicts=2", "P 2 0.5"]
+    lines += ["P 3 0.5", "H 4 conflicts=2,3"]
+    live = StreamSession(make_engine(kind), full_precision=True)
+    replies = [live.handle(x) for x in lines]
+    assert replies[1].startswith("ERR missing-indicator")
+    assert replies[-1].startswith("LEVEL 4 ")
+    accepted = [x for x, r in zip(lines, replies) if not r.startswith("ERR")]
+    replay = StreamSession(make_engine(kind), full_precision=True)
+    assert [replay.handle(x) for x in accepted] == [r for r in replies if not r.startswith("ERR")]
+    restored = StreamSession(FwerEngine.restore(live.engine.snapshot_json()), full_precision=True)
+    for other in (replay, restored):
+        assert other.engine.ledger.entries == live.engine.ledger.entries
+        assert other.engine.snapshot() == live.engine.snapshot()
+    tail = ["P 4 0.5", "H 5 conflicts=3,4"]
+    expected = [live.handle(x) for x in tail]
+    assert expected[-1].startswith("LEVEL 5 ")
+    for other in (replay, restored):
+        assert [other.handle(x) for x in tail] == expected
 
 
 def test_run_session_stops_on_quit():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from addisgraph.errors import InvalidConfig, MissingData
+from addisgraph.errors import DomainError, InvalidConfig, MissingData
 from addisgraph.gammas import GammaSpec
 from addisgraph.study import ReplayStudy, replay_study, untested_future_level
 
@@ -60,6 +60,16 @@ def test_conflict_override(tmp_path):
     )
     study = ReplayStudy.parse(path)
     assert study.conflict_sets[1] == frozenset()
+
+
+def test_conflict_override_naming_a_later_hypothesis_is_rejected(tmp_path):
+    path = tmp_path / "later.study"
+    path.write_text(
+        "T1 enter=1 exit=5 p=0.5\nT2 enter=2 exit=6 p=0.5\n"
+        "T3 enter=3 exit=7 p=0.5\nconflicts T2 = T3\n"
+    )
+    with pytest.raises(DomainError, match="conflict set of 2 contains index 3 "):
+        ReplayStudy.parse(path)
 
 
 def test_bad_study_file_reports_line(tmp_path):
