@@ -40,7 +40,7 @@ from .extensions import (
     alpha_c_monte_carlo,
     rejection_memory,
 )
-from .gammas import GammaSpec, gamma_value
+from .gammas import GammaSpec
 from .oracles import (
     BudgetFunction,
     brute_force_budget_check,
@@ -56,13 +56,11 @@ from .weights import (
     IncrementalRenormalizer,
     RenormalizedConflict,
     ShiftedGamma,
-    UniformNextClear,
     WeightRule,
     algorithm1_weights,
     lemma1_base_weight,
     lemma1_row,
     renormalized_conflict_weights,
-    reward_weights,
     spending_counters,
 )
 
@@ -98,7 +96,6 @@ __all__ = [
     "SpendingLocal",
     "StreamSession",
     "TrajectoryLedger",
-    "UniformNextClear",
     "WeightRule",
     "algorithm1_weights",
     "alpha_c_gaussian",
@@ -110,7 +107,6 @@ __all__ = [
     "closure_oracle",
     "compute_indicators",
     "expand_grid",
-    "gamma_value",
     "improvement_weight_oracle",
     "lemma1_base_weight",
     "lemma1_row",
@@ -118,7 +114,6 @@ __all__ = [
     "parse_grid_file",
     "renormalized_conflict_weights",
     "replay_study",
-    "reward_weights",
     "rejection_memory",
     "run_config",
     "run_grid",

@@ -9,15 +9,19 @@ Each engine is a single-owner state machine over a 1-based hypothesis stream:
 
 Levels are deterministic functions of the configuration, the schedule, and
 indicators of non-conflicting predecessors only; once issued they never
-change.  All mutating calls are appended to an event log, which makes the
-versioned snapshot trivial: serialize configuration plus events, restore by
-replay — behavior after a round-trip is bit-identical by construction.
+change.  Engines keep per-index arrays of indicators and propagated levels
+as they go, so a level is a dot product over them, not a loop over the
+predecessors.  All mutating calls are appended to an event log, which makes
+the versioned snapshot trivial: serialize configuration plus events, restore
+by replay — behavior after a round-trip is bit-identical by construction.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+
+import numpy as np
 
 from .core import (
     ConflictStructure,
@@ -30,7 +34,6 @@ from .core import (
 from .errors import (
     DomainError,
     DuplicateObservation,
-    FrozenRowViolation,
     InvalidConfig,
     MissingIndicator,
     NonContiguousSuffix,
@@ -67,9 +70,17 @@ class FwerEngine:
         self.structure = structure
         self.ledger = TrajectoryLedger()
         self._sets: list[frozenset[int]] = []
-        self._alpha_tilde: list[float] = []  # issued alpha_i / (tau_i - lambda_i)
         self._events: list[list] = []
         self._warned_lambda = False
+        self._pending: set[int] = set()  # issued, not yet observed
+        # Per-index rows S, C, R, U (zero until observed) and the propagated
+        # level over its gap, alpha_j / (tau_j - lambda_j); doubled on demand.
+        self._state = np.zeros((5, 64))
+        self._s, self._c, self._r, self._u, self._alpha_tilde = self._state
+        # Running sums of S - C and S - max(R, C) over the longest observed
+        # prefix: entry k sums indices 1..k.
+        self._spent = [0]
+        self._closed_spent = [0]
 
     @staticmethod
     def _check_gap(tau: float, lam: float) -> None:
@@ -98,10 +109,13 @@ class FwerEngine:
         lam_i = self.lam if lam is None else lam
         self._check_gap(tau_i, lam_i)
         x = self._declare_conflicts(i, conflicts)
-        # a plain float, so that the stream's full-precision repr is a number
-        alpha_i = float(self._compute_level(i, x, tau_i, lam_i))
+        # plain floats, so that the stream's full-precision repr is a number
+        propagated = float(self._compute_level(i, x, tau_i, lam_i))
+        alpha_i = self._testing_level(propagated, lam_i)
+        self._reserve(i)
+        self._alpha_tilde[i - 1] = propagated / (tau_i - lam_i)
         self._sets.append(x)
-        self._alpha_tilde.append(alpha_i / (tau_i - lam_i))
+        self._pending.add(i)
         self.ledger.append(LedgerEntry(index=i, level=alpha_i, tau=tau_i, lam=lam_i))
         self._events.append(["L", i, tau_i, lam_i, sorted(x)])
         if alpha_i > lam_i and not self._warned_lambda:
@@ -122,7 +136,15 @@ class FwerEngine:
             raise DuplicateObservation(f"p-value for index {i} already reported")
         ind = compute_indicators(p, entry.tau, entry.lam, entry.level)
         self.ledger.record(i, ind)
+        self._state[:4, i - 1] = ind.s, ind.c, ind.r, ind.u
+        self._pending.discard(i)
         self._events.append(["P", i, p])
+        done = len(self._spent) - 1
+        while done < self.issued and done + 1 not in self._pending:
+            prev = self.ledger.entries[done].indicators
+            self._spent.append(self._spent[-1] + prev.s - prev.c)
+            self._closed_spent.append(self._closed_spent[-1] + prev.s - max(prev.r, prev.c))
+            done += 1
         return ind, bool(ind.r)
 
     # -- conflict bookkeeping ----------------------------------------------
@@ -142,18 +164,38 @@ class FwerEngine:
             )
         return x
 
-    # -- helpers over recorded indicators -----------------------------------
+    # -- helpers over recorded state ---------------------------------------
 
-    def _require_observed(self, indices) -> None:
-        missing = [j for j in indices if self.ledger.entries[j - 1].indicators is None]
+    def _reserve(self, n: int) -> None:
+        cap = self._state.shape[1]
+        if n > cap:
+            table = np.zeros((5, max(n, 2 * cap)))
+            table[:, :cap] = self._state
+            self._state = table
+            self._s, self._c, self._r, self._u, self._alpha_tilde = table
+
+    def _require_observed(self, below: int, exempt: frozenset[int] = frozenset()) -> None:
+        """Raise unless every index < ``below`` outside ``exempt`` is observed."""
+        missing = sorted(j for j in self._pending if j < below and j not in exempt)
         if missing:
             raise MissingIndicator(f"levels need p-value feedback for indices {missing}")
 
-    def _ind(self, j: int) -> Indicators:
-        return self.ledger.entries[j - 1].indicators
+    @staticmethod
+    def _blocked(i: int, x: frozenset[int]) -> np.ndarray:
+        """Mask over sources 1..i-1 that conflict with i."""
+        blocked = np.zeros(i - 1, dtype=bool)
+        if x:
+            blocked[np.fromiter(x, np.intp, len(x)) - 1] = True
+        return blocked
 
     def _compute_level(self, i, x, tau_i, lam_i) -> float:
+        """The level of i that later levels build on; must change no state
+        before its last check has passed."""
         raise NotImplementedError
+
+    def _testing_level(self, propagated: float, lam_i: float) -> float:
+        """The level issued for testing, from the propagated one."""
+        return propagated
 
     # -- snapshot / restore -------------------------------------------------
 
@@ -214,9 +256,8 @@ class SpendingLocal(FwerEngine):
 
     def _compute_level(self, i, x, tau_i, lam_i):
         lag = len(x)
-        usable = range(1, i - lag)
-        self._require_observed(usable)
-        t = 1 + lag + sum(self._ind(j).s - self._ind(j).c for j in usable)
+        self._require_observed(i - lag)
+        t = 1 + lag + self._spent[i - lag - 1]
         return self.alpha * (tau_i - lam_i) * self.gamma.value(t)
 
 
@@ -246,25 +287,21 @@ class GraphConf(FwerEngine):
             raise InvalidConfig("snapshots support the default shifted-gamma rule only")
         return {"adjust": self.adjust}
 
-    def _weight(self, j: int, i: int, x: frozenset[int]) -> float:
-        if self.adjust == "none":
-            w = self.base_rule.weight(j, i)
-            if j in x:
-                if w != 0.0:
-                    raise ScheduleViolation(
-                        f"base rule puts weight {w} on conflicting pair ({j}, {i})"
-                    )
-                return 0.0
-            return w
-        return self._renorm.weight(j, i, conflicting=j in x)
-
     def _compute_level(self, i, x, tau_i, lam_i):
-        self._require_observed(j for j in range(1, i) if j not in x)
-        carried = 0.0
-        for j in range(1, i):
-            w = self._weight(j, i, x)
-            if w:
-                carried += w * self._ind(j).u * self._alpha_tilde[j - 1]
+        self._require_observed(i, x)
+        blocked = self._blocked(i, x)
+        if self.adjust == "none":
+            col = self.base_rule.column(i)
+            bad = np.flatnonzero(blocked & (col != 0.0))
+            if bad.size:
+                j = int(bad[0]) + 1
+                raise ScheduleViolation(
+                    f"base rule puts weight {col[j - 1]} on conflicting pair ({j}, {i})"
+                )
+        else:
+            col, cleared = self._renorm.column(i, blocked)
+            self._renorm.pin(cleared)  # nothing below can fail
+        carried = col @ (self._u[: i - 1] * self._alpha_tilde[: i - 1])
         return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
 
 
@@ -283,20 +320,18 @@ class GraphConfU(FwerEngine):
         super().__init__(*args, **kwargs)
         self.gamma.require_nonincreasing()
         self._cols = Alg1Columns(self.gamma)
+        self._u_fed = 0  # U_1 .. U_{_u_fed} are in _cols
 
     def _compute_level(self, i, x, tau_i, lam_i):
         lag = len(x)
-        usable = range(1, i - lag)
-        self._require_observed(usable)
+        usable = i - lag - 1  # sources 1 .. usable may carry weight
+        self._require_observed(usable + 1)
         self._cols.set_lag(i, lag)
-        for j in usable:
-            self._cols.set_u(j, self._ind(j).u)
-        col = self._cols.column(i)
-        carried = sum(
-            col[j - 1] * self._ind(j).u * self._alpha_tilde[j - 1]
-            for j in usable
-            if col[j - 1]
-        )
+        for j in range(self._u_fed + 1, usable + 1):
+            self._cols.set_u(j, self.ledger.entries[j - 1].indicators.u)
+        self._u_fed = max(self._u_fed, usable)
+        col = self._cols.column(i)[:usable]
+        carried = col @ (self._u[:usable] * self._alpha_tilde[:usable])
         return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
 
 
@@ -313,11 +348,9 @@ class ClosedSpending(FwerEngine):
     needs_lag_form = True
 
     def _compute_level(self, i, x, tau_i, lam_i):
-        self._require_observed(range(1, i))
-        t = 1 + sum(1 - self._ind(j).r for j in x)
-        t += sum(
-            self._ind(j).s - max(self._ind(j).r, self._ind(j).c) for j in range(1, i - len(x))
-        )
+        self._require_observed(i)
+        lag = len(x)
+        t = 1 + lag - int(self._r[i - 1 - lag : i - 1].sum()) + self._closed_spent[i - lag - 1]
         return self.alpha * (tau_i - lam_i) * self.gamma.value(t)
 
 
@@ -329,7 +362,6 @@ class ClosedGraph(FwerEngine):
     alpha_i = (tau_i - lambda_i) (alpha gamma_i
       + sum_{j in X_i} g[j,i] R_j alpha_j / (tau_j - lambda_j)
       + sum_{j < i-L_i} g[j,i] (max(R_j,C_j) - S_j + 1) alpha_j / (tau_j - lambda_j)).
-    Weights on conflicting pairs are frozen when the source level is issued.
     """
 
     kind = "closed-graph"
@@ -339,45 +371,19 @@ class ClosedGraph(FwerEngine):
         super().__init__(*args, **kwargs)
         self.base_rule = rule if rule is not None else ShiftedGamma(self.gamma)
         self._custom_rule = rule is not None
-        self._frozen: dict[int, dict[int, float]] = {}
 
     def _extra_config(self):
         if self._custom_rule:
             raise InvalidConfig("snapshots support the default shifted-gamma rule only")
         return {}
 
-    def _frozen_weight(self, j: int, i: int) -> float:
-        w = self.base_rule.weight(j, i)
-        row = self._frozen.setdefault(j, {})
-        if i in row:
-            if row[i] != w:
-                raise FrozenRowViolation(
-                    f"weight ({j}, {i}) changed from {row[i]} to {w} after freezing"
-                )
-        else:
-            row[i] = w
-        return w
-
     def _compute_level(self, i, x, tau_i, lam_i):
-        self._require_observed(range(1, i))
-        carried = 0.0
-        for j in x:
-            carried += self._frozen_weight(j, i) * self._ind(j).r * self._alpha_tilde[j - 1]
-        for j in range(1, i - len(x)):
-            ind = self._ind(j)
-            carried += (
-                self.base_rule.weight(j, i)
-                * (max(ind.r, ind.c) - ind.s + 1)
-                * self._alpha_tilde[j - 1]
-            )
-        level = (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
-        if self.structure is not None:
-            # freeze this source's weights toward its future conflicting targets,
-            # once its own level stands
-            for k in range(i + 1, self.structure.n + 1):
-                if i in self.structure.conflict_set(k):
-                    self._frozen_weight(i, k)
-        return level
+        self._require_observed(i)
+        lo = i - len(x) - 1  # sources 1 .. lo precede the conflict window
+        coef = self._r[: i - 1].copy()
+        coef[:lo] = np.maximum(self._r[:lo], self._c[:lo]) - self._s[:lo] + 1.0
+        carried = self.base_rule.column(i) @ (coef * self._alpha_tilde[: i - 1])
+        return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
 
 
 ENGINE_KINDS: dict[str, type[FwerEngine]] = {

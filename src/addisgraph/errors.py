@@ -56,10 +56,6 @@ class ScheduleViolation(AddisGraphError):
     """A weight schedule assigns nonzero weight along a conflicting edge."""
 
 
-class FrozenRowViolation(AddisGraphError):
-    """A weight row was modified after the engine froze it."""
-
-
 class UnknownIndex(AddisGraphError):
     """Feedback arrived for an index with no issued level."""
 

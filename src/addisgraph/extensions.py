@@ -39,12 +39,11 @@ from .errors import (
     MissingIndicator,
     ModelUnavailable,
     QuadratureNonConvergence,
-    ScheduleViolation,
     UnknownIndex,
 )
 from .gammas import GammaSpec
 from .sim import gauss_legendre
-from .weights import IncrementalRenormalizer, RenormalizedConflict, ShiftedGamma, WeightRule
+from .weights import IncrementalRenormalizer, RenormalizedConflict, ShiftedGamma
 
 
 def alpha_c_gaussian(
@@ -276,11 +275,13 @@ class FdrGraph(FwerEngine):
 
     alpha_hat_i = (tau_i - lambda_i) (W0 gamma_i
       + sum_j g*[j,i] U_j alpha_hat_j / (tau_j - lambda_j)
-      + sum_j h*[j,i] R_j [alpha K_j + (alpha - W0)(1 - K_j)])
+      + sum_j g*[j,i] R_j [alpha K_j + (alpha - W0)(1 - K_j)])
 
-    and the issued testing level is min(alpha_hat_i, lambda_i); the graph
-    propagates the unclipped alpha_hat.  The first rejection earns only
-    ``alpha - W0``; all later ones earn the full ``alpha``.
+    with the conflict-renormalized shifted-gamma weights g* for both the
+    recycled levels and the rejection rewards.  The issued testing level is
+    min(alpha_hat_i, lambda_i); the graph propagates the unclipped
+    alpha_hat.  The first rejection earns only ``alpha - W0``; all later ones
+    earn the full ``alpha``.
     """
 
     kind = "fdr-graph"
@@ -293,7 +294,6 @@ class FdrGraph(FwerEngine):
         gamma: GammaSpec | str = "basel",
         structure: ConflictStructure | None = None,
         w0: float | None = None,
-        reward_rule: WeightRule | None = None,
     ):
         super().__init__(alpha=alpha, tau=tau, lam=lam, gamma=gamma, structure=structure)
         w0 = alpha if w0 is None else w0
@@ -301,52 +301,32 @@ class FdrGraph(FwerEngine):
             raise InvalidW0(f"starting wealth must lie in (0, alpha], got {w0}")
         self.w0 = w0
         self._renorm = IncrementalRenormalizer(ShiftedGamma(self.gamma))
-        self.reward_rule = reward_rule
-        self._alpha_hat_tilde: list[float] = []  # alpha_hat_j / (tau_j - lambda_j)
 
     def _extra_config(self):
-        if self.reward_rule is not None:
-            raise InvalidConfig("snapshots support the default reward rule only")
         return {"w0": self.w0}
 
-    def _reward_weight(self, j: int, i: int, x: frozenset[int]) -> float:
-        if self.reward_rule is None:
-            return self._renorm.weight(j, i, conflicting=j in x)
-        w = self.reward_rule.weight(j, i)
-        if j in x and w != 0.0:
-            raise ScheduleViolation(f"reward rule puts weight {w} on conflicting pair ({j}, {i})")
-        return 0.0 if j in x else w
-
     def _compute_level(self, i, x, tau_i, lam_i):
-        self._require_observed(j for j in range(1, i) if j not in x)
-        carried = 0.0
-        reward = 0.0
-        k_flag = 0
-        k_known = True  # R of every index seen so far is known
-        for j in range(1, i):
-            entry = self.ledger.entries[j - 1]
-            if j not in x:
-                ind = entry.indicators
-                g = self._renorm.weight(j, i, conflicting=False)
-                if g:
-                    carried += g * ind.u * self._alpha_hat_tilde[j - 1]
-                if ind.r:
-                    h = self._reward_weight(j, i, x)
-                    if h:
-                        if not k_known:
-                            raise MissingIndicator(
-                                f"reward at index {j} needs rejections of all earlier indices"
-                            )
-                        reward += h * (
-                            self.alpha * k_flag + (self.alpha - self.w0) * (1 - k_flag)
-                        )
-            if entry.indicators is None:
-                k_known = False
-            elif entry.indicators.r:
-                k_flag = 1
-        alpha_hat = (tau_i - lam_i) * (self.w0 * self.gamma.value(i) + carried + reward)
-        self._alpha_hat_tilde.append(alpha_hat / (tau_i - lam_i))
-        return min(alpha_hat, lam_i)
+        self._require_observed(i, x)
+        n = i - 1
+        col, cleared = self._renorm.column(i, self._blocked(i, x))
+        r = self._r[:n]
+        if self._pending:  # every pending index conflicts with i
+            first = min(self._pending)
+            late = np.flatnonzero((col[first:] != 0.0) & (r[first:] == 1.0))
+            if late.size:
+                raise MissingIndicator(
+                    f"reward at index {first + int(late[0]) + 1} needs rejections "
+                    "of all earlier indices"
+                )
+        earlier = np.cumsum(r) - r  # K_j = 1 iff a rejection precedes j
+        earn = np.where(earlier > 0.0, self.alpha, self.alpha - self.w0)
+        carried = col @ (self._u[:n] * self._alpha_tilde[:n])
+        reward = col @ (r * earn)
+        self._renorm.pin(cleared)
+        return (tau_i - lam_i) * (self.w0 * self.gamma.value(i) + carried + reward)
+
+    def _testing_level(self, propagated, lam_i):
+        return min(propagated, lam_i)
 
     @property
     def k_flags(self) -> np.ndarray:

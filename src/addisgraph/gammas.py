@@ -86,11 +86,13 @@ class GammaSpec:
         """gamma_i for a single 1-based index."""
         if i < 1:
             raise DomainError(f"gamma index must be >= 1, got {i}")
-        return float(self.values(i)[i - 1])
+        return float(_cached(self, i)[i - 1])
 
     def values(self, n: int) -> np.ndarray:
-        """Array of gamma_1 .. gamma_n."""
-        return _gamma_values(self, n)
+        """Array of gamma_1 .. gamma_n (a read-only view)."""
+        if n < 1:
+            raise DomainError(f"need n >= 1, got {n}")
+        return _cached(self, n)[:n]
 
     def prefix_sum(self, m: int) -> float:
         """sum_{i<=m} gamma_i (exact for geometric, high precision otherwise)."""
@@ -140,28 +142,35 @@ class GammaSpec:
         raise InvalidSpec(f"cannot parse gamma spec {text!r}")
 
 
-@lru_cache(maxsize=256)
-def _gamma_values(spec: GammaSpec, n: int) -> np.ndarray:
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+# One read-only array per spec, doubled whenever a longer prefix is asked for.
+# Each element is computed on its own, so a prefix equals a fresh evaluation
+# of that length bit for bit (tests/test_gammas.py checks this).
+_ARRAYS: dict[GammaSpec, np.ndarray] = {}
+_MIN_CACHED = 64
+
+
+def _cached(spec: GammaSpec, n: int) -> np.ndarray:
+    arr = _ARRAYS.get(spec)
+    if arr is None or arr.size < n:
+        arr = _evaluate(spec, max(n, _MIN_CACHED, 2 * arr.size if arr is not None else 0))
+        arr.setflags(write=False)
+        _ARRAYS[spec] = arr
+    return arr
+
+
+def _evaluate(spec: GammaSpec, n: int) -> np.ndarray:
+    """gamma_1 .. gamma_n, evaluated afresh."""
     i = np.arange(1, n + 1, dtype=np.float64)
     if spec.kind == "basel":
-        out = _BASEL / i**2
-    elif spec.kind == "geometric":
-        out = spec.q ** (i - 1.0) * (1.0 - spec.q)
-    elif spec.kind == "power":
-        out = i ** (-spec.s) / zeta(spec.s)
-    elif spec.kind == "logq":
-        out = _logq_norm() / ((i + 1.0) * np.log(i + 1.0) ** 2)
-    else:  # custom
-        out = np.zeros(n)
-        table = np.asarray(spec.table, dtype=np.float64)
-        k = min(n, table.size)
-        out[:k] = table[:k]
-    out.setflags(write=False)
+        return _BASEL / i**2
+    if spec.kind == "geometric":
+        return spec.q ** (i - 1.0) * (1.0 - spec.q)
+    if spec.kind == "power":
+        return i ** (-spec.s) / zeta(spec.s)
+    if spec.kind == "logq":
+        return _logq_norm() / ((i + 1.0) * np.log(i + 1.0) ** 2)
+    out = np.zeros(n)  # custom
+    table = np.asarray(spec.table, dtype=np.float64)
+    k = min(n, table.size)
+    out[:k] = table[:k]
     return out
-
-
-def gamma_value(spec: GammaSpec, i: int) -> float:
-    """Functional alias for :meth:`GammaSpec.value`."""
-    return spec.value(i)

@@ -8,7 +8,10 @@ Requests (one per line):
   Response: ``LEVEL <id> <alpha>``.
 * ``P <id> <p>`` — report the p-value of a registered hypothesis.
   Response: ``DECISION <id> reject|accept S=<0|1> C=<0|1>``.
-* ``SAVE <path>`` — write a resumable snapshot.  Response: ``SAVED <path>``.
+* ``SAVE <path>`` — write a resumable snapshot, atomically: the file at
+  ``<path>`` is either the previous snapshot or the new one, never a part.
+  Response: ``SAVED <path>``, or ``ERR save-failed`` when it cannot be
+  written.
 
 Malformed or ill-timed requests produce ``ERR <code> <detail>`` and leave
 the session state untouched.
@@ -16,6 +19,7 @@ the session state untouched.
 
 from __future__ import annotations
 
+import os
 import re
 
 from .engines import FwerEngine
@@ -57,10 +61,25 @@ class StreamSession:
         if cmd == "SAVE":
             if len(parts) != 2:
                 raise ProtocolError("bad-command", "usage: SAVE <path>")
-            with open(parts[1], "w") as fh:
-                fh.write(self.engine.snapshot_json())
+            self._save(parts[1])
             return f"SAVED {parts[1]}"
         raise ProtocolError("bad-command", f"unknown command {parts[0]!r}")
+
+    def _save(self, path: str) -> None:
+        """Write the snapshot beside ``path``, then rename it over ``path``,
+        so that a write that fails leaves the previous snapshot whole."""
+        text = self.engine.snapshot_json()
+        tmp = f"{os.path.abspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except OSError as exc:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise ProtocolError("save-failed", f"cannot write {path}: {exc}") from None
 
     @staticmethod
     def _index(token: str) -> int:

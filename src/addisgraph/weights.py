@@ -154,31 +154,66 @@ class IncrementalRenormalizer:
 
     def __init__(self, base: WeightRule):
         self.base = base
-        self._denom: dict[int, float] = {}
+        self._den = np.full(64, np.nan)  # NaN: not pinned yet; 0: degenerate row
         self.degenerate_rows: set[int] = set()
 
-    def weight(self, j: int, i: int, conflicting: bool) -> float:
-        if conflicting or i <= j:
-            return 0.0
-        if j not in self._denom:
-            if i == j + 1:  # empty blocked prefix: keep base weights exactly
-                self._denom[j] = 1.0
-                return self.base.weight(j, i)
-            blocked = 1.0 - self.base.tail_mass(j, i - 1)
-            denom = 1.0 - blocked
-            if denom <= MASS_TOL:
+    def _pinned(self, j: int) -> float | None:
+        if j > self._den.size or np.isnan(self._den[j - 1]):
+            return None
+        return float(self._den[j - 1])
+
+    def _denominator(self, j: int, i: int) -> float:
+        """Denominator of source ``j`` whose first clear target is ``i``."""
+        if i == j + 1:  # empty blocked prefix: keep base weights exactly
+            return 1.0
+        blocked = 1.0 - self.base.tail_mass(j, i - 1)
+        denom = 1.0 - blocked
+        return denom if denom > MASS_TOL else 0.0
+
+    def pin(self, cleared: dict[int, float]) -> None:
+        """Store denominators returned by :meth:`column`, once the level stands."""
+        for j, denom in cleared.items():
+            if j > self._den.size:
+                grown = np.full(max(j, 2 * self._den.size), np.nan)
+                grown[: self._den.size] = self._den
+                self._den = grown
+            if denom == 0.0:
                 warnings.warn(
                     f"all future weight of source {j} is blocked; emitting zero weights",
                     DegenerateRenormalization,
                 )
                 self.degenerate_rows.add(j)
-                denom = 0.0
-            self._denom[j] = denom
-        denom = self._denom[j]
+            self._den[j - 1] = denom
+
+    def weight(self, j: int, i: int, conflicting: bool) -> float:
+        if conflicting or i <= j:
+            return 0.0
+        denom = self._pinned(j)
+        if denom is None:
+            denom = self._denominator(j, i)
+            self.pin({j: denom})
         return self.base.weight(j, i) / denom if denom else 0.0
 
+    def column(self, i: int, blocked: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:
+        """Weights g*[1..i-1, i], zero where ``blocked``, and the sources that
+        first clear at ``i`` with their denominators.
+
+        Nothing is stored: the caller passes the second value to :meth:`pin`
+        once its level stands, so a request that fails leaves no trace.
+        """
+        n = i - 1
+        den = np.full(n, np.nan)
+        known = min(n, self._den.size)
+        den[:known] = self._den[:known]
+        fresh = np.flatnonzero(np.isnan(den) & ~blocked)
+        cleared = {int(k) + 1: self._denominator(int(k) + 1, i) for k in fresh}
+        den[fresh] = list(cleared.values())
+        out = np.zeros(n)
+        np.divide(self.base.column(i), den, out=out, where=~blocked & (den != 0.0))
+        return out, cleared
+
     def tail_mass(self, j: int, m: int) -> float:
-        denom = self._denom.get(j)
+        denom = self._pinned(j)
         if denom is None:
             return 1.0
         return self.base.tail_mass(j, m) / denom if denom else 0.0
@@ -189,34 +224,6 @@ def renormalized_conflict_weights(
 ) -> RenormalizedConflict:
     """Build the renormalized conflict-adjusted rule for a validated structure."""
     return RenormalizedConflict(base, structure)
-
-
-class UniformNextClear(WeightRule):
-    """Mass 1/m on the next m non-conflicting targets (used as a reward rule)."""
-
-    def __init__(self, structure: ConflictStructure, m: int):
-        self.structure = structure
-        self.m = m
-        self._d = RenormalizedConflict._first_clear_targets(structure)
-
-    def weight(self, j, i):
-        d_j = self._d.get(j, j + 1)
-        return 1.0 / self.m if d_j <= i < d_j + self.m else 0.0
-
-    def tail_mass(self, j, m):
-        d_j = self._d.get(j, j + 1)
-        remaining = max(0, min(d_j + self.m - 1, 10**18) - max(m, d_j - 1))
-        return remaining / self.m
-
-
-def reward_weights(rule: WeightRule | None, structure: ConflictStructure,
-                   default: WeightRule | None = None) -> WeightRule:
-    """Reward schedule for the FDR graph; defaults to the level schedule itself."""
-    if rule is not None:
-        return rule
-    if default is None:
-        raise InvalidSpec("no reward rule given and no default schedule available")
-    return default
 
 
 class CustomTable(WeightRule):

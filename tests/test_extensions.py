@@ -192,7 +192,7 @@ def test_fdr_first_rejection_earns_nothing_when_w0_equals_alpha():
     a1 = e.level(1)
     e.observe(1, a1 / 2)  # first rejection (also a candidate)
     a2_hat_seed = 0.25 * 0.05 * G2
-    carried = e._alpha_hat_tilde[0]  # U_1 = 1 since p <= lambda
+    carried = e._alpha_tilde[0]  # U_1 = 1 since p <= lambda
     expected = 0.25 * (0.05 * G2 + G1 * carried)  # no reward term: K_1 = 0
     assert e.level(2) == pytest.approx(expected, rel=1e-12)
     assert expected > a2_hat_seed
@@ -205,7 +205,7 @@ def test_fdr_second_rejection_earns_alpha():
     a2 = e.level(2)
     e.observe(2, a2 / 2)  # rejection 2, K_2 = 1
     # weights are gamma-shifted: g*_{1,3} = G2, g*_{2,3} = G1
-    carried = G2 * e._alpha_hat_tilde[0] + G1 * e._alpha_hat_tilde[1]
+    carried = G2 * e._alpha_tilde[0] + G1 * e._alpha_tilde[1]
     reward_1 = G2 * 0.0  # K_1 = 0 and w0 = alpha: first rejection earns nothing
     reward_2 = G1 * 0.05  # alpha * K_2
     expected = 0.25 * (0.05 * G3 + carried + reward_1 + reward_2)

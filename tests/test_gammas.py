@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addisgraph import gammas
 from addisgraph.errors import InvalidSpec, NonMonotoneGamma
 from addisgraph.gammas import GammaSpec
 
@@ -82,3 +83,21 @@ def test_prefix_plus_tail_constant(name, m):
     spec = GammaSpec.parse(name)
     total = spec.prefix_sum(m) + spec.tail_sum(m)
     assert total == pytest.approx(spec.tail_sum(0), rel=1e-9)
+
+
+LONG = 10**5
+SPARSE = [3001, 4095, 4096, 4097, 9999, 12345, 2**14 + 1, 32767, 50000, 65537, 77777, LONG]
+
+
+@pytest.mark.parametrize(
+    "name", ["basel", "logq", "power:1.6", "power:2.5", "geometric:0.6", "geometric:0.97"]
+)
+def test_cached_prefix_equals_fresh_evaluation(name):
+    """``values(n)`` is a prefix of one long cached array, so numpy must give
+    each element the same bits whatever the array's length."""
+    spec = GammaSpec.parse(name)
+    long = spec.values(LONG)
+    assert not long.flags.writeable
+    for n in [*range(1, 3001), *SPARSE]:
+        assert np.array_equal(spec.values(n), gammas._evaluate(spec, n)), n
+    assert [spec.value(i) for i in range(1, LONG + 1)] == long.tolist()

@@ -160,6 +160,78 @@ def test_failed_level_request_leaves_no_trace(kind):
         assert [other.handle(x) for x in tail] == expected
 
 
+def test_failed_fdr_reward_request_pins_no_denominator():
+    """A level rejected for a missing reward indicator leaves no trace.
+
+    The failed ``H 5 conflicts=3`` clears source 4 at target 5, so checking
+    it must not pin 4's renormalization denominator: the retry blocks 4 and
+    ``H 6`` must see the same state as a session that never sent the
+    failed line, and as a restore of the snapshot.
+    """
+    head = ["H 1", "P 1 0.5", "H 2", "P 2 0.5", "H 3", "H 4 conflicts=3", "P 4 0.0001"]
+    tail = ["H 5 conflicts=3,4", "P 3 0.5", "P 5 0.5", "H 6"]
+    live = StreamSession(FdrGraph(), full_precision=True)
+    replies = [live.handle(x) for x in head + ["H 5 conflicts=3"] + tail]
+    assert replies[len(head)].startswith("ERR missing-indicator")
+    clean = StreamSession(FdrGraph(), full_precision=True)
+    expected = [clean.handle(x) for x in head + tail]
+    assert replies[-1] == expected[-1]
+    assert float(replies[-1].split()[2]) == pytest.approx(0.00039519107169166793, rel=1e-12)
+    restored = FwerEngine.restore(live.engine.snapshot_json())
+    for other in (clean.engine, restored):
+        assert other.ledger.entries == live.engine.ledger.entries
+    nxt = ["P 6 0.5", "H 7 conflicts=6"]
+    assert [StreamSession(restored, full_precision=True).handle(x) for x in nxt] == [
+        live.handle(x) for x in nxt
+    ]
+
+
+def test_failed_save_keeps_previous_snapshot(tmp_path, monkeypatch):
+    """A SAVE whose write fails midway leaves the last snapshot whole."""
+    import errno
+    import os
+
+    from addisgraph import stream
+
+    snap = tmp_path / "snap.json"
+    session = StreamSession(GraphConf(), full_precision=True)
+    session.handle("H 1")
+    assert session.handle(f"SAVE {snap}") == f"SAVED {snap}"
+    before = snap.read_text()
+    session.handle("P 1 0.5")
+    session.handle("H 2")
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWrite(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(stream, "open", failing_open, raising=False)
+    assert session.handle(f"SAVE {snap}").startswith("ERR save-failed")
+    monkeypatch.undo()
+    assert snap.read_text() == before
+    assert os.listdir(tmp_path) == ["snap.json"]
+    assert FwerEngine.restore(before).issued == 1
+    assert session.handle(f"SAVE {snap}") == f"SAVED {snap}"
+    assert FwerEngine.restore(snap.read_text()).ledger.entries == session.engine.ledger.entries
+
+
 def test_run_session_stops_on_quit():
     out = io.StringIO()
     run_session(GraphConf(), ["H 1", "QUIT", "H 2"], out)
