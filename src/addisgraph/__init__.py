@@ -11,7 +11,6 @@ variant, independent verification oracles, a simulation harness, and a CLI.
 from .core import (
     ConditionReport,
     ConflictStructure,
-    HypothesisRecord,
     Indicators,
     LedgerEntry,
     TrajectoryLedger,
@@ -83,7 +82,6 @@ __all__ = [
     "GammaSpec",
     "GraphConf",
     "GraphConfU",
-    "HypothesisRecord",
     "Indicators",
     "IncrementalRenormalizer",
     "LedgerEntry",

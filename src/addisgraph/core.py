@@ -54,41 +54,6 @@ def compute_indicators(p: float, tau: float, lam: float, alpha: float) -> Indica
     return Indicators(s=int(p <= tau), c=int(p <= lam), r=int(p <= alpha))
 
 
-@dataclass
-class HypothesisRecord:
-    """One hypothesis in the stream: thresholds, conflicts and observed data."""
-
-    index: int
-    tau: float
-    lam: float
-    conflict_set: frozenset[int] = frozenset()
-    p_value: float | None = None
-    _level: float | None = None
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise DomainError("index must be a positive integer")
-        if not 0.0 < self.tau <= 1.0:
-            raise DomainError(f"tau must lie in (0, 1], got {self.tau}")
-        if not 0.0 <= self.lam < self.tau:
-            raise DomainError(f"lambda must lie in [0, tau), got {self.lam}")
-        bad = [j for j in self.conflict_set if not 1 <= j < self.index]
-        if bad:
-            raise DomainError(f"conflict set of {self.index} contains invalid indices {bad}")
-        self.conflict_set = frozenset(self.conflict_set)
-
-    @property
-    def level(self) -> float | None:
-        return self._level
-
-    def set_level(self, value: float) -> None:
-        if self._level is not None:
-            raise DomainError(f"level of hypothesis {self.index} is already set")
-        if value < 0.0:
-            raise DomainError("level must be nonnegative")
-        self._level = value
-
-
 class ConflictStructure:
     """A family of monotone conflict sets with optional lag/batch/finish-time views."""
 

@@ -349,7 +349,9 @@ class Alg1Columns:
     Produces exactly the columns of :func:`algorithm1_weights`, but only ever
     consumes indicator feedback for indices outside the requesting target's
     conflict set, which is what a live engine can legally know.  Capacity
-    grows on demand so no horizon needs declaring up front.
+    grows on demand so no horizon needs declaring up front.  The live engine
+    does not use it (it runs the held-mass recursion); tests keep it as a
+    reference.
     """
 
     def __init__(self, spec: GammaSpec, capacity: int = 64):
@@ -397,16 +399,6 @@ class Alg1Columns:
         if length > 0:
             self.g[m, m + 1 :] = lemma1_row(self.spec, t_m, length)
         self._row_done[m] = True
-        self._t_cache = getattr(self, "_t_cache", {})
-        self._t_cache[m] = t_m
-
-    def row_tail(self, m: int, past: int) -> float:
-        """Remaining base-row mass of source m beyond index ``past``."""
-        self._ensure_row(m)
-        t_m = self._t_cache[m]
-        k = t_m + past - m
-        vals = self.spec.values(max(k, t_m))
-        return float(vals[k - 1] / vals[t_m - 1]) if past > m else 1.0
 
     def _resolve_gminus_through(self, c: int) -> None:
         """Resolve reroute columns gm[:, l] for l < c (needs U_1..U_{c-2})."""
@@ -440,16 +432,3 @@ class Alg1Columns:
         if c > 1:
             out[: c - 1] = self.g[1:c, i] + self.gm[1:c, 1:c] @ self.g[1:c, i]
         return out
-
-    def adjusted_tail(self, j: int, past: int) -> float:
-        """Remaining adjusted-row mass of source j beyond ``past``.
-
-        Mass conservation: whatever was not placed on columns <= past is
-        still ahead (including mass in flight through reroutes).
-        """
-        placed = 0.0
-        for i in range(j + 1, past + 1):
-            col = self.column(i)
-            if j <= col.size:
-                placed += col[j - 1]
-        return 1.0 - placed

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addisgraph.engines import ClosedGraph, ClosedSpending, GraphConf, SpendingLocal
+from addisgraph.engines import ClosedGraph, ClosedSpending, GraphConf, GraphConfU, SpendingLocal
 from addisgraph.errors import MissingIndicator
 from addisgraph.extensions import FdrGraph
 from addisgraph.gammas import GammaSpec
@@ -54,11 +54,39 @@ class Reference:
         blocked = math.fsum(self.g(k - j) for k in range(j + 1, first_clear))
         return self.g(i - j) / (1.0 - blocked)
 
+    def reroute_column(self, i, x):
+        """{j: g*[j, i]} for sources j < c_i = i - L_i, by the reroute recursion
+        of ``weights.algorithm1_weights``: a target that conflicts with the
+        source passes the source's weight and inflow on through its own row;
+        a clear target passes on only what reached it through its window.
+        Base weights g[m, k] = (gamma_{t_m+k-m-1} - gamma_{t_m+k-m}) / gamma_{t_m}."""
+        c_i = i - len(x)
+        t = {1: 1}
+        for m in range(2, c_i):
+            s, c, _ = self.ind[m - 2]
+            t[m] = t[m - 1] + s - c  # 1 - U_{m-1}
+
+        def base(m, k):
+            return (self.g(t[m] + k - m - 1) - self.g(t[m] + k - m)) / self.g(t[m])
+
+        gm = {}  # g-[j, m]: mass of source j rerouted through m
+        for m in range(2, c_i):
+            c_m = m - len(self.sets[m - 1])
+            for j in range(1, m):
+                if j >= c_m:
+                    gm[j, m] = base(j, m) + sum(gm[j, k] * base(k, m) for k in range(j + 1, m))
+                else:
+                    gm[j, m] = sum(gm[j, k] * base(k, m) for k in range(max(c_m, j + 1), m))
+        return {
+            j: base(j, i) + sum(gm[j, m] * base(m, i) for m in range(j + 1, c_i))
+            for j in range(1, c_i)
+        }
+
     def missing(self, i, x):
         """Whether the level of i still lacks feedback it needs."""
         lag = len(x)
         unseen = [j for j in range(1, i) if self.ind[j - 1] is None]
-        if self.kind == "spending-local":
+        if self.kind in ("spending-local", "graph-conf-u"):
             return any(j < i - lag for j in unseen)
         if self.kind.startswith("closed"):
             return bool(unseen)
@@ -92,6 +120,12 @@ class Reference:
             for j in range(1, i - lag):
                 s, c, r = ind[j - 1]
                 carried += self.g(i - j) * (max(r, c) - s + 1) * self.prop[j - 1]
+            a = gap * (self.alpha * self.g(i) + carried)
+            return a, a
+        if self.kind == "graph-conf-u":
+            col = self.reroute_column(i, x)
+            carried = sum(w * (ind[j - 1][1] - ind[j - 1][0] + 1) * self.prop[j - 1]
+                          for j, w in col.items())
             a = gap * (self.alpha * self.g(i) + carried)
             return a, a
         carried = 0.0
@@ -209,7 +243,7 @@ streams = dict(
 @pytest.mark.parametrize(
     "kind, cls",
     [("spending-local", SpendingLocal), ("closed-spending", ClosedSpending),
-     ("closed-graph", ClosedGraph)],
+     ("closed-graph", ClosedGraph), ("graph-conf-u", GraphConfU)],
 )
 @given(**streams)
 @settings(max_examples=80, deadline=None)

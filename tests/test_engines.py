@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,6 +296,23 @@ def test_uniform_improvement_dominance(b):
         closed = drive(ClosedSpending(), p, lags, closed=True)
         assert np.all(graph >= spend - 1e-12)
         assert np.all(closed >= spend - 1e-12)
+
+
+def test_graph_conf_u_state_is_linear_in_n():
+    """No reroute table: two dense 4097 x 4097 float tables alone are 268 MB."""
+    n, delay = 4000, 10
+    p = np.random.default_rng(8).uniform(size=n).tolist()
+    e = GraphConfU()
+    tracemalloc.start()
+    try:
+        for i in range(1, n + 1):
+            if i > delay + 1:  # the feedback level i needs, sent as late as allowed
+                e.observe(i - delay - 1, p[i - delay - 2])
+            e.level(i, conflicts=range(max(1, i - delay), i))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_every_engine_trajectory_passes_condition():

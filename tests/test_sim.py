@@ -140,10 +140,14 @@ def test_runner_matches_engine(kind):
         np.testing.assert_allclose(vec[t], seq, rtol=1e-10, atol=1e-15)
 
 
-@pytest.mark.parametrize("design", [{"b": 20}, {"e": 5}], ids=["b20", "e5"])
+@pytest.mark.parametrize(
+    "design",
+    [{"n": 200, "b": 20}, {"n": 200, "e": 5}, {"n": 2000, "b": 20}],
+    ids=["b20", "e5", "n2000-b20"],
+)
 def test_confu_runner_matches_engine_at_scale(design):
     """Long streams and wide windows, at the 1e-12 cross-check bound."""
-    cfg = SimConfig(procedure="graph-conf-u", n=200, trials=1, seed=6, **design)
+    cfg = SimConfig(procedure="graph-conf-u", trials=1, seed=6, **design)
     p, _ = generate_data(cfg)
     vec = compute_levels(cfg, p)
     seq = _engine_levels("graph-conf-u", cfg, p[0], cfg.lags())
