@@ -50,17 +50,12 @@ from .sim import MetricsRow, SimConfig, expand_grid, parse_grid_file, run_config
 from .stream import StreamSession
 from .study import ReplayReport, ReplayStudy, replay_study
 from .weights import (
-    Alg1Columns,
     CustomTable,
     IncrementalRenormalizer,
     RenormalizedConflict,
     ShiftedGamma,
     WeightRule,
-    algorithm1_weights,
-    lemma1_base_weight,
     lemma1_row,
-    renormalized_conflict_weights,
-    spending_counters,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AddisGraphError",
     "AdaptiveGraphCorr",
-    "Alg1Columns",
     "BudgetFunction",
     "ClosedGraph",
     "ClosedSpending",
@@ -95,7 +89,6 @@ __all__ = [
     "StreamSession",
     "TrajectoryLedger",
     "WeightRule",
-    "algorithm1_weights",
     "alpha_c_gaussian",
     "alpha_c_monte_carlo",
     "brute_force_budget_check",
@@ -106,15 +99,12 @@ __all__ = [
     "compute_indicators",
     "expand_grid",
     "improvement_weight_oracle",
-    "lemma1_base_weight",
     "lemma1_row",
     "make_engine",
     "parse_grid_file",
-    "renormalized_conflict_weights",
     "replay_study",
     "rejection_memory",
     "run_config",
     "run_grid",
-    "spending_counters",
     "validate_conflicts",
 ]

@@ -42,7 +42,7 @@ from .errors import (
     UnknownIndex,
 )
 from .gammas import GammaSpec
-from .weights import IncrementalRenormalizer, ShiftedGamma, WeightRule
+from .weights import HeldMass, IncrementalRenormalizer, ShiftedGamma, WeightRule
 
 MIN_GAP = 1e-6
 
@@ -312,9 +312,9 @@ class GraphConfU(FwerEngine):
     Uses the data-dependent gamma-increment base rows and reroutes mass off
     conflicting pairs through the blockers' own rows; on every trajectory the
     issued level dominates the local-spending level at the same index.  The
-    reroute table is never formed: levels follow the held-mass recursion
-    derived in :func:`.sim.levels_graph_conf_u`, with the per-index
-    propagated level alpha_m / (tau_m - lambda_m) as at_m.
+    reroute table is never formed: levels come from the held-mass kernel
+    :class:`.weights.HeldMass` with one trial, the kernel the runner
+    :func:`.sim.levels_graph_conf_u` drives with many.
     """
 
     kind = "graph-conf-u"
@@ -323,53 +323,21 @@ class GraphConfU(FwerEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.gamma.require_nonincreasing()
-        # Rows z_m (mass source m holds for later targets) and gamma_{t_m};
-        # z_m is final for m <= _held_done, once U_1 .. U_m are in.
-        self._held = np.zeros((2, 64))
-        self._z, self._head = self._held
-        # t_m - m - 2, so that gamma_{t_m+i-m-1} is values(i)[_off[m-1] + i]
-        self._off = np.zeros(64, dtype=np.int64)
-        self._held_done = 0
-        self._t_next = 1  # t_{_held_done + 1}
+        self._held = HeldMass(self.gamma, self.alpha)
 
     @property
     def _cols(self):
         # Read by perfbench/workloads.py (the nbytes of g and gm) until it
         # reads a public method instead (ROADMAP item 3).
-        return SimpleNamespace(g=self._held, gm=self._off)
+        return SimpleNamespace(g=self._held.state, gm=self._held.off)
 
     def _compute_level(self, i, x, tau_i, lam_i):
         c = i - len(x)  # sources 1 .. c-1 carry weight
         self._require_observed(c)
-        gl = self.gamma.values(i)
-        self._hold_through(c - 1, gl)
-        carried = self._base_weights(0, c - 1, i, gl) @ self._z[: c - 1]
-        return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
-
-    def _hold_through(self, last, gl):
-        """Make z_m final for every m <= last; needs U_1 .. U_last."""
-        if last > self._off.size:
-            cap = max(last, 2 * self._off.size)
-            held = np.zeros((2, cap))
-            held[:, : self._off.size] = self._held
-            self._held = held
-            self._z, self._head = held
-            self._off = np.concatenate([self._off, np.zeros(cap - self._off.size, np.int64)])
-        for m in range(self._held_done + 1, last + 1):
-            t = self._t_next
-            self._off[m - 1] = t - m - 2
-            self._head[m - 1] = gl[t - 1]
-            lo = m - len(self._sets[m - 1]) - 1  # 0-based c_m
-            window = self._base_weights(lo, m - 1, m, gl) @ self._z[lo : m - 1]
-            u = self._u[m - 1]
-            self._z[m - 1] = u * self._alpha_tilde[m - 1] + window
-            self._t_next = t + 1 - int(u)
-        self._held_done = max(self._held_done, last)
-
-    def _base_weights(self, lo, hi, i, gl):
-        """g[m, i] for the sources m = lo+1 .. hi, from gl = gamma_1 .. gamma_i."""
-        idx = self._off[lo:hi] + i
-        return (gl[idx] - gl[idx + 1]) / self._head[lo:hi]
+        held = self._held
+        for m in range(held.final + 1, c):
+            held.hold(m, m - len(self._sets[m - 1]), self._u[m - 1 : m])
+        return (tau_i - lam_i) * held.level(i, c)[0]
 
 
 class ClosedSpending(FwerEngine):

@@ -30,6 +30,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import EmptyOutcomeSet, InvalidConfig
 from .gammas import GammaSpec
+from .weights import HeldMass
 
 CSV_HEADER = (
     "procedure,gamma_id,n,b,rho,pi_A,mu_N,e,trials,"
@@ -181,48 +182,16 @@ def levels_graph_conf(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
 
 
 def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
-    """Reroute-adjusted levels by the held-mass recursion, O(T n^2) time.
-
-    With the spending counter t_m, the base weight
-    g[m, i] = (gamma_{t_m+i-m-1} - gamma_{t_m+i-m}) / gamma_{t_m} and the
-    first conflicting index c_i = i - L_i:
-
-        at_i = alpha gamma_i + sum_{m < c_i} g[m, i] z_m
-        z_i  = U_i at_i + sum_{c_i <= k < i} g[k, i] z_k
-        level_i = (tau - lambda) at_i
-
-    z_m is the mass source m holds for later targets: its own recycled
-    wealth plus what was rerouted to it by blocked pairs.  Derivation from
-    the reroute table g-[j, m] of :func:`.weights.algorithm1_weights`: the
-    level is at_i = alpha gamma_i + sum_{j < c_i} (g[j, i]
-    + sum_{m < c_i} g-[j, m] g[m, i]) U_j at_j.  Since g-[j, m] = 0 for
-    m <= j, the inner sums regroup to sum_{m < c_i} g[m, i] (U_m at_m + y_m)
-    with y_m = sum_{j < m} U_j at_j g-[j, m], and substituting the g-
-    recursion (blocked rows take g[j, m] plus all inflow, clear rows only
-    the inflow through m's window [c_m, m)) gives
-    y_m = sum_{c_m <= k < m} g[k, m] (U_k at_k + y_k).  So z = U at + y and
-    the table itself is never formed.
-    """
+    """Reroute-adjusted levels by the held-mass recursion of
+    :class:`.weights.HeldMass`, O(T n^2) time; no reroute table is formed."""
     ttr, n = p.shape
     _, _, u = _indicator_arrays(p, tau, lam)
-    t = np.empty((ttr, n), dtype=np.int64)
-    t[:, 0] = 1
-    if n > 1:
-        t[:, 1:] = 1 + np.cumsum(1.0 - u[:, :-1], axis=1).astype(np.int64)
-    gl = spec.values(int(t.max()) + n + 1)
-    # g[m, i] = step[t_m - m + i - 2] / gamma_{t_m}, step[k-1] = gamma_k - gamma_{k+1}
-    step = gl[:-1] - gl[1:]
-    head = gl[t - 1]
-    off = t - np.arange(2, n + 2)
-
-    at = np.empty((ttr, n))
-    z = np.empty((ttr, n))
-    for i0 in range(n):
-        c0 = i0 - int(lags[i0])  # 0-based first conflicting index
-        g = step[off[:, :i0] + i0] / head[:, :i0]
-        at[:, i0] = alpha * gl[i0] + np.einsum("tm,tm->t", g[:, :c0], z[:, :c0])
-        z[:, i0] = u[:, i0] * at[:, i0] + np.einsum("tm,tm->t", g[:, c0:], z[:, c0:i0])
-    return (tau - lam) * at
+    held = HeldMass(spec, alpha, trials=ttr, capacity=n)
+    for i in range(1, n + 1):
+        c = i - int(lags[i - 1])
+        held.level(i, c)
+        held.hold(i, c, u[:, i - 1])
+    return (tau - lam) * held.at[:, :n]
 
 
 def levels_closed_spending(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
@@ -277,11 +246,7 @@ def levels_closed_graph(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
 def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:
     ttr, n = p.shape
     gam = spec.values(n)
-    denom = spec.tail_sum(e)
-    w = np.zeros((n + 1, n + 1))
-    for j in range(1, n + 1):
-        if j + e < n:
-            w[j, j + e + 1 :] = gam[e : n - j] / denom
+    w = _renorm_table(spec, np.minimum(e, np.arange(n)), n)
     _, _, u = _indicator_arrays(p, tau, lam)
     at_hat = np.zeros((ttr, n))
     levels = np.empty((ttr, n))

@@ -219,13 +219,6 @@ class IncrementalRenormalizer:
         return self.base.tail_mass(j, m) / denom if denom else 0.0
 
 
-def renormalized_conflict_weights(
-    base: WeightRule, structure: ConflictStructure
-) -> RenormalizedConflict:
-    """Build the renormalized conflict-adjusted rule for a validated structure."""
-    return RenormalizedConflict(base, structure)
-
-
 class CustomTable(WeightRule):
     """Explicit finite weight table, loadable from a text format.
 
@@ -343,6 +336,84 @@ def algorithm1_weights(
     return gstar[1:, 1:], overflow[1:]
 
 
+class HeldMass:
+    """Reroute-adjusted levels by the held-mass recursion, trial axis first.
+
+    With the spending counter t_m, the base weight
+    g[m, i] = (gamma_{t_m+i-m-1} - gamma_{t_m+i-m}) / gamma_{t_m} and the
+    first conflicting index c_i = i - L_i:
+
+        at_i = alpha gamma_i + sum_{m < c_i} g[m, i] z_m
+        z_i  = U_i at_i + sum_{c_i <= k < i} g[k, i] z_k
+        level_i = (tau_i - lambda_i) at_i
+
+    z_m is the mass source m holds for later targets: its own recycled
+    wealth plus what was rerouted to it by blocked pairs.  Derivation from
+    the reroute table g-[j, m] of :func:`algorithm1_weights`: the level is
+    at_i = alpha gamma_i + sum_{j < c_i} (g[j, i]
+    + sum_{m < c_i} g-[j, m] g[m, i]) U_j at_j.  Since g-[j, m] = 0 for
+    m <= j, the inner sums regroup to sum_{m < c_i} g[m, i] (U_m at_m + y_m)
+    with y_m = sum_{j < m} U_j at_j g-[j, m], and substituting the g-
+    recursion (blocked rows take g[j, m] plus all inflow, clear rows only
+    the inflow through m's window [c_m, m)) gives
+    y_m = sum_{c_m <= k < m} g[k, m] (U_k at_k + y_k).  So z = U at + y and
+    the table itself is never formed.
+
+    State per trial, grown on demand: z_m, gamma_{t_m}, the offset
+    t_m - m - 2 and at_m for every index, and the counter ``t`` of the next
+    index to hold.  ``level(i, c)`` may run once z_1 .. z_{c-1} are final;
+    ``hold(m, c_m, u_m)`` makes z_m final and must follow ``level(m, c_m)``
+    and ``hold(m - 1, ...)``.  A live engine is the case of one trial.
+    """
+
+    def __init__(self, spec: GammaSpec, alpha: float, trials: int = 1, capacity: int = 64):
+        self.spec = spec
+        self.alpha = alpha
+        self.t = np.ones(trials, dtype=np.int64)
+        self.final = 0  # z_1 .. z_final are final
+        self.state = np.zeros((3, trials, 0))
+        self.off = np.zeros((trials, 0), dtype=np.int64)
+        self._reserve(capacity)
+
+    def _reserve(self, n: int) -> None:
+        old = self.off.shape[1]
+        if n <= old:
+            return
+        cap = max(n, 2 * old)
+        state = np.zeros((3, self.t.size, cap))
+        state[..., :old] = self.state
+        off = np.zeros((self.t.size, cap), dtype=np.int64)
+        off[:, :old] = self.off
+        self.state, self.off = state, off
+        self.z, self.head, self.at = state
+        # g[m, i] = step[t_m - m + i - 2] / gamma_{t_m}, step[k-1] = gamma_k - gamma_{k+1};
+        # t_m <= m, so gamma_1 .. gamma_cap cover every target i <= cap
+        self._gl = self.spec.values(cap)
+        self._step = self._gl[:-1] - self._gl[1:]
+
+    def _carry(self, lo: int, hi: int, i: int) -> np.ndarray:
+        """sum of g[m, i] z_m over the sources m = lo+1 .. hi, per trial."""
+        g = self._step[self.off[:, lo:hi] + i] / self.head[:, lo:hi]
+        return np.einsum("tm,tm->t", g, self.z[:, lo:hi])
+
+    def level(self, i: int, c: int) -> np.ndarray:
+        """at_i for target i whose first conflicting index is c."""
+        self._reserve(i)
+        at = self.alpha * self._gl[i - 1] + self._carry(0, c - 1, i)
+        self.at[:, i - 1] = at
+        return at
+
+    def hold(self, m: int, c: int, u: np.ndarray) -> None:
+        """Make z_m final, given m's first conflicting index c and U_m (one
+        value per trial), and advance t."""
+        t = self.t
+        self.off[:, m - 1] = t - (m + 2)
+        self.head[:, m - 1] = self._gl[t - 1]
+        self.z[:, m - 1] = u * self.at[:, m - 1] + self._carry(c - 1, m - 1, m)
+        t += u == 0
+        self.final = m
+
+
 class Alg1Columns:
     """Incremental, pull-based evaluation of the reroute-adjusted weights.
 
@@ -350,7 +421,7 @@ class Alg1Columns:
     consumes indicator feedback for indices outside the requesting target's
     conflict set, which is what a live engine can legally know.  Capacity
     grows on demand so no horizon needs declaring up front.  The live engine
-    does not use it (it runs the held-mass recursion); tests keep it as a
+    does not use it (it drives :class:`HeldMass`); tests keep it as a
     reference.
     """
 

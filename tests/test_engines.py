@@ -34,16 +34,16 @@ def drive(engine, p, lags, closed=False):
     """Issue levels in order, observing everything the engine may use."""
     n = len(p)
     levels = np.empty(n)
+    seen = 0  # indices 1 .. seen are observed; horizons never fall under monotone lags
     for i in range(1, n + 1):
         lo = i - lags[i - 1]
         horizon = i if closed else lo
-        for j in range(1, horizon):
-            if engine.ledger.entries[j - 1].indicators is None:
-                engine.observe(j, float(p[j - 1]))
+        while seen < horizon - 1:
+            seen += 1
+            engine.observe(seen, float(p[seen - 1]))
         levels[i - 1] = engine.level(i, conflicts=range(lo, i))
-    for j in range(1, n + 1):
-        if engine.ledger.entries[j - 1].indicators is None:
-            engine.observe(j, float(p[j - 1]))
+    for j in range(seen + 1, n + 1):
+        engine.observe(j, float(p[j - 1]))
     return levels
 
 

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
 from addisgraph.engines import make_engine
-from addisgraph.errors import EmptyOutcomeSet, InvalidConfig
+from addisgraph.errors import DegenerateRenormalization, EmptyOutcomeSet, InvalidConfig
 from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
 from addisgraph.core import ConflictStructure
 from addisgraph.gammas import GammaSpec
@@ -105,12 +106,13 @@ def _engine_levels(kind, cfg, prow, lags):
     closed = kind.startswith("closed")
     n = cfg.n
     out = np.empty(n)
+    seen = 0  # indices 1 .. seen are observed; horizons never fall under monotone lags
     for i in range(1, n + 1):
         lo = i - int(lags[i - 1])
         horizon = i if closed else lo
-        for j in range(1, horizon):
-            if eng.ledger.entries[j - 1].indicators is None:
-                eng.observe(j, float(prow[j - 1]))
+        while seen < horizon - 1:
+            seen += 1
+            eng.observe(seen, float(prow[seen - 1]))
         if kind == "adaptive-graph-corr":
             out[i - 1] = eng.level(i)
         else:
@@ -152,6 +154,55 @@ def test_confu_runner_matches_engine_at_scale(design):
     vec = compute_levels(cfg, p)
     seq = _engine_levels("graph-conf-u", cfg, p[0], cfg.lags())
     np.testing.assert_allclose(vec[0], seq, rtol=1e-12, atol=0)
+
+
+def _assert_confu_engine_is_runner(cfg, p, lags):
+    vec = levels_graph_conf_u(p, lags, cfg.alpha, cfg.tau, cfg.lam, cfg.gamma_spec)
+    for t in range(p.shape[0]):
+        np.testing.assert_array_equal(_engine_levels("graph-conf-u", cfg, p[t], lags), vec[t])
+
+
+@pytest.mark.parametrize(
+    "design",
+    [{"n": 200, "b": 20}, {"n": 200, "e": 5}, {"n": 2000, "b": 20}],
+    ids=["b20", "e5", "n2000-b20"],
+)
+def test_confu_engine_levels_are_runner_bits(design):
+    """Engine and runner drive one held-mass kernel, so at the runner's
+    tau/lambda the live levels equal the runner row bit for bit."""
+    cfg = SimConfig(procedure="graph-conf-u", trials=1, seed=6, **design)
+    p, _ = generate_data(cfg)
+    _assert_confu_engine_is_runner(cfg, p, cfg.lags())
+
+
+@given(
+    raw=st.lists(st.integers(0, 8), min_size=1, max_size=60),
+    gamma=st.sampled_from(["basel", "power:1.6", "logq"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_confu_engine_levels_are_runner_bits_on_drawn_lags(raw, gamma, seed):
+    lags = [0] * len(raw)
+    for i in range(1, len(raw)):  # monotone contiguous lags: L_{i+1} <= L_i + 1
+        lags[i] = min(raw[i], lags[i - 1] + 1)
+    cfg = SimConfig(procedure="graph-conf-u", gamma=gamma, n=len(raw))
+    p = np.random.default_rng(seed).uniform(size=(3, len(raw)))
+    _assert_confu_engine_is_runner(cfg, p, np.array(lags))
+
+
+def test_fdr_runner_matches_engine_on_degenerate_rows():
+    """tail_sum(e) <= 1e-12: the runner zeroes the row, as the engine does."""
+    cfg = SimConfig(
+        procedure="fdr-graph", gamma="geometric:0.6", n=100, e=60, trials=3, seed=4,
+        alpha=0.05, tau=0.5, lam=0.25,
+    )
+    p, _ = generate_data(cfg)
+    vec = compute_levels(cfg, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateRenormalization)
+        for t in range(cfg.trials):
+            seq = _engine_levels("fdr-graph", cfg, p[t], cfg.lags())
+            np.testing.assert_allclose(vec[t], seq, rtol=1e-10, atol=1e-15)
 
 
 def _confu_levels_from_table(p_row, lags, alpha, tau, lam, spec):

@@ -17,7 +17,6 @@ from addisgraph.weights import (
     algorithm1_weights,
     lemma1_base_weight,
     lemma1_row,
-    renormalized_conflict_weights,
     spending_counters,
 )
 
@@ -211,7 +210,7 @@ def test_algorithm1_conservation_property(bits):
 def test_renormalized_helper_matches_rule():
     lags = [0, 1, 1, 2, 0]
     structure = _lag_structure(lags)
-    built = renormalized_conflict_weights(ShiftedGamma(BASEL), structure)
+    built = RenormalizedConflict(ShiftedGamma(BASEL), structure)
     rule = RenormalizedConflict(ShiftedGamma(BASEL), structure)
     n = len(lags)
     for j in range(1, n):
