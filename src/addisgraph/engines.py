@@ -42,7 +42,7 @@ from .errors import (
     UnknownIndex,
 )
 from .gammas import GammaSpec
-from .weights import HeldMass, IncrementalRenormalizer, ShiftedGamma, WeightRule
+from .weights import Closure, HeldMass, IncrementalRenormalizer, ShiftedGamma, WeightRule
 
 MIN_GAP = 1e-6
 
@@ -78,10 +78,8 @@ class FwerEngine:
         # level over its gap, alpha_j / (tau_j - lambda_j); doubled on demand.
         self._state = np.zeros((5, 64))
         self._s, self._c, self._r, self._u, self._alpha_tilde = self._state
-        # Running sums of S - C and S - max(R, C) over the longest observed
-        # prefix: entry k sums indices 1..k.
+        # Running sum of S - C over the longest observed prefix (entry k: 1..k).
         self._spent = [0]
-        self._closed_spent = [0]
 
     @staticmethod
     def _check_gap(tau: float, lam: float) -> None:
@@ -144,7 +142,6 @@ class FwerEngine:
         while done < self.issued and done + 1 not in self._pending:
             prev = self.ledger.entries[done].indicators
             self._spent.append(self._spent[-1] + prev.s - prev.c)
-            self._closed_spent.append(self._closed_spent[-1] + prev.s - max(prev.r, prev.c))
             done += 1
         return ind, bool(ind.r)
 
@@ -340,26 +337,41 @@ class GraphConfU(FwerEngine):
         return (tau_i - lam_i) * held.level(i, c)[0]
 
 
-class ClosedSpending(FwerEngine):
+class ClosedEngine(FwerEngine):
+    """The kernel :class:`.weights.Closure` with one trial (the closed runners
+    drive it with many).  Levels need feedback for every predecessor, even
+    conflicting ones: the closure argument, not measurability, carries them."""
+
+    needs_lag_form = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._closure = Closure(self.alpha)
+
+    def _absorbed(self, i: int) -> Closure:
+        """The kernel with every index before i absorbed."""
+        self._require_observed(i)
+        closure = self._closure
+        for j in range(closure.final + 1, i):
+            closure.absorb(j, self._s[j - 1], self._c[j - 1], self._r[j - 1])
+        return closure
+
+
+class ClosedSpending(ClosedEngine):
     """Closure-principle spending: rejections refund their level.
 
     alpha_i = alpha (tau_i - lambda_i) gamma_t with
-    t = 1 + sum_{j in X_i} (1 - R_j) + sum_{j < i - L_i} (S_j - max(R_j, C_j));
-    requires feedback for every predecessor, including conflicting ones
-    (the closure argument, not measurability, carries the guarantee).
+    t = 1 + sum_{j in X_i} (1 - R_j) + sum_{j < i - L_i} (S_j - max(R_j, C_j)).
     """
 
     kind = "closed-spending"
-    needs_lag_form = True
 
     def _compute_level(self, i, x, tau_i, lam_i):
-        self._require_observed(i)
-        lag = len(x)
-        t = 1 + lag - int(self._r[i - 1 - lag : i - 1].sum()) + self._closed_spent[i - lag - 1]
+        t = int(self._absorbed(i).counter(i, len(x))[0])
         return self.alpha * (tau_i - lam_i) * self.gamma.value(t)
 
 
-class ClosedGraph(FwerEngine):
+class ClosedGraph(ClosedEngine):
     """Closure-principle graphical procedure.
 
     Conflicting predecessors forward their level on rejection, earlier ones
@@ -370,7 +382,6 @@ class ClosedGraph(FwerEngine):
     """
 
     kind = "closed-graph"
-    needs_lag_form = True
 
     def __init__(self, *args, rule: WeightRule | None = None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -383,12 +394,9 @@ class ClosedGraph(FwerEngine):
         return {}
 
     def _compute_level(self, i, x, tau_i, lam_i):
-        self._require_observed(i)
-        lo = i - len(x) - 1  # sources 1 .. lo precede the conflict window
-        coef = self._r[: i - 1].copy()
-        coef[:lo] = np.maximum(self._r[:lo], self._c[:lo]) - self._s[:lo] + 1.0
-        carried = self.base_rule.column(i) @ (coef * self._alpha_tilde[: i - 1])
-        return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
+        closure = self._absorbed(i)
+        at = closure.level(i, i - len(x), self.gamma.value(i), self.base_rule.column(i))
+        return (tau_i - lam_i) * at[0]
 
 
 ENGINE_KINDS: dict[str, type[FwerEngine]] = {

@@ -217,7 +217,6 @@ class AdaptiveGraphCorr:
         if i != self.issued + 1:
             raise DomainError(f"levels must be requested in order; expected {self.issued + 1}")
         b = self._batch(i)
-        self._try_freeze()
         if self._frozen_batches < b - 1:
             raise BatchIncomplete(
                 f"level for batch {b} needs joint-tail values of batches "

@@ -30,7 +30,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import EmptyOutcomeSet, InvalidConfig
 from .gammas import GammaSpec
-from .weights import HeldMass
+from .weights import Closure, HeldMass
 
 CSV_HEADER = (
     "procedure,gamma_id,n,b,rho,pi_A,mu_N,e,trials,"
@@ -195,52 +195,30 @@ def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
 
 
 def levels_closed_spending(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
+    """Closure-principle spending levels by the kernel :class:`.weights.Closure`."""
     ttr, n = p.shape
     gam = spec.values(2 * n + 2)
     s, c, _ = _indicator_arrays(p, tau, lam)
+    closure = Closure(alpha, trials=ttr, capacity=n)
     levels = np.empty((ttr, n))
-    r = np.empty((ttr, n))
-    # prefix sums maintained as levels (and hence rejections) become known
-    cs_smax = np.zeros((ttr, n + 1))  # sum_{j<=k} (S_j - max(R_j, C_j))
-    cs_r = np.zeros((ttr, n + 1))  # sum_{j<=k} R_j
-    for i0 in range(n):
-        i = i0 + 1
-        lag = int(lags[i0])
-        t = (
-            1
-            + (lag - (cs_r[:, i - 1] - cs_r[:, i - lag - 1]))
-            + cs_smax[:, i - lag - 1]
-        ).astype(np.int64)
-        levels[:, i0] = alpha * (tau - lam) * gam[t - 1]
-        r[:, i0] = p[:, i0] <= levels[:, i0]
-        cs_r[:, i] = cs_r[:, i - 1] + r[:, i0]
-        cs_smax[:, i] = cs_smax[:, i - 1] + s[:, i0] - np.maximum(r[:, i0], c[:, i0])
+    for i in range(1, n + 1):
+        t = closure.counter(i, int(lags[i - 1]))
+        levels[:, i - 1] = alpha * (tau - lam) * gam[t - 1]
+        closure.absorb(i, s[:, i - 1], c[:, i - 1], p[:, i - 1] <= levels[:, i - 1])
     return levels
 
 
 def levels_closed_graph(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
+    """Closure-principle graph levels by :class:`.weights.Closure`, g[j, i] = gamma_{i-j}."""
     ttr, n = p.shape
     gam = spec.values(n)
+    rev = gam[::-1].copy()  # rev[n-i+1:] = gamma_{i-1} .. gamma_1 = g[1 .. i-1, i]
     s, c, _ = _indicator_arrays(p, tau, lam)
-    w = np.zeros((n + 1, n + 1))
-    for j in range(1, n + 1):
-        w[j, j + 1 :] = gam[: n - j]
-    at = np.zeros((ttr, n))
-    r = np.empty((ttr, n))
-    for i0 in range(n):
-        i = i0 + 1
-        lo = i - int(lags[i0])
-        coef = np.empty((ttr, i0))
-        if lo > 1:
-            sl = slice(0, lo - 1)
-            coef[:, sl] = np.maximum(r[:, sl], c[:, sl]) - s[:, sl] + 1.0
-        if lo <= i0:
-            coef[:, lo - 1 : i0] = r[:, lo - 1 : i0]
-        at[:, i0] = alpha * gam[i0]
-        if i0:
-            at[:, i0] += (coef * at[:, :i0]) @ w[1:i, i]
-        r[:, i0] = p[:, i0] <= (tau - lam) * at[:, i0]
-    return (tau - lam) * at
+    closure = Closure(alpha, trials=ttr, capacity=n)
+    for i in range(1, n + 1):
+        at = closure.level(i, i - int(lags[i - 1]), gam[i - 1], rev[n - i + 1 :])
+        closure.absorb(i, s[:, i - 1], c[:, i - 1], p[:, i - 1] <= (tau - lam) * at)
+    return (tau - lam) * closure.at[:, :n]
 
 
 def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:
@@ -387,32 +365,7 @@ def max_budget_spend(p, levels, tau: float, lam: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# outcomes and metrics
-
-
-@dataclass
-class TrialOutcome:
-    """Per-trial record: truth, data, levels and decisions."""
-
-    labels: np.ndarray
-    p_values: np.ndarray
-    levels: np.ndarray
-    rejected: np.ndarray
-
-    @property
-    def r_count(self) -> int:
-        return int(np.sum(self.rejected))
-
-    @property
-    def v_count(self) -> int:
-        return int(np.sum(self.rejected & ~self.labels))
-
-    @property
-    def power_fraction(self) -> float | None:
-        n_alt = int(np.sum(self.labels))
-        if n_alt == 0:
-            return None
-        return float(np.sum(self.rejected & self.labels) / n_alt)
+# metrics
 
 
 @dataclass
@@ -462,41 +415,32 @@ class MetricsRow:
         return ",".join(self._fmt(x) for x in cells)
 
 
-def metrics(outcomes, config: SimConfig) -> MetricsRow:
-    """Aggregate trial outcomes into the standard metrics with their SEs."""
-    outcomes = list(outcomes)
-    if not outcomes:
+def metrics(rejected, labels, config: SimConfig) -> MetricsRow:
+    """Aggregate (trials, n) rejection and truth matrices into the standard
+    metrics with their SEs."""
+    t = rejected.shape[0]
+    if not t:
         raise EmptyOutcomeSet("metrics need at least one trial outcome")
-    t = len(outcomes)
-    v = np.array([o.v_count for o in outcomes], dtype=np.float64)
-    r = np.array([o.r_count for o in outcomes], dtype=np.float64)
+    v = np.sum(rejected & ~labels, axis=1).astype(np.float64)
+    r = np.sum(rejected, axis=1).astype(np.float64)
     fwer = float(np.mean(v > 0))
     fwer_se = float(np.sqrt(fwer * (1.0 - fwer) / t))
     pfer = float(np.mean(v))
     fdp = v / np.maximum(r, 1.0)
     fdr = float(np.mean(fdp))
-    fdr_se = float(np.std(fdp, ddof=1) / np.sqrt(t)) if t > 1 else 0.0
     mfdr = float(np.mean(v) / np.mean(np.maximum(r, 1.0)))
-    fracs = [o.power_fraction for o in outcomes if o.power_fraction is not None]
-    if fracs:
-        power = float(np.mean(fracs))
-        power_se = (
-            float(np.std(fracs, ddof=1) / np.sqrt(len(fracs))) if len(fracs) > 1 else 0.0
-        )
-    else:
-        power, power_se = None, None
+    n_alt = np.sum(labels, axis=1)
+    has_alt = n_alt > 0
+    # power fractions of the trials with an alternative, in trial order
+    fracs = np.sum(rejected & labels, axis=1)[has_alt] / n_alt[has_alt]
+    power, power_se = (float(np.mean(fracs)), _se(fracs)) if fracs.size else (None, None)
     return MetricsRow(
-        config=config,
-        fwer=fwer,
-        fwer_se=fwer_se,
-        pfer=pfer,
-        power=power,
-        power_se=power_se,
-        fdr=fdr,
-        fdr_se=fdr_se,
-        mfdr=mfdr,
-        power_trials=len(fracs),
+        config, fwer, fwer_se, pfer, power, power_se, fdr, _se(fdp), mfdr, int(fracs.size)
     )
+
+
+def _se(x: np.ndarray) -> float:  # standard error of the mean
+    return float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
 
 
 @dataclass
@@ -512,13 +456,8 @@ class TrialSet:
     def rejected(self) -> np.ndarray:
         return self.p <= self.levels
 
-    def outcomes(self):
-        rej = self.rejected
-        for t in range(self.config.trials):
-            yield TrialOutcome(self.labels[t], self.p[t], self.levels[t], rej[t])
-
     def metrics(self) -> MetricsRow:
-        return metrics(self.outcomes(), self.config)
+        return metrics(self.rejected, self.labels, self.config)
 
 
 def run_config(config: SimConfig, data=None) -> TrialSet:

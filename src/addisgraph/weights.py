@@ -414,6 +414,58 @@ class HeldMass:
         self.final = m
 
 
+class Closure:
+    """Closure-principle feedback, trial axis first: a rejected predecessor
+    refunds its level (closed spending, counter t_i) or forwards it (closed
+    graph, at_i), inside the conflict window c_i = i - L_i .. i-1 too.
+
+    State per trial, grown on demand: at_j, R_j, up_j = max(R_j, C_j) - S_j + 1,
+    the prefix sums of R and of S - max(R, C), and the watermark ``final`` of
+    the last absorbed index.  ``counter`` and ``level`` for target i need
+    1 .. i-1 absorbed.  A live engine is the case of one trial.
+    """
+
+    def __init__(self, alpha: float, trials: int = 1, capacity: int = 64):
+        self.alpha = alpha
+        self.final = 0
+        self.state = np.zeros((5, trials, 0))
+        self._reserve(capacity)
+
+    def _reserve(self, n: int) -> None:
+        old = self.state.shape[2]
+        if n < old:
+            return
+        state = np.zeros(self.state.shape[:2] + (max(n + 1, 2 * old),))
+        state[..., :old] = self.state
+        self.state = state
+        # at_j, R_j and up_j sit at j - 1; the prefix sums over 1 .. k at k
+        self.at, self.r, self.up, self.sum_r, self.sum_smax = state
+
+    def absorb(self, j: int, s, c, r) -> None:
+        """Record S_j, C_j and R_j (one value per trial); j = final + 1."""
+        self._reserve(j)
+        self.r[:, j - 1] = r
+        top = np.maximum(r, c)
+        self.up[:, j - 1] = top - s + 1.0
+        self.sum_r[:, j] = self.sum_r[:, j - 1] + r
+        self.sum_smax[:, j] = self.sum_smax[:, j - 1] + s - top
+        self.final = j
+
+    def counter(self, i: int, lag: int) -> np.ndarray:
+        """t_i = 1 + sum_{c_i <= j < i} (1 - R_j) + sum_{j < c_i} (S_j - max(R_j, C_j))."""
+        r, k = self.sum_r, i - lag - 1
+        return (1 + (lag - (r[:, i - 1] - r[:, k])) + self.sum_smax[:, k]).astype(np.int64)
+
+    def level(self, i: int, c: int, gamma_i: float, col: np.ndarray) -> np.ndarray:
+        """at_i = alpha gamma_i + sum_j g[j, i] at_j (up_j for j < c, R_j for
+        j >= c), with ``col`` = g[1 .. i-1, i]; stored and returned per trial."""
+        self._reserve(i)
+        coef = np.concatenate([self.up[:, : c - 1], self.r[:, c - 1 : i - 1]], axis=1)
+        at = self.alpha * gamma_i + (coef * self.at[:, : i - 1]) @ col
+        self.at[:, i - 1] = at
+        return at
+
+
 class Alg1Columns:
     """Incremental, pull-based evaluation of the reroute-adjusted weights.
 

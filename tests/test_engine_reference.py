@@ -6,10 +6,14 @@ as the formulas read, and share nothing with the engines but the gamma
 values.  Streams interleave observations at random, so levels are also
 requested before their feedback is in; a request the reference says must
 fail has to fail, and is retried once more feedback has arrived.
+
+The closed engines and their runners share one kernel, so the closed runners
+are also checked against the references directly, in runner order.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +22,7 @@ from addisgraph.engines import ClosedGraph, ClosedSpending, GraphConf, GraphConf
 from addisgraph.errors import MissingIndicator
 from addisgraph.extensions import FdrGraph
 from addisgraph.gammas import GammaSpec
+from addisgraph.sim import levels_closed_graph, levels_closed_spending
 from addisgraph.weights import CustomTable
 
 GAMMAS = ["basel", "logq", "power:1.6", "geometric:0.6"]
@@ -275,3 +280,56 @@ def test_fdr_graph_matches_reference(w0_share, n, gamma, rnd):
     w0 = 0.05 * w0_share
     engine = FdrGraph(alpha=0.05, gamma=gamma, w0=w0)
     run_against_reference(engine, Reference("fdr-graph", 0.05, gamma, w0=w0), rnd, sets)
+
+
+def monotone_lags(raw):
+    """Contiguous lags with L_1 = 0 and L_{i+1} <= L_i + 1."""
+    lags = [0] * len(raw)
+    for i in range(1, len(raw)):
+        lags[i] = min(raw[i], lags[i - 1] + 1)
+    return lags
+
+
+runner_streams = dict(
+    raw=st.lists(st.integers(0, 8), min_size=1, max_size=30),
+    gamma=st.sampled_from(GAMMAS),
+    rnd=st.randoms(use_true_random=False),
+)
+CLOSED_RUNNERS = {"closed-spending": levels_closed_spending, "closed-graph": levels_closed_graph}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_RUNNERS))
+@given(**runner_streams)
+@settings(max_examples=60, deadline=None)
+def test_closed_runners_match_reference(kind, raw, gamma, rnd):
+    """Every trial row of a closed runner, level by level in runner order
+    (one tau/lambda for the stream, each p-value observed right after its
+    level).  Small lambdas put levels above lambda, where max(R, C) is R."""
+    lags = monotone_lags(raw)
+    n = len(lags)
+    tau, lam = thresholds(rnd, 0.8, 0.16)
+    p = np.array([[p_value(rnd) for _ in range(n)] for _ in range(3)])
+    got = CLOSED_RUNNERS[kind](p, np.array(lags), 0.2, tau, lam, GammaSpec.parse(gamma))
+    for t in range(p.shape[0]):
+        ref = Reference(kind, 0.2, gamma)
+        for i in range(1, n + 1):
+            want = ref.record_level(i, frozenset(range(i - lags[i - 1], i)), tau, lam)
+            assert got[t, i - 1] == pytest.approx(want, rel=1e-12, abs=0.0), (t, i)
+            ref.observe(i, float(p[t, i - 1]))
+
+
+@given(**runner_streams)
+@settings(max_examples=60, deadline=None)
+def test_closed_spending_engine_levels_are_runner_bits(raw, gamma, rnd):
+    lags = monotone_lags(raw)
+    n = len(lags)
+    tau, lam = thresholds(rnd, 0.8, 0.16)
+    p = np.array([[p_value(rnd) for _ in range(n)] for _ in range(3)])
+    rows = levels_closed_spending(p, np.array(lags), 0.2, tau, lam, GammaSpec.parse(gamma))
+    for t in range(p.shape[0]):
+        engine = ClosedSpending(tau=tau, lam=lam, gamma=gamma)
+        levels = np.empty(n)
+        for i in range(1, n + 1):
+            levels[i - 1] = engine.level(i, conflicts=range(i - lags[i - 1], i))
+            engine.observe(i, float(p[t, i - 1]))
+        np.testing.assert_array_equal(levels, rows[t])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -106,6 +108,45 @@ def test_batch_incomplete_until_all_observed():
         e.level(3)
     e.observe(2, 0.5)
     e.level(3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_refused_level_leaves_no_trace(seed):
+    """A level refused with BatchIncomplete changes no state: the ledger, the
+    frozen-batch count and every alpha_c stay as they were, and the levels
+    issued after it, retries included, are those of a fresh engine fed only
+    the accepted calls."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, size=6).tolist()
+    n = sum(sizes)
+    p = rng.uniform(size=n) ** 2
+    live = _corr_engine(sizes)
+    accepted = []
+    refused = 0
+    while live.issued < n or any(e.indicators is None for e in live.ledger.entries):
+        pending = [e.index for e in live.ledger.entries if e.indicators is None]
+        if live.issued < n and (not pending or rng.random() < 0.5):
+            before = (copy.deepcopy(live.ledger.entries), live._frozen_batches)
+            try:
+                live.level(live.issued + 1)
+            except BatchIncomplete:
+                refused += 1
+                assert (live.ledger.entries, live._frozen_batches) == before
+                continue
+            accepted.append(("L", live.issued))
+        else:
+            j = int(rng.choice(pending))
+            live.observe(j, float(p[j - 1]))
+            accepted.append(("P", j))
+    assert refused
+    fresh = _corr_engine(sizes)
+    for call, k in accepted:
+        if call == "L":
+            fresh.level(k)
+        else:
+            fresh.observe(k, float(p[k - 1]))
+    assert fresh.ledger.entries == live.ledger.entries
+    assert all(e.alpha_c is not None for e in live.ledger.entries)
 
 
 def test_non_candidate_gains_joint_tail_mass():

@@ -349,8 +349,9 @@ def test_adaptive_corr_runner_memory_has_no_member_axis():
 
 def test_metrics_empty_outcomes():
     cfg = SimConfig(trials=1)
+    empty = np.zeros((0, cfg.n), dtype=bool)
     with pytest.raises(EmptyOutcomeSet):
-        metrics([], cfg)
+        metrics(empty, empty, cfg)
 
 
 def test_metrics_by_hand():
@@ -376,6 +377,29 @@ def test_power_excludes_trials_without_alternatives():
     row = TrialSet(config=cfg, p=p, labels=labels, levels=levels).metrics()
     assert row.power == 1.0
     assert row.power_trials == 1
+
+
+def test_metrics_match_per_trial_loop():
+    """The matrix reductions against per-trial counts: every field equal."""
+    rng = np.random.default_rng(13)
+    cfg = SimConfig(n=30, trials=40, seed=1)
+    labels = rng.random((40, 30)) < rng.uniform(0.0, 0.3, size=(40, 1))
+    labels[:5] = False  # trials without alternatives add no power fraction
+    rejected = rng.random((40, 30)) < 0.2
+    v = np.array([np.sum(rejected[t] & ~labels[t]) for t in range(40)], dtype=np.float64)
+    r = np.array([np.sum(rejected[t]) for t in range(40)], dtype=np.float64)
+    fdp = v / np.maximum(r, 1.0)
+    fracs = [float(np.sum(rejected[t] & labels[t]) / np.sum(labels[t]))
+             for t in range(40) if labels[t].any()]
+    row = metrics(rejected, labels, cfg)
+    fwer = float(np.mean(v > 0))
+    assert (row.fwer, row.fwer_se) == (fwer, float(np.sqrt(fwer * (1.0 - fwer) / 40)))
+    assert (row.pfer, row.fdr) == (float(np.mean(v)), float(np.mean(fdp)))
+    assert row.fdr_se == float(np.std(fdp, ddof=1) / np.sqrt(40))
+    assert row.mfdr == float(np.mean(v) / np.mean(np.maximum(r, 1.0)))
+    assert row.power == float(np.mean(fracs))
+    assert row.power_se == float(np.std(fracs, ddof=1) / np.sqrt(len(fracs)))
+    assert row.power_trials == len(fracs) < 40
 
 
 def test_max_budget_spend_matches_direct_sum():
@@ -440,4 +464,4 @@ def test_run_config_roundtrip():
     cfg = SimConfig(n=10, trials=5, seed=12)
     ts = run_config(cfg)
     assert ts.levels.shape == (5, 10)
-    assert len(list(ts.outcomes())) == 5
+    assert ts.rejected.shape == (5, 10)

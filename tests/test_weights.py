@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from addisgraph.core import ConflictStructure, validate_conflicts
 from addisgraph.errors import DegenerateRenormalization, HorizonExceeded
 from addisgraph.gammas import GammaSpec
+from addisgraph.sim import _renorm_table
 from addisgraph.weights import (
     Alg1Columns,
     CustomTable,
@@ -207,12 +208,54 @@ def test_algorithm1_conservation_property(bits):
     assert np.all(table >= -1e-15)
 
 
+def _drawn_lags(seed, n, top):
+    """Monotone contiguous lags L_{i+1} <= L_i + 1, drawn up to ``top``."""
+    rng = np.random.default_rng(seed)
+    lags = [0]
+    for _ in range(n - 1):
+        lags.append(int(min(rng.integers(0, top + 1), lags[-1] + 1)))
+    return lags
+
+
+N_RENORM = 122
+RENORM_LAGS = {
+    "worked": [0, 1, 1, 2, 0],
+    "b20": [(i - 1) % 20 for i in range(1, N_RENORM + 1)],
+    "e60": [min(60, i - 1) for i in range(1, N_RENORM + 1)],
+    "drawn60": _drawn_lags(3, N_RENORM, 60),
+}
+
+
+RENORM_CASES = [
+    (g, name) for g in ("basel", "logq", "power:1.6", "geometric:0.97") for name in RENORM_LAGS
+] + [("geometric:0.6", "e60")]
+
+
 def test_renormalized_helper_matches_rule():
-    lags = [0, 1, 1, 2, 0]
-    structure = _lag_structure(lags)
-    built = RenormalizedConflict(ShiftedGamma(BASEL), structure)
-    rule = RenormalizedConflict(ShiftedGamma(BASEL), structure)
-    n = len(lags)
-    for j in range(1, n):
-        for i in range(j + 1, n + 1):
-            assert built.weight(j, i) == pytest.approx(rule.weight(j, i), abs=0)
+    """The runners' static table ``sim._renorm_table`` against the rule it
+    transcribes: rel 1e-12 where weight flows, exact zeros on blocked pairs
+    and on degenerate rows (geometric:0.6 blocks all but 0.6^60 of each row)."""
+    for gamma, name in RENORM_CASES:
+        spec = GammaSpec.parse(gamma)
+        lags = RENORM_LAGS[name]
+        n = len(lags)
+        structure = _lag_structure(lags)
+        rule = RenormalizedConflict(ShiftedGamma(spec), structure)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateRenormalization)
+            want = np.array(
+                [[rule.weight(j, i) for i in range(1, n + 1)] for j in range(1, n + 1)]
+            )
+        got = _renorm_table(spec, np.array(lags), n)[1:, 1:]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"{gamma} {name}")
+        blocked = np.zeros((n, n), dtype=bool)
+        for i in range(1, n + 1):
+            for j in structure.conflict_sets[i - 1]:
+                blocked[j - 1, i - 1] = True
+        assert np.all(got[blocked] == 0.0)
+        degenerate = sorted(rule.degenerate_rows)
+        assert np.all(got[np.array(degenerate, dtype=int) - 1] == 0.0)
+        if gamma == "geometric:0.6":  # rows past n - 61 first clear beyond the horizon
+            assert degenerate == list(range(1, n - 60)) and not np.any(got)
+        else:
+            assert not degenerate and np.count_nonzero(got) > n
