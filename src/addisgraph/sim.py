@@ -103,27 +103,43 @@ class SimConfig:
 # data generation
 
 
-def generate_trial(config: SimConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """P-values and truth labels for one trial (counter-based substream)."""
+def _draw(config: SimConfig, trial_index: int, u, z0, eps) -> None:
+    """One trial's uniforms, batch factors and noise, in place and in stream
+    order, from its counter-based substream keyed by (seed, trial_index)."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([config.seed, trial_index], dtype=np.uint64))
     )
-    n, b = config.n, config.b
-    labels = rng.random(n) < config.pi_a
-    z0 = rng.standard_normal(n // b)
-    eps = rng.standard_normal(n)
-    x = np.sqrt(config.rho) * np.repeat(z0, b) + np.sqrt(1.0 - config.rho) * eps
-    z = x + np.where(labels, ALT_SHIFT, config.mu_n)
-    return ndtr(-z), labels
+    rng.random(out=u)
+    rng.standard_normal(out=z0)
+    rng.standard_normal(out=eps)
+
+
+def _pvalues(config: SimConfig, u, z0, eps) -> tuple[np.ndarray, np.ndarray]:
+    """P-values (written over ``eps``) and truth labels from the draws,
+    elementwise over any leading axes."""
+    labels = u < config.pi_a
+    eps *= np.sqrt(1.0 - config.rho)
+    eps += np.sqrt(config.rho) * np.repeat(z0, config.b, axis=-1)
+    eps += np.where(labels, ALT_SHIFT, config.mu_n)
+    return ndtr(np.negative(eps, out=eps), out=eps), labels
+
+
+def generate_trial(config: SimConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """P-values and truth labels for one trial (counter-based substream)."""
+    n = config.n
+    u, z0, eps = np.empty(n), np.empty(n // config.b), np.empty(n)
+    _draw(config, trial_index, u, z0, eps)
+    return _pvalues(config, u, z0, eps)
 
 
 def generate_data(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (trials, n) p-value and label matrices."""
-    p = np.empty((config.trials, config.n))
-    labels = np.empty((config.trials, config.n), dtype=bool)
-    for t in range(config.trials):
-        p[t], labels[t] = generate_trial(config, t)
-    return p, labels
+    """Stacked (trials, n) p-value and label matrices: the draws per trial,
+    the arithmetic once over the whole matrix (the rows of ``generate_trial``)."""
+    t, n = config.trials, config.n
+    u, z0, eps = np.empty((t, n)), np.empty((t, n // config.b)), np.empty((t, n))
+    for k in range(t):
+        _draw(config, k, u[k], z0[k], eps[k])
+    return _pvalues(config, u, z0, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +156,8 @@ def levels_spending_local(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarr
     n = p.shape[1]
     gam = spec.values(2 * n + 2)
     s, c, _ = _indicator_arrays(p, tau, lam)
-    cs = np.concatenate(
-        [np.zeros((p.shape[0], 1)), np.cumsum((s - c), axis=1)], axis=1
-    )
+    cs = np.zeros((p.shape[0], n + 1))  # cs[:, k]: sum of S - C over 1 .. k
+    np.cumsum(s - c, axis=1, out=cs[:, 1:])
     i = np.arange(1, n + 1)
     t = (1 + lags + cs[:, i - lags - 1]).astype(np.int64)
     return alpha * (tau - lam) * gam[t - 1]
@@ -152,32 +167,35 @@ def _renorm_table(spec: GammaSpec, lags, n: int) -> np.ndarray:
     """Static conflict-renormalized shifted-gamma weights W[j, i] (1-based)."""
     gam = spec.values(n + 1)
     w = np.zeros((n + 1, n + 1))
-    lags = np.asarray(lags)
-    d = np.arange(2, n + 2)  # d[j-1]: first non-conflicting target of j
-    for i in range(1, n + 1):
-        lo = i - lags[i - 1]
-        d[lo - 1 : i - 1] = np.maximum(d[lo - 1 : i - 1], i + 1)
-    for j in range(1, n + 1):
-        dj = int(d[j - 1])
-        if dj > n:
-            continue
-        denom = spec.tail_sum(dj - 1 - j)
-        if denom <= 1e-12:
-            continue
-        w[j, dj:] = gam[dj - j - 1 : n - j] / denom
+    # d[j-1]: first non-conflicting target of j, one past the last i whose
+    # window starts at or before j (i = j itself qualifies, as L_i >= 0)
+    i = np.arange(1, n + 1)
+    last = np.zeros(n + 1, dtype=np.int64)
+    np.maximum.at(last, i - np.asarray(lags), i)
+    d = np.maximum.accumulate(last)[1:] + 1
+    # one tail sum per distinct offset dj - 1 - j, not per source row
+    live = np.flatnonzero(d <= n) + 1
+    offsets, which = np.unique(d[live - 1] - 1 - live, return_inverse=True)
+    tails = [spec.tail_sum(int(k)) for k in offsets]
+    for j, k in zip(live.tolist(), which.tolist()):
+        dj, denom = int(d[j - 1]), tails[k]
+        if denom > 1e-12:
+            w[j, dj:] = gam[dj - j - 1 : n - j] / denom
     return w
 
 
 def levels_graph_conf(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
+    """Shifted-gamma graph levels; ``ua[:, j]`` = U_j at_j, the mass source j
+    forwards, is stored once at_j is set, so a level is one product over it."""
     n = p.shape[1]
     gam = spec.values(n)
     w = _renorm_table(spec, lags, n)
     _, _, u = _indicator_arrays(p, tau, lam)
-    at = np.zeros((p.shape[0], n))
+    at = np.empty((p.shape[0], n))
+    ua = np.empty_like(at)
     for i0 in range(n):
-        at[:, i0] = alpha * gam[i0]
-        if i0:
-            at[:, i0] += (u[:, :i0] * at[:, :i0]) @ w[1 : i0 + 1, i0 + 1]
+        at[:, i0] = alpha * gam[i0] + ua[:, :i0] @ w[1 : i0 + 1, i0 + 1]
+        ua[:, i0] = u[:, i0] * at[:, i0]
     return (tau - lam) * at
 
 
@@ -222,25 +240,26 @@ def levels_closed_graph(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
 
 
 def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:
+    """FDR graph levels; the masses U_j at_j and R_j reward_j that source j
+    forwards are stored once set, so a level is two products over them."""
     ttr, n = p.shape
     gam = spec.values(n)
     w = _renorm_table(spec, np.minimum(e, np.arange(n)), n)
     _, _, u = _indicator_arrays(p, tau, lam)
-    at_hat = np.zeros((ttr, n))
     levels = np.empty((ttr, n))
-    reward = np.empty((ttr, n))  # per-index reward coefficient once rejected
-    r = np.empty((ttr, n))
+    ua = np.empty((ttr, n))
+    rr = np.empty((ttr, n))
     k_flag = np.zeros(ttr)
     for i0 in range(n):
-        i = i0 + 1
-        at_hat[:, i0] = w0 * gam[i0]
-        if i0:
-            at_hat[:, i0] += (u[:, :i0] * at_hat[:, :i0]) @ w[1:i, i]
-            at_hat[:, i0] += (r[:, :i0] * reward[:, :i0]) @ w[1:i, i]
-        levels[:, i0] = np.minimum((tau - lam) * at_hat[:, i0], lam)
-        r[:, i0] = p[:, i0] <= levels[:, i0]
-        reward[:, i0] = alpha * k_flag + (alpha - w0) * (1.0 - k_flag)
-        k_flag = np.maximum(k_flag, r[:, i0])
+        col = w[1 : i0 + 1, i0 + 1]
+        at_hat = w0 * gam[i0] + ua[:, :i0] @ col
+        at_hat += rr[:, :i0] @ col
+        levels[:, i0] = np.minimum((tau - lam) * at_hat, lam)
+        ua[:, i0] = u[:, i0] * at_hat
+        r = p[:, i0] <= levels[:, i0]
+        # reward coefficient once rejected: alpha after the first rejection, alpha - w0 before
+        rr[:, i0] = r * (alpha * k_flag + (alpha - w0) * (1.0 - k_flag))
+        k_flag = np.maximum(k_flag, r)
     return levels
 
 

@@ -19,7 +19,13 @@ import warnings
 import numpy as np
 
 from .core import ConflictStructure
-from .errors import DegenerateRenormalization, HorizonExceeded, InvalidSpec, NonMonotoneGamma
+from .errors import (
+    DegenerateRenormalization,
+    HorizonExceeded,
+    InvalidSpec,
+    NonMonotoneConflicts,
+    NonMonotoneGamma,
+)
 from .gammas import GammaSpec
 
 MASS_TOL = 1e-12
@@ -420,15 +426,23 @@ class Closure:
     graph, at_i), inside the conflict window c_i = i - L_i .. i-1 too.
 
     State per trial, grown on demand: at_j, R_j, up_j = max(R_j, C_j) - S_j + 1,
-    the prefix sums of R and of S - max(R, C), and the watermark ``final`` of
-    the last absorbed index.  ``counter`` and ``level`` for target i need
-    1 .. i-1 absorbed.  A live engine is the case of one trial.
+    the prefix sums of R and of S - max(R, C), the forwarded mass of each
+    source and the watermark ``final`` of the last absorbed index.
+    ``counter`` and ``level`` for target i need 1 .. i-1 absorbed.  A live
+    engine is the case of one trial.
+
+    The mass of source j is what it forwards to the targets of one level:
+    R_j at_j while j lies inside the window, up_j at_j once the window edge
+    c has passed it.  ``level`` sets it for 1 .. ``filled`` and has switched
+    1 .. ``edge`` - 1 to up_j at_j, so each level is one product over a slice.
     """
 
     def __init__(self, alpha: float, trials: int = 1, capacity: int = 64):
         self.alpha = alpha
         self.final = 0
-        self.state = np.zeros((5, trials, 0))
+        self.filled = 0  # mass of 1 .. filled is set
+        self.edge = 1  # mass of 1 .. edge-1 is up_j at_j
+        self.state = np.zeros((6, trials, 0))
         self._reserve(capacity)
 
     def _reserve(self, n: int) -> None:
@@ -438,8 +452,8 @@ class Closure:
         state = np.zeros(self.state.shape[:2] + (max(n + 1, 2 * old),))
         state[..., :old] = self.state
         self.state = state
-        # at_j, R_j and up_j sit at j - 1; the prefix sums over 1 .. k at k
-        self.at, self.r, self.up, self.sum_r, self.sum_smax = state
+        # at_j, R_j, up_j and the mass sit at j - 1; the prefix sums over 1 .. k at k
+        self.at, self.r, self.up, self.sum_r, self.sum_smax, self.mass = state
 
     def absorb(self, j: int, s, c, r) -> None:
         """Record S_j, C_j and R_j (one value per trial); j = final + 1."""
@@ -458,10 +472,19 @@ class Closure:
 
     def level(self, i: int, c: int, gamma_i: float, col: np.ndarray) -> np.ndarray:
         """at_i = alpha gamma_i + sum_j g[j, i] at_j (up_j for j < c, R_j for
-        j >= c), with ``col`` = g[1 .. i-1, i]; stored and returned per trial."""
+        j >= c), with ``col`` = g[1 .. i-1, i]; stored and returned per trial.
+
+        The window edge c may not move back (monotone conflict sets): a c
+        below the previous level's raises ``NonMonotoneConflicts``.
+        """
+        if c < self.edge:
+            raise NonMonotoneConflicts(c, self.filled + 1, i)
         self._reserve(i)
-        coef = np.concatenate([self.up[:, : c - 1], self.r[:, c - 1 : i - 1]], axis=1)
-        at = self.alpha * gamma_i + (coef * self.at[:, : i - 1]) @ col
+        crossed, fresh = slice(self.edge - 1, c - 1), slice(max(self.filled, c - 1), i - 1)
+        self.mass[:, crossed] = self.up[:, crossed] * self.at[:, crossed]
+        self.mass[:, fresh] = self.r[:, fresh] * self.at[:, fresh]
+        self.edge, self.filled = c, i - 1
+        at = self.alpha * gamma_i + self.mass[:, : i - 1] @ col
         self.at[:, i - 1] = at
         return at
 

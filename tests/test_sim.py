@@ -1,7 +1,11 @@
+import hashlib
+import importlib
 import io
+import json
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,9 @@ from addisgraph.sim import (
     generate_trial,
     gauss_legendre,
     levels_adaptive_corr,
+    levels_closed_graph,
+    levels_fdr_graph,
+    levels_graph_conf,
     levels_graph_conf_u,
     max_budget_spend,
     metrics,
@@ -70,6 +77,24 @@ def test_trial_determinism_and_substreams():
     np.testing.assert_array_equal(p1, p2)
     p3, _ = generate_trial(cfg, 1)
     assert not np.array_equal(p1, p3)
+
+
+@pytest.mark.parametrize(
+    "design",
+    [
+        {"n": 50, "b": 5},
+        {"n": 40, "b": 1, "rho": 0.9},
+        {"n": 30, "b": 30, "pi_a": 0.1, "mu_n": -1.0},
+    ],
+    ids=["b5", "b1", "one-batch"],
+)
+def test_generate_trial_is_row_of_generate_data(design):
+    """The whole-matrix arithmetic of ``generate_data`` gives each row's bits."""
+    cfg = SimConfig(trials=7, seed=9, **design)
+    p, labels = generate_data(cfg)
+    for t in range(cfg.trials):
+        pt, lt = generate_trial(cfg, t)
+        assert np.array_equal(pt, p[t]) and np.array_equal(lt, labels[t])
 
 
 def test_data_statistics():
@@ -203,6 +228,97 @@ def test_fdr_runner_matches_engine_on_degenerate_rows():
         for t in range(cfg.trials):
             seq = _engine_levels("fdr-graph", cfg, p[t], cfg.lags())
             np.testing.assert_allclose(vec[t], seq, rtol=1e-10, atol=1e-15)
+
+
+def _indicators(p, tau, lam):
+    s = (p <= tau).astype(np.float64)
+    c = (p <= lam).astype(np.float64)
+    return s, c, c - s + 1.0
+
+
+def _graph_conf_per_level(p, lags, alpha, tau, lam, spec):
+    """The graph-conf runner forming the (T, i) product at every level."""
+    ttr, n = p.shape
+    gam = spec.values(n)
+    w = _renorm_table(spec, lags, n)
+    _, _, u = _indicators(p, tau, lam)
+    at = np.zeros((ttr, n))
+    for i0 in range(n):
+        at[:, i0] = alpha * gam[i0]
+        if i0:
+            at[:, i0] += (u[:, :i0] * at[:, :i0]) @ w[1 : i0 + 1, i0 + 1]
+    return (tau - lam) * at
+
+
+def _fdr_graph_per_level(p, e, alpha, tau, lam, w0, spec):
+    """The fdr-graph runner forming both (T, i) products at every level."""
+    ttr, n = p.shape
+    gam = spec.values(n)
+    w = _renorm_table(spec, np.minimum(e, np.arange(n)), n)
+    _, _, u = _indicators(p, tau, lam)
+    at_hat, levels = np.zeros((ttr, n)), np.empty((ttr, n))
+    reward, r = np.empty((ttr, n)), np.empty((ttr, n))
+    k_flag = np.zeros(ttr)
+    for i0 in range(n):
+        at_hat[:, i0] = w0 * gam[i0]
+        if i0:
+            at_hat[:, i0] += (u[:, :i0] * at_hat[:, :i0]) @ w[1 : i0 + 1, i0 + 1]
+            at_hat[:, i0] += (r[:, :i0] * reward[:, :i0]) @ w[1 : i0 + 1, i0 + 1]
+        levels[:, i0] = np.minimum((tau - lam) * at_hat[:, i0], lam)
+        r[:, i0] = p[:, i0] <= levels[:, i0]
+        reward[:, i0] = alpha * k_flag + (alpha - w0) * (1.0 - k_flag)
+        k_flag = np.maximum(k_flag, r[:, i0])
+    return levels
+
+
+def _closed_graph_per_level(p, lags, alpha, tau, lam, spec):
+    """The closed-graph runner concatenating its coefficients at every level."""
+    ttr, n = p.shape
+    gam = spec.values(n)
+    rev = gam[::-1].copy()
+    s, c, _ = _indicators(p, tau, lam)
+    at, r, up = np.zeros((ttr, n)), np.zeros((ttr, n)), np.zeros((ttr, n))
+    for i in range(1, n + 1):
+        lo = i - int(lags[i - 1])
+        coef = np.concatenate([up[:, : lo - 1], r[:, lo - 1 : i - 1]], axis=1)
+        at[:, i - 1] = alpha * gam[i - 1] + (coef * at[:, : i - 1]) @ rev[n - i + 1 :]
+        r[:, i - 1] = p[:, i - 1] <= (tau - lam) * at[:, i - 1]
+        up[:, i - 1] = np.maximum(r[:, i - 1], c[:, i - 1]) - s[:, i - 1] + 1.0
+    return (tau - lam) * at
+
+
+@given(
+    raw=st.lists(st.integers(0, 8), min_size=1, max_size=40),
+    trials=st.integers(1, 6),
+    gamma=st.sampled_from(["basel", "power:1.6", "logq", "geometric:0.97"]),
+    power=st.sampled_from([1.0, 4.0]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_stored_mass_runners_are_bit_identical_to_per_level_products(
+    raw, trials, gamma, power, seed
+):
+    """Storing each settled source's mass leaves the operands of every level's
+    product unchanged, so the levels equal the per-level form bit for bit.
+    ``power`` 4 skews p-values small, so that rejections are common."""
+    lags = [0] * len(raw)
+    for i in range(1, len(raw)):  # monotone contiguous lags: L_{i+1} <= L_i + 1
+        lags[i] = min(raw[i], lags[i - 1] + 1)
+    lags = np.array(lags)
+    spec = GammaSpec.parse(gamma)
+    p = np.random.default_rng(seed).uniform(size=(trials, len(raw))) ** power
+    alpha, tau, lam = 0.2, 0.8, 0.16
+    for runner, reference in (
+        (levels_graph_conf, _graph_conf_per_level),
+        (levels_closed_graph, _closed_graph_per_level),
+    ):
+        got = runner(p, lags, alpha, tau, lam, spec)
+        assert np.array_equal(got, reference(p, lags, alpha, tau, lam, spec))
+    alpha, tau, lam = 0.05, 0.5, 0.25
+    for e in (0, 3):
+        for w0 in (alpha, alpha / 2):
+            got = levels_fdr_graph(p, e, alpha, tau, lam, w0, spec)
+            assert np.array_equal(got, _fdr_graph_per_level(p, e, alpha, tau, lam, w0, spec))
 
 
 def _confu_levels_from_table(p_row, lags, alpha, tau, lam, spec):
@@ -458,6 +574,22 @@ def test_run_grid_deterministic_and_paired(tmp_path):
     assert buf1.getvalue().splitlines()[0] == CSV_HEADER
     # b=1: the two procedures coincide on paired data
     assert rows1[0].fwer == rows1[1].fwer and rows1[0].power == rows1[1].power
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_sweep_many_csv_matches_recorded_digest(tmp_path, monkeypatch):
+    """The benchmark's sweep-many grid at seed 0 writes the CSV whose sha256
+    the benchmark recorded; perfbench files are read, never written."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(workloads.grid_text("sweep-many", 0))
+    csv_path = tmp_path / "sweep.csv"
+    run_grid(parse_grid_file(grid), csv_path=csv_path)
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())["sweep-many"]["0"]
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == recorded
 
 
 def test_run_config_roundtrip():

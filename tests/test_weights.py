@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addisgraph.core import ConflictStructure, validate_conflicts
-from addisgraph.errors import DegenerateRenormalization, HorizonExceeded
+from addisgraph.errors import DegenerateRenormalization, HorizonExceeded, NonMonotoneConflicts
 from addisgraph.gammas import GammaSpec
 from addisgraph.sim import _renorm_table
 from addisgraph.weights import (
     Alg1Columns,
+    Closure,
     CustomTable,
     IncrementalRenormalizer,
     RenormalizedConflict,
@@ -259,3 +260,24 @@ def test_renormalized_helper_matches_rule():
             assert degenerate == list(range(1, n - 60)) and not np.any(got)
         else:
             assert not degenerate and np.count_nonzero(got) > n
+
+
+# ---------------------------------------------------------------------------
+# closure kernel
+
+
+def test_closure_level_refuses_a_window_edge_moving_back():
+    """Monotone conflict sets keep the window edge c non-decreasing; a c
+    below the previous level's is refused before any state changes."""
+    gam = BASEL.values(5)
+    windows = ((1, 1), (2, 1), (3, 2), (4, 3), (5, 3))
+    kernels = Closure(0.2), Closure(0.2)
+    for closure in kernels:
+        for i, c in windows[:-1]:
+            closure.level(i, c, gam[i - 1], gam[: i - 1][::-1])
+            closure.absorb(i, 1.0, 0.0, float(i % 2))
+    with pytest.raises(NonMonotoneConflicts) as err:
+        kernels[0].level(5, 2, gam[4], gam[:4][::-1])
+    assert err.value.triple == (2, 4, 5)
+    ats = [k.level(5, 3, gam[4], gam[:4][::-1]) for k in kernels]
+    assert np.array_equal(ats[0], ats[1])
