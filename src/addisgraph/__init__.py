@@ -51,8 +51,6 @@ from .stream import StreamSession
 from .study import ReplayReport, ReplayStudy, replay_study
 from .weights import (
     CustomTable,
-    IncrementalRenormalizer,
-    RenormalizedConflict,
     ShiftedGamma,
     WeightRule,
     lemma1_row,
@@ -77,10 +75,8 @@ __all__ = [
     "GraphConf",
     "GraphConfU",
     "Indicators",
-    "IncrementalRenormalizer",
     "LedgerEntry",
     "MetricsRow",
-    "RenormalizedConflict",
     "ReplayReport",
     "ReplayStudy",
     "ShiftedGamma",

@@ -20,6 +20,7 @@ from .engines import ClosedGraph, make_engine
 from .errors import AddisGraphError
 from .gammas import GammaSpec
 from .stream import StreamSession, run_session
+from .weights import renorm_table
 
 
 def _add_simulate(sub) -> None:
@@ -94,7 +95,7 @@ def _verify_budget(n: int, seeds: int, alpha: float, out) -> bool:
         rng = np.random.default_rng(seed)
         lags = _random_lags(rng, n)
         spec = GammaSpec.parse(["basel", "power:1.6", "logq"][seed % 3])
-        weights = sim._renorm_table(spec, lags, n)
+        weights = renorm_table(spec, lags, n)
         bf = oracles.BudgetFunction(n=n, gamma=spec.values(n), weights=weights, alpha=alpha)
         max_f, pattern, verdict = oracles.brute_force_budget_check(bf)
         ok = ok and verdict

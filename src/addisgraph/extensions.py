@@ -43,7 +43,7 @@ from .errors import (
 )
 from .gammas import GammaSpec
 from .sim import gauss_legendre
-from .weights import IncrementalRenormalizer, RenormalizedConflict, ShiftedGamma
+from .weights import IncrementalRenormalizer, ShiftedGamma
 
 
 def alpha_c_gaussian(
@@ -164,7 +164,10 @@ class AdaptiveGraphCorr:
 
     Joint-tail values alpha_j^c are computed once, when batch b_j completes,
     and frozen into the ledger; a level request whose prior batches are not
-    yet frozen raises ``BatchIncomplete``.
+    yet frozen raises ``BatchIncomplete``.  The bracketed coefficient of each
+    source is stored when its batch freezes, and g* comes from the online
+    renormaliser with the batch-mates before i blocked, so a level is one
+    product over the stored coefficients.
     """
 
     kind = "adaptive-graph-corr"
@@ -174,10 +177,14 @@ class AdaptiveGraphCorr:
         self.alpha = alpha
         self.gamma = GammaSpec.parse(gamma) if isinstance(gamma, str) else gamma
         self.structure = model.structure
-        self.rule = RenormalizedConflict(ShiftedGamma(self.gamma), self.structure)
+        self._batch_of = np.asarray(self.structure.batch_of)
+        self._renorm = IncrementalRenormalizer(ShiftedGamma(self.gamma))
         self.ledger = TrajectoryLedger()
         self.alpha_c_se: dict[int, float] = {}
         self._frozen_batches = 0
+        # the bracketed coefficient of each source over 1 - lambda, set when
+        # its batch freezes; zero before, where its weights are zero too
+        self._coef = np.zeros(64)
 
     @property
     def issued(self) -> int:
@@ -202,15 +209,17 @@ class AdaptiveGraphCorr:
                     for k in members
                     if k < j and entries[k - 1].indicators.c == 0
                 ]
+                e = entries[j - 1]
                 val, se = self.model.alpha_c(
-                    entries[j - 1].level,
+                    e.level,
                     [entries[k - 1].level for k in prior],
                     positions=[k - start + 1 for k in prior],
                     pos_j=j - start + 1,
                 )
-                entries[j - 1].alpha_c = val
+                e.alpha_c = val
                 if se:
                     self.alpha_c_se[j] = se
+                self._coef[j - 1] = (e.level if e.indicators.c else e.level - val) / (1.0 - e.lam)
             self._frozen_batches += 1
 
     def level(self, i: int) -> float:
@@ -223,21 +232,13 @@ class AdaptiveGraphCorr:
                 f"{self._frozen_batches + 1}..{b - 1}"
             )
         lam_b = self.model.lambda_for(b)
-        carried = 0.0
-        for j in range(1, i):
-            if self._batch(j) >= b:
-                continue
-            w = self.rule.weight(j, i)
-            if not w:
-                continue
-            e = self.ledger.entries[j - 1]
-            if e.indicators is None:
-                raise MissingIndicator(f"level {i} needs feedback for prior-batch index {j}")
-            lam_j = self.model.lambda_for(self._batch(j))
-            if e.indicators.c:
-                carried += w * e.level / (1.0 - lam_j)
-            else:
-                carried += w * (e.level - e.alpha_c) / (1.0 - lam_j)
+        if i > self._coef.size:
+            coef = np.zeros(2 * i)
+            coef[: self._coef.size] = self._coef
+            self._coef = coef
+        col, cleared = self._renorm.column(i, self._batch_of[: i - 1] == b)
+        self._renorm.pin(cleared)
+        carried = float(col @ self._coef[: i - 1])
         alpha_i = (1.0 - lam_b) * (self.alpha * self.gamma.value(i) + carried)
         self.ledger.append(
             LedgerEntry(index=i, level=alpha_i, tau=1.0, lam=lam_b, batch=b)

@@ -30,7 +30,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import EmptyOutcomeSet, InvalidConfig
 from .gammas import GammaSpec
-from .weights import Closure, HeldMass
+from .weights import Closure, HeldMass, renorm_table
 
 CSV_HEADER = (
     "procedure,gamma_id,n,b,rho,pi_A,mu_N,e,trials,"
@@ -163,33 +163,12 @@ def levels_spending_local(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarr
     return alpha * (tau - lam) * gam[t - 1]
 
 
-def _renorm_table(spec: GammaSpec, lags, n: int) -> np.ndarray:
-    """Static conflict-renormalized shifted-gamma weights W[j, i] (1-based)."""
-    gam = spec.values(n + 1)
-    w = np.zeros((n + 1, n + 1))
-    # d[j-1]: first non-conflicting target of j, one past the last i whose
-    # window starts at or before j (i = j itself qualifies, as L_i >= 0)
-    i = np.arange(1, n + 1)
-    last = np.zeros(n + 1, dtype=np.int64)
-    np.maximum.at(last, i - np.asarray(lags), i)
-    d = np.maximum.accumulate(last)[1:] + 1
-    # one tail sum per distinct offset dj - 1 - j, not per source row
-    live = np.flatnonzero(d <= n) + 1
-    offsets, which = np.unique(d[live - 1] - 1 - live, return_inverse=True)
-    tails = [spec.tail_sum(int(k)) for k in offsets]
-    for j, k in zip(live.tolist(), which.tolist()):
-        dj, denom = int(d[j - 1]), tails[k]
-        if denom > 1e-12:
-            w[j, dj:] = gam[dj - j - 1 : n - j] / denom
-    return w
-
-
 def levels_graph_conf(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
     """Shifted-gamma graph levels; ``ua[:, j]`` = U_j at_j, the mass source j
     forwards, is stored once at_j is set, so a level is one product over it."""
     n = p.shape[1]
     gam = spec.values(n)
-    w = _renorm_table(spec, lags, n)
+    w = renorm_table(spec, lags, n)
     _, _, u = _indicator_arrays(p, tau, lam)
     at = np.empty((p.shape[0], n))
     ua = np.empty_like(at)
@@ -244,7 +223,7 @@ def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:
     forwards are stored once set, so a level is two products over them."""
     ttr, n = p.shape
     gam = spec.values(n)
-    w = _renorm_table(spec, np.minimum(e, np.arange(n)), n)
+    w = renorm_table(spec, np.minimum(e, np.arange(n)), n)
     _, _, u = _indicator_arrays(p, tau, lam)
     levels = np.empty((ttr, n))
     ua = np.empty((ttr, n))
@@ -303,7 +282,7 @@ def levels_adaptive_corr(
     ttr, n = p.shape
     gam = spec.values(n)
     lags = (np.arange(1, n + 1) - 1) % b
-    w = _renorm_table(spec, lags, n)
+    w = renorm_table(spec, lags, n)
     c_ind = (p <= lam).astype(np.float64)
     z, _, wq = gauss_legendre(nodes)
     sr, s1 = np.sqrt(rho), np.sqrt(1.0 - rho)

@@ -10,6 +10,17 @@ rules additionally guarantee ``g*[j, i] = 0`` whenever ``j`` conflicts with
 * rerouting: blocked mass flows forward through the rows of the blocking
   indices, which uniformly improves the level-spending procedure under
   contiguous-lag structures.
+
+The renormalization rule lives here alone.  Source ``j`` is blocked for the
+targets ``j+1 .. d_j - 1``, ``d_j`` its first clear target; its surviving
+weights are ``g[j, i] / D_j`` for ``i >= d_j``, with ``D_j`` the unblocked
+tail ``sum_{k >= d_j} g[j, k]`` itself, never ``1 - blocked``, which cancels
+on steep rows.  An empty blocked prefix keeps the base row (``D_j = 1``),
+and a row with ``D_j <= MASS_TOL`` is degenerate and gets zero weights.  For
+a rule whose rows hold less than one, ``D_j`` scales the surviving row to
+total one.  :class:`IncrementalRenormalizer` applies the rule online, to
+any base rule; :func:`renorm_table` tabulates it for shifted gamma and
+lag-form conflicts.
 """
 
 from __future__ import annotations
@@ -18,7 +29,6 @@ import warnings
 
 import numpy as np
 
-from .core import ConflictStructure
 from .errors import (
     DegenerateRenormalization,
     HorizonExceeded,
@@ -85,77 +95,16 @@ class ShiftedGamma(WeightRule):
         return self.spec.tail_sum(max(m - j, 0))
 
 
-class RenormalizedConflict(WeightRule):
-    """Conflict adjustment that rescales each row by its blocked leading mass.
-
-    For monotone conflict sets the indices blocked for source ``j`` form a
-    contiguous range ``j+1 .. d_j - 1``; the surviving weights are
-    ``g[j, i] / (1 - blocked_j)``.  A row whose blocked mass reaches one is
-    degenerate: it gets all-zero weights and is flagged.
-    """
-
-    def __init__(self, base: WeightRule, structure: ConflictStructure):
-        self.base = base
-        self.structure = structure
-        self.degenerate_rows: set[int] = set()
-        self._d = self._first_clear_targets(structure)
-        self._denom = {}
-
-    @staticmethod
-    def _first_clear_targets(structure: ConflictStructure) -> dict[int, int]:
-        d = {}
-        for i in range(1, structure.n + 1):
-            for j in structure.conflict_sets[i - 1]:
-                d[j] = max(d.get(j, j + 1), i + 1)
-        return d
-
-    def first_clear(self, j: int) -> int:
-        return self._d.get(j, j + 1)
-
-    def _denominator(self, j: int) -> float:
-        if j not in self._denom:
-            d_j = self.first_clear(j)
-            if d_j == j + 1:  # empty blocked prefix: keep base weights exactly
-                self._denom[j] = 1.0
-                return 1.0
-            blocked = 1.0 - self.base.tail_mass(j, d_j - 1)
-            denom = 1.0 - blocked
-            if denom <= MASS_TOL:
-                warnings.warn(
-                    f"all future weight of source {j} is blocked; emitting zero weights",
-                    DegenerateRenormalization,
-                )
-                self.degenerate_rows.add(j)
-                denom = np.inf
-            self._denom[j] = denom
-        return self._denom[j]
-
-    def weight(self, j, i):
-        if i < self.first_clear(j) or i <= j:
-            return 0.0
-        return self.base.weight(j, i) / self._denominator(j)
-
-    def column(self, i):
-        col = self.base.column(i)
-        if col.size == 0:
-            return col
-        denom = np.array([self._denominator(j) for j in range(1, i)])
-        blocked = np.array([i < self.first_clear(j) for j in range(1, i)])
-        out = col / denom
-        out[blocked] = 0.0
-        return out
-
-    def tail_mass(self, j, m):
-        d_j = self.first_clear(j)
-        return self.base.tail_mass(j, max(m, d_j - 1)) / self._denominator(j)
-
-
 class IncrementalRenormalizer:
     """Per-source renormalization discovered on the fly by a live engine.
 
     Engines request weights in target order, so the first non-conflicting
-    target of a source ``j`` pins down its blocked prefix ``j+1 .. i-1`` and
-    hence the renormalization denominator, without a predeclared horizon.
+    target ``i`` of a source ``j`` pins down its blocked prefix
+    ``j+1 .. i-1`` and hence the denominator D_j = ``base.tail_mass(j, i-1)``,
+    without a predeclared horizon.  D_j is the unblocked tail of the base
+    row, so the surviving row totals one even where the base row holds less;
+    an empty prefix keeps D_j = 1, and D_j <= ``MASS_TOL`` marks the row
+    degenerate (zero weights, a ``DegenerateRenormalization`` warning).
     """
 
     def __init__(self, base: WeightRule):
@@ -172,8 +121,7 @@ class IncrementalRenormalizer:
         """Denominator of source ``j`` whose first clear target is ``i``."""
         if i == j + 1:  # empty blocked prefix: keep base weights exactly
             return 1.0
-        blocked = 1.0 - self.base.tail_mass(j, i - 1)
-        denom = 1.0 - blocked
+        denom = self.base.tail_mass(j, i - 1)
         return denom if denom > MASS_TOL else 0.0
 
     def pin(self, cleared: dict[int, float]) -> None:
@@ -223,6 +171,29 @@ class IncrementalRenormalizer:
         if denom is None:
             return 1.0
         return self.base.tail_mass(j, m) / denom if denom else 0.0
+
+
+def renorm_table(spec: GammaSpec, lags, n: int) -> np.ndarray:
+    """Static conflict-renormalized shifted-gamma weights W[j, i] (1-based),
+    for the runners: D_j = ``spec.tail_sum(d_j - 1 - j)``, also for an empty
+    blocked prefix, where it is one up to rounding."""
+    gam = spec.values(n + 1)
+    w = np.zeros((n + 1, n + 1))
+    # d[j-1]: first non-conflicting target of j, one past the last i whose
+    # window starts at or before j (i = j itself qualifies, as L_i >= 0)
+    i = np.arange(1, n + 1)
+    last = np.zeros(n + 1, dtype=np.int64)
+    np.maximum.at(last, i - np.asarray(lags), i)
+    d = np.maximum.accumulate(last)[1:] + 1
+    # one tail sum per distinct offset dj - 1 - j, not per source row
+    live = np.flatnonzero(d <= n) + 1
+    offsets, which = np.unique(d[live - 1] - 1 - live, return_inverse=True)
+    tails = [spec.tail_sum(int(k)) for k in offsets]
+    for j, k in zip(live.tolist(), which.tolist()):
+        dj, denom = int(d[j - 1]), tails[k]
+        if denom > MASS_TOL:
+            w[j, dj:] = gam[dj - j - 1 : n - j] / denom
+    return w
 
 
 class CustomTable(WeightRule):

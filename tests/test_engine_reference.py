@@ -11,8 +11,6 @@ The closed engines and their runners share one kernel, so the closed runners
 are also checked against the references directly, in runner order.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,8 +54,8 @@ class Reference:
             return self.table.get((j, i), 0.0)
         sets = self.sets + [x]
         first_clear = next(k for k in range(j + 1, i + 1) if j not in sets[k - 1])
-        blocked = math.fsum(self.g(k - j) for k in range(j + 1, first_clear))
-        return self.g(i - j) / (1.0 - blocked)
+        # the unblocked tail sum_{k >= first_clear} gamma_{k-j}, taken whole
+        return self.g(i - j) / self.gamma.tail_sum(first_clear - 1 - j)
 
     def reroute_column(self, i, x):
         """{j: g*[j, i]} for sources j < c_i = i - L_i, by the reroute recursion

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from addisgraph.core import ConflictStructure, validate_conflicts
 from addisgraph.engines import ClosedGraph, GraphConf, GraphConfU, SpendingLocal
 from addisgraph.errors import HorizonTooLarge
 from addisgraph.gammas import GammaSpec
@@ -11,7 +10,7 @@ from addisgraph.oracles import (
     closure_oracle,
     improvement_weight_oracle,
 )
-from addisgraph.weights import RenormalizedConflict, ShiftedGamma, lemma1_row
+from addisgraph.weights import lemma1_row, renorm_table
 
 BASEL = GammaSpec.parse("basel")
 
@@ -21,16 +20,6 @@ def _shifted_table(spec, n):
     vals = spec.values(n)
     for j in range(1, n):
         g[j - 1, j:] = vals[: n - j]
-    return g
-
-
-def _renorm_table(spec, lags, n):
-    structure = validate_conflicts(ConflictStructure.from_lags(lags), lag_form=True)
-    rule = RenormalizedConflict(ShiftedGamma(spec), structure)
-    g = np.zeros((n, n))
-    for j in range(1, n):
-        for i in range(j + 1, n + 1):
-            g[j - 1, i - 1] = rule.weight(j, i)
     return g
 
 
@@ -95,9 +84,8 @@ def test_engine_spend_equals_budget_function():
             if e.ledger.entries[j - 1].indicators is None:
                 e.observe(j, float(p[j - 1]))
         u = np.array([en.indicators.u for en in e.ledger.entries], dtype=float)
-        bf = BudgetFunction(
-            n=n, gamma=BASEL.values(n), weights=_renorm_table(BASEL, lags, n), alpha=0.2
-        )
+        weights = renorm_table(BASEL, np.asarray(lags), n)[1:, 1:]
+        bf = BudgetFunction(n=n, gamma=BASEL.values(n), weights=weights, alpha=0.2)
         f_real = bf.evaluate(u[None, :])[0]
         assert e.ledger.budget_spent()[-1] == pytest.approx(f_real, rel=1e-12, abs=1e-15)
 

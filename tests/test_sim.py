@@ -19,13 +19,12 @@ from addisgraph.errors import DegenerateRenormalization, EmptyOutcomeSet, Invali
 from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
 from addisgraph.core import ConflictStructure
 from addisgraph.gammas import GammaSpec
-from addisgraph.weights import algorithm1_weights
+from addisgraph.weights import algorithm1_weights, renorm_table
 from addisgraph.sim import (
     ALL_PROCEDURES,
     CSV_HEADER,
     QUAD_SPAN,
     SimConfig,
-    _renorm_table,
     TrialSet,
     compute_levels,
     expand_grid,
@@ -145,8 +144,20 @@ def _engine_levels(kind, cfg, prow, lags):
     return out
 
 
-@pytest.mark.parametrize("kind", sorted(ALL_PROCEDURES))
-def test_runner_matches_engine(kind):
+# steep gamma, long windows: the unblocked tails fall to 0.6^39 and 0.6^35
+STEEP = {"gamma": "geometric:0.6", "n": 120, "trials": 3, "seed": 5}
+
+
+@pytest.mark.parametrize(
+    "kind, design",
+    [pytest.param(kind, {}, id=kind) for kind in sorted(ALL_PROCEDURES)]
+    + [
+        pytest.param("graph-conf", {**STEEP, "b": 40}, id="graph-conf-steep-b40"),
+        pytest.param("adaptive-graph-corr", {**STEEP, "b": 40}, id="adaptive-graph-corr-steep-b40"),
+        pytest.param("fdr-graph", {**STEEP, "e": 35}, id="fdr-graph-steep-e35"),
+    ],
+)
+def test_runner_matches_engine(kind, design):
     b = 1 if kind == "fdr-graph" else 4
     cfg = SimConfig(
         procedure=kind,
@@ -159,12 +170,13 @@ def test_runner_matches_engine(kind):
         tau=0.5 if kind == "fdr-graph" else 0.8,
         lam=0.25 if kind == "fdr-graph" else 0.16,
     )
+    cfg = replace(cfg, **design)
     p, _ = generate_data(cfg)
     vec = compute_levels(cfg, p)
     lags = cfg.lags()
     for t in range(cfg.trials):
         seq = _engine_levels(kind, cfg, p[t], lags)
-        np.testing.assert_allclose(vec[t], seq, rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose(vec[t], seq, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -227,7 +239,7 @@ def test_fdr_runner_matches_engine_on_degenerate_rows():
         warnings.simplefilter("ignore", DegenerateRenormalization)
         for t in range(cfg.trials):
             seq = _engine_levels("fdr-graph", cfg, p[t], cfg.lags())
-            np.testing.assert_allclose(vec[t], seq, rtol=1e-10, atol=1e-15)
+            np.testing.assert_allclose(vec[t], seq, rtol=1e-12, atol=1e-15)
 
 
 def _indicators(p, tau, lam):
@@ -240,7 +252,7 @@ def _graph_conf_per_level(p, lags, alpha, tau, lam, spec):
     """The graph-conf runner forming the (T, i) product at every level."""
     ttr, n = p.shape
     gam = spec.values(n)
-    w = _renorm_table(spec, lags, n)
+    w = renorm_table(spec, lags, n)
     _, _, u = _indicators(p, tau, lam)
     at = np.zeros((ttr, n))
     for i0 in range(n):
@@ -254,7 +266,7 @@ def _fdr_graph_per_level(p, e, alpha, tau, lam, w0, spec):
     """The fdr-graph runner forming both (T, i) products at every level."""
     ttr, n = p.shape
     gam = spec.values(n)
-    w = _renorm_table(spec, np.minimum(e, np.arange(n)), n)
+    w = renorm_table(spec, np.minimum(e, np.arange(n)), n)
     _, _, u = _indicators(p, tau, lam)
     at_hat, levels = np.zeros((ttr, n)), np.empty((ttr, n))
     reward, r = np.empty((ttr, n)), np.empty((ttr, n))
@@ -378,7 +390,7 @@ def _adaptive_corr_dense(p, b, rho, alpha, lam, spec, nodes):
     """The correlation runner with the quadrature over every (trial, member, node)."""
     ttr, n = p.shape
     gam = spec.values(n)
-    w = _renorm_table(spec, (np.arange(1, n + 1) - 1) % b, n)
+    w = renorm_table(spec, (np.arange(1, n + 1) - 1) % b, n)
     c_ind = (p <= lam).astype(np.float64)
     x, wq = leggauss(nodes)
     z = QUAD_SPAN * x

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from addisgraph.core import ConflictStructure, validate_conflicts
 from addisgraph.errors import DegenerateRenormalization, HorizonExceeded, NonMonotoneConflicts
 from addisgraph.gammas import GammaSpec
-from addisgraph.sim import _renorm_table
 from addisgraph.weights import (
     Alg1Columns,
     Closure,
     CustomTable,
     IncrementalRenormalizer,
-    RenormalizedConflict,
     ShiftedGamma,
     algorithm1_weights,
     lemma1_base_weight,
     lemma1_row,
+    renorm_table,
     spending_counters,
 )
 
@@ -65,31 +64,48 @@ def test_spending_counters():
 # conflict renormalization
 
 
+def _online(spec, structure, n):
+    """The renormaliser driven in target order as the engines drive it, and
+    its table W[j-1, i-1] of g*[j, i] for targets 1 .. n."""
+    inc = IncrementalRenormalizer(ShiftedGamma(spec))
+    w = np.zeros((n, n))
+    for i in range(2, n + 1):
+        blocked = np.zeros(i - 1, dtype=bool)
+        blocked[[j - 1 for j in structure.conflict_sets[i - 1]]] = True
+        col, cleared = inc.column(i, blocked)
+        inc.pin(cleared)
+        w[: i - 1, i - 1] = col
+    return inc, w
+
+
 def test_renormalized_zeroes_conflicts_and_preserves_row_mass():
     structure = _lag_structure([0, 1, 2, 2, 2, 2])
-    rule = RenormalizedConflict(ShiftedGamma(BASEL), structure)
     n = 6
+    inc, w = _online(BASEL, structure, n)
     for j in range(1, n):
         blocked = [i for i in range(j + 1, n + 1) if j in structure.conflict_set(i)]
         for i in blocked:
-            assert rule.weight(j, i) == 0.0
-        mass = sum(rule.weight(j, i) for i in range(j + 1, n + 1)) + rule.tail_mass(j, n)
+            assert w[j - 1, i - 1] == 0.0
+        mass = float(np.sum(w[j - 1])) + inc.tail_mass(j, n)
         assert mass == pytest.approx(1.0, rel=1e-12)
 
 
 def test_incremental_matches_static():
+    """The per-pair ``weight`` path against the runners' static table; the
+    tail past the horizon completes each row to one."""
     lags = [0, 1, 2, 2, 1, 0, 1, 2, 3, 3]
     structure = _lag_structure(lags)
-    static = RenormalizedConflict(ShiftedGamma(BASEL), structure)
+    static = renorm_table(BASEL, np.array(lags), len(lags))
     inc = IncrementalRenormalizer(ShiftedGamma(BASEL))
     n = len(lags)
     for i in range(1, n + 1):
         x = structure.conflict_set(i)
         for j in range(1, i):
             got = inc.weight(j, i, conflicting=j in x)
-            assert got == pytest.approx(static.weight(j, i), rel=1e-13)
+            assert got == pytest.approx(static[j, i], rel=1e-13)
     for j in range(1, n + 1):
-        assert inc.tail_mass(j, n) == pytest.approx(static.tail_mass(j, n), rel=1e-13)
+        want = 1.0 - float(np.sum(static[j, j + 1 :]))
+        assert inc.tail_mass(j, n) == pytest.approx(want, rel=1e-13)
 
 
 def test_renormalization_handles_non_suffix_monotone_sets():
@@ -97,12 +113,12 @@ def test_renormalization_handles_non_suffix_monotone_sets():
     structure = validate_conflicts(
         ConflictStructure([frozenset(), frozenset({1}), frozenset({1})])
     )
-    rule = RenormalizedConflict(ShiftedGamma(BASEL), structure)
-    assert rule.weight(1, 2) == 0.0
-    assert rule.weight(1, 3) == 0.0
-    assert rule.weight(2, 3) > 0.0
+    inc, w = _online(BASEL, structure, 3)
+    assert w[0, 1] == 0.0
+    assert w[0, 2] == 0.0
+    assert w[1, 2] > 0.0
     # source 1 is blocked through the horizon; its mass waits beyond it
-    assert rule.tail_mass(1, 3) == pytest.approx(1.0, rel=1e-12)
+    assert inc.tail_mass(1, 3) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_degenerate_row_warns():
@@ -113,8 +129,7 @@ def test_degenerate_row_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateRenormalization):
-            rule = RenormalizedConflict(ShiftedGamma(spec), structure)
-            rule.weight(1, 950)
+            _online(spec, structure, 950)
 
 
 def test_custom_table_round_trip(tmp_path):
@@ -222,6 +237,7 @@ N_RENORM = 122
 RENORM_LAGS = {
     "worked": [0, 1, 1, 2, 0],
     "b20": [(i - 1) % 20 for i in range(1, N_RENORM + 1)],
+    "b40": [(i - 1) % 40 for i in range(1, N_RENORM + 1)],
     "e60": [min(60, i - 1) for i in range(1, N_RENORM + 1)],
     "drawn60": _drawn_lags(3, N_RENORM, 60),
 }
@@ -229,34 +245,33 @@ RENORM_LAGS = {
 
 RENORM_CASES = [
     (g, name) for g in ("basel", "logq", "power:1.6", "geometric:0.97") for name in RENORM_LAGS
-] + [("geometric:0.6", "e60")]
+] + [("geometric:0.6", "e60"), ("geometric:0.6", "b40")]
 
 
 def test_renormalized_helper_matches_rule():
-    """The runners' static table ``sim._renorm_table`` against the rule it
-    transcribes: rel 1e-12 where weight flows, exact zeros on blocked pairs
-    and on degenerate rows (geometric:0.6 blocks all but 0.6^60 of each row)."""
+    """The runners' static table ``weights.renorm_table`` against the online
+    renormaliser the engines drive: rel 1e-12 where weight flows, exact zeros
+    on blocked pairs and on degenerate rows (geometric:0.6 at e60 blocks all
+    but 0.6^60 of each row; at b40 the tails fall to 0.6^39, steep but live)."""
     for gamma, name in RENORM_CASES:
         spec = GammaSpec.parse(gamma)
         lags = RENORM_LAGS[name]
         n = len(lags)
         structure = _lag_structure(lags)
-        rule = RenormalizedConflict(ShiftedGamma(spec), structure)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateRenormalization)
-            want = np.array(
-                [[rule.weight(j, i) for i in range(1, n + 1)] for j in range(1, n + 1)]
-            )
-        got = _renorm_table(spec, np.array(lags), n)[1:, 1:]
+            inc, want = _online(spec, structure, n)
+        got = renorm_table(spec, np.array(lags), n)[1:, 1:]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"{gamma} {name}")
         blocked = np.zeros((n, n), dtype=bool)
         for i in range(1, n + 1):
             for j in structure.conflict_sets[i - 1]:
                 blocked[j - 1, i - 1] = True
         assert np.all(got[blocked] == 0.0)
-        degenerate = sorted(rule.degenerate_rows)
+        degenerate = sorted(inc.degenerate_rows)
         assert np.all(got[np.array(degenerate, dtype=int) - 1] == 0.0)
-        if gamma == "geometric:0.6":  # rows past n - 61 first clear beyond the horizon
+        if (gamma, name) == ("geometric:0.6", "e60"):
+            # rows past n - 61 first clear beyond the horizon
             assert degenerate == list(range(1, n - 60)) and not np.any(got)
         else:
             assert not degenerate and np.count_nonzero(got) > n
