@@ -76,10 +76,6 @@ class ModelUnavailable(AddisGraphError):
     """No joint null model is available for a joint-tail computation."""
 
 
-class QuadratureNonConvergence(AddisGraphError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class InvalidW0(AddisGraphError):
     """The FDR starting wealth is outside (0, alpha]."""
 

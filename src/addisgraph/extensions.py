@@ -7,7 +7,9 @@ Two extensions of the graphical family:
   alpha_j^c`` instead of nothing, where ``alpha_j^c`` is the joint null
   probability of rejecting ``H_j`` while every earlier non-candidate in the
   batch was accepted.  For equicorrelated Gaussian batches the joint tail is
-  computed exactly by one-dimensional quadrature over the common factor.
+  a one-dimensional integral over the common factor, evaluated by
+  :class:`~.weights.JointTail` on a fixed Gauss-Legendre rule whose node
+  count depends on the correlation alone, the rule of the simulation runner.
 
 * :class:`FdrGraph` — FDR-controlling variant that adds a rejection reward
   stream on top of the recycling graph, propagating the *unclipped* levels
@@ -19,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
 from .core import (
     ConflictStructure,
@@ -38,52 +38,19 @@ from .errors import (
     InvalidW0,
     MissingIndicator,
     ModelUnavailable,
-    QuadratureNonConvergence,
     UnknownIndex,
 )
 from .gammas import GammaSpec
-from .sim import gauss_legendre
-from .weights import IncrementalRenormalizer, ShiftedGamma
+from .weights import IncrementalRenormalizer, JointTail, ShiftedGamma, corr_nodes
 
 
-def alpha_c_gaussian(
-    level_j: float,
-    prior_levels,
-    rho: float,
-    tol: float = 1e-10,
-    max_nodes: int = 4096,
-) -> float:
+def alpha_c_gaussian(level_j: float, prior_levels, rho: float) -> float:
     """Joint tail P(all prior P_k > alpha_k, P_j <= alpha_j) under the
-    equicorrelated Gaussian null with one-sided z-test p-values.
-
-    Conditional on the common factor the coordinates are independent, so the
-    probability is a one-dimensional integral, evaluated by Gauss-Legendre
-    quadrature with doubling node counts until two successive estimates agree.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise DomainError(f"correlation must lie in [0, 1), got {rho}")
-    prior = np.asarray(list(prior_levels), dtype=np.float64)
-    if prior.size == 0:
-        return float(level_j)
-    if rho == 0.0:
-        return float(np.prod(1.0 - prior) * level_j)
-    c_prior = ndtri(1.0 - prior)
-    c_j = ndtri(1.0 - level_j)
-    sr, s1 = np.sqrt(rho), np.sqrt(1.0 - rho)
-    prev = None
-    m = 64
-    while m <= max_nodes:
-        z, w, _ = gauss_legendre(m)
-        cond_prior = ndtr((c_prior[:, None] - sr * z[None, :]) / s1)
-        cond_j = 1.0 - ndtr((c_j - sr * z) / s1)
-        est = float(np.sum(w * norm.pdf(z) * np.prod(cond_prior, axis=0) * cond_j))
-        if prev is not None and abs(est - prev) < tol:
-            return est
-        prev = est
-        m *= 2
-    raise QuadratureNonConvergence(
-        f"joint-tail quadrature did not converge to {tol} within {max_nodes} nodes"
-    )
+    equicorrelated Gaussian null with one-sided z-test p-values: the
+    :class:`JointTail` of one trial over the batch ``[*prior, j]``."""
+    levels = np.append(np.asarray(list(prior_levels), dtype=np.float64), level_j)
+    keep = np.ones(levels.size, dtype=bool)
+    return float(JointTail(rho).batch(levels[None], keep[None])[0, -1])
 
 
 def alpha_c_monte_carlo(
@@ -109,7 +76,7 @@ def alpha_c_monte_carlo(
 class CorrModel:
     """Joint null model for batch-dependent streams with tau = 1.
 
-    Either an equicorrelated Gaussian correlation ``rho`` (analytic, exact
+    Either an equicorrelated Gaussian correlation ``rho`` (analytic, by
     quadrature) or a matrix of joint null p-value draws (``samples``, one row
     per draw, one column per within-batch position; Monte Carlo with SE).
     ``lam`` is the candidate threshold, constant within each batch.
@@ -123,8 +90,14 @@ class CorrModel:
     def __post_init__(self):
         if self.structure.batch_of is None:
             raise InvalidConfig("correlation model needs a batch-form conflict structure")
-        if self.samples is not None:
+        if self.rho is not None:
+            corr_nodes(self.rho)  # refuses a correlation the quadrature cannot resolve
+        elif self.samples is None:
+            raise InvalidConfig("correlation model needs a correlation or joint null samples")
+        else:
             self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
+            if self.samples.shape[1] < max(map(len, self.structure.batches)):
+                raise InvalidConfig("joint null samples need a column per member of every batch")
 
     @classmethod
     def from_sample_file(cls, structure, path, lam=0.16) -> "CorrModel":
@@ -140,19 +113,19 @@ class CorrModel:
         batches = sorted(set(self.structure.batch_of))
         return {b: self.lambda_for(b) for b in batches}
 
-    def alpha_c(self, level_j: float, prior_levels, positions=None, pos_j=None):
-        """Joint tail value; returns (estimate, se) with se = 0 for analytic."""
-        if not list(prior_levels):
-            return float(level_j), 0.0
+    def batch_alpha_c(self, levels: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Joint tails of one batch's members, in order, and their SEs (zero
+        for ``rho``), from the members' levels and non-candidate flags."""
         if self.rho is not None:
-            return alpha_c_gaussian(level_j, prior_levels, self.rho), 0.0
-        if self.samples is not None:
-            if positions is None or pos_j is None:
-                raise ModelUnavailable("sample-based model needs within-batch positions")
-            draws_prior = self.samples[:, [p - 1 for p in positions]]
-            draws_j = self.samples[:, pos_j - 1]
-            return alpha_c_monte_carlo(level_j, prior_levels, draws_prior, draws_j)
-        raise ModelUnavailable("neither a correlation nor joint null samples configured")
+            return JointTail(self.rho).batch(levels[None], keep[None])[0], np.zeros(levels.size)
+        val, se = levels.copy(), np.zeros(levels.size)
+        for j in range(1, levels.size):
+            prior = np.flatnonzero(keep[:j])
+            if prior.size:
+                val[j], se[j] = alpha_c_monte_carlo(
+                    levels[j], levels[prior], self.samples[:, prior], self.samples[:, j]
+                )
+        return val, se
 
 
 class AdaptiveGraphCorr:
@@ -202,24 +175,15 @@ class AdaptiveGraphCorr:
                 entries[j - 1].indicators is None for j in members
             ):
                 return
-            start = members[0]
-            for j in members:
-                prior = [
-                    k
-                    for k in members
-                    if k < j and entries[k - 1].indicators.c == 0
-                ]
-                e = entries[j - 1]
-                val, se = self.model.alpha_c(
-                    e.level,
-                    [entries[k - 1].level for k in prior],
-                    positions=[k - start + 1 for k in prior],
-                    pos_j=j - start + 1,
-                )
-                e.alpha_c = val
+            batch = [entries[j - 1] for j in members]
+            levels = np.array([e.level for e in batch])
+            keep = np.array([e.indicators.c == 0 for e in batch])
+            vals, ses = self.model.batch_alpha_c(levels, keep)
+            for j, e, val, se, k in zip(members, batch, vals, ses, keep):
+                e.alpha_c = float(val)
                 if se:
-                    self.alpha_c_se[j] = se
-                self._coef[j - 1] = (e.level if e.indicators.c else e.level - val) / (1.0 - e.lam)
+                    self.alpha_c_se[j] = float(se)
+                self._coef[j - 1] = (e.level - val if k else e.level) / (1.0 - e.lam)
             self._frozen_batches += 1
 
     def level(self, i: int) -> float:

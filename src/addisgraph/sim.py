@@ -21,24 +21,20 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import EmptyOutcomeSet, InvalidConfig
 from .gammas import GammaSpec
-from .weights import Closure, HeldMass, renorm_table
+from .weights import Closure, HeldMass, JointTail, renorm_table
 
 CSV_HEADER = (
     "procedure,gamma_id,n,b,rho,pi_A,mu_N,e,trials,"
     "fwer,fwer_se,pfer,power,power_se,fdr,fdr_se,mfdr"
 )
 ALT_SHIFT = 3.0
-CORR_QUAD_NODES = 512
-QUAD_SPAN = 8.0
 
 FWER_PROCEDURES = (
     "spending-local",
@@ -242,83 +238,34 @@ def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:
     return levels
 
 
-@lru_cache(maxsize=None)
-def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on [-QUAD_SPAN, QUAD_SPAN] for the common factor.
-
-    Returns read-only ``(z, w, wq)``: the nodes, the weights, and the weights
-    times the standard normal density at the nodes.  ``leggauss`` is
-    deterministic, so caching it per node count changes no value.
-    """
-    x, w = leggauss(nodes)
-    z = QUAD_SPAN * x
-    w = QUAD_SPAN * w
-    wq = w * np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
-    for a in (z, w, wq):
-        a.flags.writeable = False
-    return z, w, wq
-
-
 def levels_adaptive_corr(
-    p, b, rho, alpha, lam, spec: GammaSpec, nodes: int = CORR_QUAD_NODES
+    p, b, rho, alpha, lam, spec: GammaSpec, nodes: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Levels and frozen joint-tail values for the batch correlation procedure.
 
-    The joint tail is evaluated on a fixed Gauss-Legendre grid over the
-    common factor; the prefix product over earlier non-candidates in the
-    batch is carried forward one member at a time.
-
-    The conditional tail ``cond`` of a member is read in two places only:
-    by the estimate ``est``, which is kept only where the trial has an
-    earlier non-candidate in the batch (``n_prior > 0``), and by the prefix
-    update of a non-candidate (``keep``), which a later member of the same
-    batch reads.  Both masks depend on ``p <= lam`` alone, so ``cond`` is
-    evaluated only on the rows with ``n_prior > 0``, or ``keep`` and a later
-    member to come; a member with no such row is skipped.  Every value that
-    is read comes from the same operations on the same inputs as a dense
-    evaluation over all rows; the other rows of the reused buffer hold
-    finite stale values whose products are discarded by the selections.
+    Each batch's joint tails come from :class:`JointTail` over all trials,
+    on the ``corr_nodes(rho)`` rule unless ``nodes`` is given.
     """
     ttr, n = p.shape
     gam = spec.values(n)
     lags = (np.arange(1, n + 1) - 1) % b
     w = renorm_table(spec, lags, n)
-    c_ind = (p <= lam).astype(np.float64)
-    z, _, wq = gauss_legendre(nodes)
-    sr, s1 = np.sqrt(rho), np.sqrt(1.0 - rho)
-    srz = sr * z
+    keep = p > lam
+    tail = JointTail(rho, ttr, nodes)
 
     levels = np.empty((ttr, n))
     alpha_c = np.empty((ttr, n))
     coef = np.zeros((ttr, n))
-    cond = np.ones((ttr, nodes))
-    prefix = np.empty((ttr, nodes))
     for start in range(0, n, b):
         for i0 in range(start, start + b):
             levels[:, i0] = (1.0 - lam) * (
                 alpha * gam[i0] + coef[:, :start] @ w[1 : start + 1, i0 + 1]
             )
-        crit = ndtri(1.0 - levels[:, start : start + b])
-        prefix.fill(1.0)
-        n_prior = np.zeros(ttr)
-        for j0 in range(b):
-            i0 = start + j0
-            keep = c_ind[:, i0] == 0.0
-            rows = np.flatnonzero((n_prior > 0) | (keep & (j0 < b - 1)))
-            if rows.size:
-                cond[rows] = ndtr((crit[rows, j0][:, None] - srz) / s1)
-                est = (prefix * (1.0 - cond)) @ wq
-                # empty intersection set: the tail is the level itself, exactly
-                alpha_c[:, i0] = np.where(n_prior == 0, levels[:, i0], est)
-                prefix *= np.where(keep[:, None], cond, 1.0)
-            else:
-                alpha_c[:, i0] = levels[:, i0]
-            n_prior += keep
-            coef[:, i0] = np.where(
-                c_ind[:, i0] == 1.0,
-                levels[:, i0],
-                levels[:, i0] - alpha_c[:, i0],
-            ) / (1.0 - lam)
+        batch = slice(start, start + b)
+        alpha_c[:, batch] = tail.batch(levels[:, batch], keep[:, batch])
+        coef[:, batch] = np.where(
+            keep[:, batch], levels[:, batch] - alpha_c[:, batch], levels[:, batch]
+        ) / (1.0 - lam)
     return levels, alpha_c
 
 

@@ -1,4 +1,5 @@
-"""Weight schedules: base rules, conflict adjustments and reroute tables.
+"""Weight schedules, conflict adjustments, and the kernels that the live
+engines and the simulation runners share.
 
 A weight rule assigns nonnegative mass ``g[j, i]`` from a source index ``j``
 to later targets ``i > j`` with row sums at most one.  Conflict-adjusted
@@ -21,16 +22,24 @@ a rule whose rows hold less than one, ``D_j`` scales the surviving row to
 total one.  :class:`IncrementalRenormalizer` applies the rule online, to
 any base rule; :func:`renorm_table` tabulates it for shifted gamma and
 lag-form conflicts.
+
+Each shared kernel keeps the trial axis first, and a live engine drives it
+with one trial: :class:`HeldMass` (``graph-conf-u``), :class:`Closure` (the
+closed kinds) and :class:`JointTail` (``adaptive-graph-corr``).
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     DegenerateRenormalization,
+    DomainError,
     HorizonExceeded,
     InvalidSpec,
     NonMonotoneConflicts,
@@ -39,6 +48,9 @@ from .errors import (
 from .gammas import GammaSpec
 
 MASS_TOL = 1e-12
+CORR_QUAD_NODES = 512
+CORR_MAX_NODES = 4096
+QUAD_SPAN = 8.0
 
 
 def lemma1_base_weight(spec: GammaSpec, t_j: int, j: int, i: int) -> float:
@@ -458,6 +470,83 @@ class Closure:
         at = self.alpha * gamma_i + self.mass[:, : i - 1] @ col
         self.at[:, i - 1] = at
         return at
+
+
+def corr_nodes(rho: float) -> int:
+    """Gauss-Legendre node count of the joint tail at correlation ``rho``:
+    512 * 2^k, k >= 0 the least with 2^k >= 0.1 / sqrt(1 - rho), so 512 up
+    to rho = 0.99; a rho that needs more than ``CORR_MAX_NODES`` is refused.
+    The conditional tails steepen as sqrt(1 - rho) in the common factor."""
+    if not 0.0 <= rho < 1.0:
+        raise DomainError(f"correlation must lie in [0, 1), got {rho}")
+    nodes, need = CORR_QUAD_NODES, CORR_QUAD_NODES * 0.1 / np.sqrt(1.0 - rho)
+    while nodes < need:
+        nodes *= 2
+        if nodes > CORR_MAX_NODES:
+            raise DomainError(f"correlation {rho} needs more than {CORR_MAX_NODES} nodes")
+    return nodes
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes ``z`` on [-QUAD_SPAN, QUAD_SPAN] and weights ``wq``
+    times the standard normal density there; ``leggauss`` is deterministic,
+    so caching per node count changes no value."""
+    x, w = leggauss(nodes)
+    z = QUAD_SPAN * x
+    wq = QUAD_SPAN * w * np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+    for a in (z, wq):
+        a.flags.writeable = False
+    return z, wq
+
+
+class JointTail:
+    """Joint null tails of one batch under equicorrelation, trial axis first.
+
+    With one-sided z-test p-values sharing a common factor Z, member j has
+    alpha^c_j = P(P_j <= alpha_j, P_k > alpha_k for each earlier non-candidate
+    k) = E[prod_k F_k(Z) (1 - F_j(Z))], F_k(z) = Phi((Phi^-1(1 - alpha_k) -
+    sqrt(rho) z) / sqrt(1 - rho)), and alpha_j where there is no such k.  The
+    expectation is a Gauss-Legendre sum on ``corr_nodes(rho)`` nodes unless
+    ``nodes`` is given; the product is carried one member at a time.  A live
+    engine is the case of one trial.
+
+    A member's conditional tail ``cond`` is read only by its estimate, kept
+    where the trial has an earlier non-candidate (``n_prior > 0``), and by
+    the prefix update of a non-candidate (``keep``) with a later member to
+    come; so only those rows are evaluated, and a member with none is
+    skipped.  Every value read is that of a dense evaluation; the reused
+    buffer's other rows hold finite stale values that the selections drop.
+    """
+
+    def __init__(self, rho: float, trials: int = 1, nodes: int | None = None):
+        rule = corr_nodes(rho)  # refuses a rho out of range also when ``nodes`` is given
+        z, self._wq = gauss_legendre(rule if nodes is None else nodes)
+        self._srz, self._s1 = np.sqrt(rho) * z, np.sqrt(1.0 - rho)
+        self._cond = np.ones((trials, z.size))
+        self._prefix = np.empty((trials, z.size))
+
+    def batch(self, levels: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """alpha^c of every member, from the (T, b) levels of one batch and
+        its non-candidate flags ``keep`` (C = 0), members in order."""
+        ttr, b = levels.shape
+        cond, prefix, wq, srz, s1 = self._cond, self._prefix, self._wq, self._srz, self._s1
+        alpha_c = np.empty((ttr, b))
+        crit = ndtri(1.0 - levels)
+        prefix.fill(1.0)
+        n_prior = np.zeros(ttr)
+        for j0 in range(b):
+            rows = np.flatnonzero((n_prior > 0) | (keep[:, j0] & (j0 < b - 1)))
+            if rows.size:
+                cond[rows] = ndtr((crit[rows, j0][:, None] - srz) / s1)
+                est = (prefix * (1.0 - cond)) @ wq
+                # empty intersection set: the tail is the level itself, exactly
+                alpha_c[:, j0] = np.where(n_prior == 0, levels[:, j0], est)
+                prefix *= np.where(keep[:, j0, None], cond, 1.0)
+            else:
+                alpha_c[:, j0] = levels[:, j0]
+            n_prior += keep[:, j0]
+        return alpha_c
 
 
 class Alg1Columns:

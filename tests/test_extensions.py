@@ -1,12 +1,22 @@
 import copy
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import addisgraph
 from addisgraph.core import ConflictStructure
 from addisgraph.engines import GraphConf
-from addisgraph.errors import BatchIncomplete, InvalidW0, ModelUnavailable
+from addisgraph.errors import (
+    BatchIncomplete,
+    DomainError,
+    InvalidConfig,
+    InvalidW0,
+    ModelUnavailable,
+)
 from addisgraph.extensions import (
     AdaptiveGraphCorr,
     CorrModel,
@@ -76,6 +86,24 @@ def test_monte_carlo_requires_draws():
         alpha_c_monte_carlo(0.05, [0.05], np.empty((0, 1)), np.empty(0))
 
 
+def test_alpha_c_refuses_unresolvable_correlation():
+    alpha_c_gaussian(0.05, [0.05], 0.9998)  # 4096 nodes, the most a rho may need
+    for rho in (0.9999, 1.0, -0.1):
+        with pytest.raises(DomainError):
+            alpha_c_gaussian(0.05, [0.05], rho)
+
+
+def test_import_leaves_scipy_stats_out():
+    """``scipy.stats`` took most of the package's import time; nothing needs it."""
+    src = str(Path(addisgraph.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import addisgraph; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # Adaptive-Graph corr engine
 
@@ -84,6 +112,35 @@ def _corr_engine(batch_sizes, rho=0.5, lam=0.16, alpha=0.2):
     structure = ConflictStructure.from_batches(batch_sizes)
     model = CorrModel(structure=structure, lam=lam, rho=rho)
     return AdaptiveGraphCorr(model, alpha=alpha)
+
+
+def test_corr_model_refuses_what_it_cannot_evaluate():
+    """A model that could not give a batch its joint tails is refused when
+    built, not at the batch's last observation."""
+    structure = ConflictStructure.from_batches([2, 3])
+    with pytest.raises(InvalidConfig):
+        CorrModel(structure=structure)
+    with pytest.raises(InvalidConfig):
+        CorrModel(structure=structure, samples=np.full((10, 2), 0.5))
+    with pytest.raises(DomainError):
+        CorrModel(structure=structure, rho=0.9999)
+    CorrModel(structure=structure, samples=np.full((10, 3), 0.5))
+
+
+def test_engine_alpha_c_is_the_kernel_per_member():
+    """A frozen batch's joint tails are alpha_c_gaussian of each member over
+    the levels of its batch's earlier non-candidates."""
+    rng = np.random.default_rng(7)
+    e = _corr_engine([5, 5], rho=0.6)
+    p = rng.uniform(size=10) ** 2
+    for i in range(1, 11):
+        e.level(i)
+        e.observe(i, float(p[i - 1]))
+    for start in (1, 6):
+        batch = e.ledger.entries[start - 1 : start + 4]
+        for k, entry in enumerate(batch):
+            prior = [x.level for x in batch[:k] if x.indicators.c == 0]
+            assert entry.alpha_c == alpha_c_gaussian(entry.level, prior, 0.6)
 
 
 def test_singleton_batches_match_graph_conf_tau_one():
@@ -202,9 +259,10 @@ def test_corr_model_from_sample_file(tmp_path):
     np.savetxt(path, draws)
     structure = ConflictStructure.from_batches([3])
     model = CorrModel.from_sample_file(structure, path, lam=0.16)
-    val, se = model.alpha_c(0.05, [0.05], positions=[1], pos_j=2)
-    assert se > 0
-    assert abs(val - alpha_c_gaussian(0.05, [0.05], 0.5)) <= 4 * se + 1e-3
+    val, se = model.batch_alpha_c(np.array([0.05, 0.05, 0.05]), np.array([True, False, True]))
+    assert se[0] == 0 and val[0] == 0.05 and se[1] > 0 and se[2] > 0
+    assert abs(val[1] - alpha_c_gaussian(0.05, [0.05], 0.5)) <= 4 * se[1] + 1e-3
+    assert abs(val[2] - alpha_c_gaussian(0.05, [0.05], 0.5)) <= 4 * se[2] + 1e-3
 
 
 # ---------------------------------------------------------------------------

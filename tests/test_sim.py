@@ -15,22 +15,20 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
 from addisgraph.engines import make_engine
-from addisgraph.errors import DegenerateRenormalization, EmptyOutcomeSet, InvalidConfig
+from addisgraph.errors import DegenerateRenormalization, DomainError, EmptyOutcomeSet, InvalidConfig
 from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
 from addisgraph.core import ConflictStructure
 from addisgraph.gammas import GammaSpec
-from addisgraph.weights import algorithm1_weights, renorm_table
+from addisgraph.weights import QUAD_SPAN, algorithm1_weights, gauss_legendre, renorm_table
 from addisgraph.sim import (
     ALL_PROCEDURES,
     CSV_HEADER,
-    QUAD_SPAN,
     SimConfig,
     TrialSet,
     compute_levels,
     expand_grid,
     generate_data,
     generate_trial,
-    gauss_legendre,
     levels_adaptive_corr,
     levels_closed_graph,
     levels_fdr_graph,
@@ -153,6 +151,7 @@ STEEP = {"gamma": "geometric:0.6", "n": 120, "trials": 3, "seed": 5}
     [pytest.param(kind, {}, id=kind) for kind in sorted(ALL_PROCEDURES)]
     + [
         pytest.param("graph-conf", {**STEEP, "b": 40}, id="graph-conf-steep-b40"),
+        pytest.param("adaptive-graph-corr", {**STEEP, "b": 4}, id="adaptive-graph-corr-steep-b4"),
         pytest.param("adaptive-graph-corr", {**STEEP, "b": 40}, id="adaptive-graph-corr-steep-b40"),
         pytest.param("fdr-graph", {**STEEP, "e": 35}, id="fdr-graph-steep-e35"),
     ],
@@ -377,13 +376,22 @@ def test_confu_runner_memory_is_linear_in_n():
     assert peak < 32 * 2**20
 
 
-def test_adaptive_corr_quadrature_is_converged():
-    """The fixed-node sweep quadrature agrees with the adaptive engine one."""
-    cfg = SimConfig(procedure="adaptive-graph-corr", n=20, b=5, rho=0.7, trials=2, seed=7)
+@pytest.mark.parametrize("rho", [0.7, 0.99, 0.995, 0.999])
+def test_adaptive_corr_quadrature_is_converged(rho):
+    """The correlation's node rule agrees with the finest rule it may pick,
+    4096 nodes, where the conditional tails are steepest."""
+    cfg = SimConfig(procedure="adaptive-graph-corr", n=20, b=5, rho=rho, trials=2, seed=7)
     p, _ = generate_data(cfg)
-    fixed, _ = levels_adaptive_corr(p, cfg.b, cfg.rho, cfg.alpha, cfg.lam, BASEL, nodes=512)
-    finer, _ = levels_adaptive_corr(p, cfg.b, cfg.rho, cfg.alpha, cfg.lam, BASEL, nodes=2048)
+    fixed, _ = levels_adaptive_corr(p, cfg.b, cfg.rho, cfg.alpha, cfg.lam, BASEL)
+    finer, _ = levels_adaptive_corr(p, cfg.b, cfg.rho, cfg.alpha, cfg.lam, BASEL, nodes=4096)
     np.testing.assert_allclose(fixed, finer, rtol=1e-10)
+
+
+def test_adaptive_corr_refuses_unresolvable_correlation():
+    cfg = SimConfig(procedure="adaptive-graph-corr", n=10, b=5, rho=0.9999, trials=2, seed=7)
+    p, _ = generate_data(cfg)
+    with pytest.raises(DomainError):
+        compute_levels(cfg, p)
 
 
 def _adaptive_corr_dense(p, b, rho, alpha, lam, spec, nodes):
