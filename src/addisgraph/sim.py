@@ -12,9 +12,12 @@ This module therefore re-expresses each level recursion with the trial axis
 vectorized; the test suite cross-checks these runners against the sequential
 engines to 1e-12 on sampled trajectories.
 
-Reproducibility: every trial uses its own counter-based RNG keyed by
-``(seed, trial_index)``, so results are independent of execution order and
-thread count.
+Reproducibility: every trial draws from its own counter-based Philox
+stream keyed by ``(seed, trial_index)``, so results are independent of
+execution order and thread count.  A data set builds one bit generator and
+re-keys it per trial, resetting it to the state a freshly built
+``Philox(key=[seed, trial_index])`` has, so the streams are those of a new
+generator per trial, at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from scipy.special import ndtr
 
 from .errors import EmptyOutcomeSet, InvalidConfig
 from .gammas import GammaSpec
-from .weights import Closure, HeldMass, JointTail, renorm_table
+from .weights import Closure, HeldMass, JointTail, corr_nodes, renorm_table
 
 CSV_HEADER = (
     "procedure,gamma_id,n,b,rho,pi_A,mu_N,e,trials,"
@@ -82,6 +85,8 @@ class SimConfig:
             raise InvalidConfig("seed must be a nonnegative integer")
         if self.e is not None and (self.e < 0 or self.b != 1):
             raise InvalidConfig("asynchronous duration e needs e >= 0 and batch size 1")
+        if self.procedure == "adaptive-graph-corr":
+            corr_nodes(self.rho)  # a rho the joint tail cannot resolve fails here, before any work
 
     @property
     def gamma_spec(self) -> GammaSpec:
@@ -99,15 +104,22 @@ class SimConfig:
 # data generation
 
 
-def _draw(config: SimConfig, trial_index: int, u, z0, eps) -> None:
-    """One trial's uniforms, batch factors and noise, in place and in stream
-    order, from its counter-based substream keyed by (seed, trial_index)."""
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([config.seed, trial_index], dtype=np.uint64))
-    )
-    rng.random(out=u)
-    rng.standard_normal(out=z0)
-    rng.standard_normal(out=eps)
+def _draw(config: SimConfig, trials, u, z0, eps) -> None:
+    """Row k of ``u``, ``z0`` and ``eps``: trial ``trials[k]``'s uniforms,
+    batch factors and noise, in stream order, from the Philox stream keyed
+    by (seed, trial).  One bit generator serves every row: before each trial
+    it is set to a fresh Philox's state re-keyed to (seed, trial), so the
+    draws are those of a new generator per trial."""
+    bg = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bg)
+    fresh = bg.state
+    key = fresh["state"]["key"]
+    for k, trial in enumerate(trials):
+        key[1] = trial
+        bg.state = fresh
+        rng.random(out=u[k])
+        rng.standard_normal(out=z0[k])
+        rng.standard_normal(out=eps[k])
 
 
 def _pvalues(config: SimConfig, u, z0, eps) -> tuple[np.ndarray, np.ndarray]:
@@ -121,20 +133,22 @@ def _pvalues(config: SimConfig, u, z0, eps) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_trial(config: SimConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """P-values and truth labels for one trial (counter-based substream)."""
-    n = config.n
-    u, z0, eps = np.empty(n), np.empty(n // config.b), np.empty(n)
-    _draw(config, trial_index, u, z0, eps)
-    return _pvalues(config, u, z0, eps)
+    """P-values and truth labels for one trial (counter-based substream):
+    the one-trial case of ``generate_data``."""
+    p, labels = _generate(config, [trial_index])
+    return p[0], labels[0]
 
 
 def generate_data(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (trials, n) p-value and label matrices: the draws per trial,
     the arithmetic once over the whole matrix (the rows of ``generate_trial``)."""
-    t, n = config.trials, config.n
+    return _generate(config, range(config.trials))
+
+
+def _generate(config: SimConfig, trials) -> tuple[np.ndarray, np.ndarray]:
+    t, n = len(trials), config.n
     u, z0, eps = np.empty((t, n)), np.empty((t, n // config.b)), np.empty((t, n))
-    for k in range(t):
-        _draw(config, k, u[k], z0[k], eps[k])
+    _draw(config, trials, u, z0, eps)
     return _pvalues(config, u, z0, eps)
 
 
@@ -188,30 +202,34 @@ def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
 
 
 def levels_closed_spending(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
-    """Closure-principle spending levels by the kernel :class:`.weights.Closure`."""
+    """Closure-principle spending levels by the kernel :class:`.weights.Closure`,
+    fed index-major rows (one contiguous row of trials per index)."""
     ttr, n = p.shape
     gam = spec.values(2 * n + 2)
-    s, c, _ = _indicator_arrays(p, tau, lam)
+    pt = np.ascontiguousarray(p.T)
+    s, c = _indicator_arrays(pt, tau, lam)[:2]
     closure = Closure(alpha, trials=ttr, capacity=n)
-    levels = np.empty((ttr, n))
+    levels = np.empty((n, ttr))
     for i in range(1, n + 1):
         t = closure.counter(i, int(lags[i - 1]))
-        levels[:, i - 1] = alpha * (tau - lam) * gam[t - 1]
-        closure.absorb(i, s[:, i - 1], c[:, i - 1], p[:, i - 1] <= levels[:, i - 1])
-    return levels
+        levels[i - 1] = alpha * (tau - lam) * gam[t - 1]
+        closure.absorb(i, s[i - 1], c[i - 1], pt[i - 1] <= levels[i - 1])
+    return levels.T
 
 
 def levels_closed_graph(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
-    """Closure-principle graph levels by :class:`.weights.Closure`, g[j, i] = gamma_{i-j}."""
+    """Closure-principle graph levels by :class:`.weights.Closure`, g[j, i] = gamma_{i-j},
+    fed index-major rows."""
     ttr, n = p.shape
     gam = spec.values(n)
     rev = gam[::-1].copy()  # rev[n-i+1:] = gamma_{i-1} .. gamma_1 = g[1 .. i-1, i]
-    s, c, _ = _indicator_arrays(p, tau, lam)
+    pt = np.ascontiguousarray(p.T)
+    s, c = _indicator_arrays(pt, tau, lam)[:2]
     closure = Closure(alpha, trials=ttr, capacity=n)
     for i in range(1, n + 1):
         at = closure.level(i, i - int(lags[i - 1]), gam[i - 1], rev[n - i + 1 :])
-        closure.absorb(i, s[:, i - 1], c[:, i - 1], p[:, i - 1] <= (tau - lam) * at)
-    return (tau - lam) * closure.at[:, :n]
+        closure.absorb(i, s[i - 1], c[i - 1], pt[i - 1] <= (tau - lam) * at)
+    return (tau - lam) * closure.at[:n].T
 
 
 def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:

@@ -414,6 +414,11 @@ class Closure:
     ``counter`` and ``level`` for target i need 1 .. i-1 absorbed.  A live
     engine is the case of one trial.
 
+    at, R, up and the prefix sums are index-major (one contiguous row of T
+    trials per index), so ``absorb`` and ``counter`` touch whole rows.  The
+    mass is trial-major, the operand of each level's product, and is
+    allocated by the first ``level``: closed spending never forms it.
+
     The mass of source j is what it forwards to the targets of one level:
     R_j at_j while j lies inside the window, up_j at_j once the window edge
     c has passed it.  ``level`` sets it for 1 .. ``filled`` and has switched
@@ -425,33 +430,34 @@ class Closure:
         self.final = 0
         self.filled = 0  # mass of 1 .. filled is set
         self.edge = 1  # mass of 1 .. edge-1 is up_j at_j
-        self.state = np.zeros((6, trials, 0))
+        self.state = np.zeros((5, 0, trials))
+        self.mass = np.zeros((trials, 0))
         self._reserve(capacity)
 
     def _reserve(self, n: int) -> None:
-        old = self.state.shape[2]
+        old = self.state.shape[1]
         if n < old:
             return
-        state = np.zeros(self.state.shape[:2] + (max(n + 1, 2 * old),))
-        state[..., :old] = self.state
+        state = np.zeros((5, max(n + 1, 2 * old), self.state.shape[2]))
+        state[:, :old] = self.state
         self.state = state
-        # at_j, R_j, up_j and the mass sit at j - 1; the prefix sums over 1 .. k at k
-        self.at, self.r, self.up, self.sum_r, self.sum_smax, self.mass = state
+        # at_j, R_j and up_j sit in row j - 1; the prefix sums over 1 .. k in row k
+        self.at, self.r, self.up, self.sum_r, self.sum_smax = state
 
     def absorb(self, j: int, s, c, r) -> None:
         """Record S_j, C_j and R_j (one value per trial); j = final + 1."""
         self._reserve(j)
-        self.r[:, j - 1] = r
+        self.r[j - 1] = r
         top = np.maximum(r, c)
-        self.up[:, j - 1] = top - s + 1.0
-        self.sum_r[:, j] = self.sum_r[:, j - 1] + r
-        self.sum_smax[:, j] = self.sum_smax[:, j - 1] + s - top
+        self.up[j - 1] = top - s + 1.0
+        self.sum_r[j] = self.sum_r[j - 1] + r
+        self.sum_smax[j] = self.sum_smax[j - 1] + s - top
         self.final = j
 
     def counter(self, i: int, lag: int) -> np.ndarray:
         """t_i = 1 + sum_{c_i <= j < i} (1 - R_j) + sum_{j < c_i} (S_j - max(R_j, C_j))."""
         r, k = self.sum_r, i - lag - 1
-        return (1 + (lag - (r[:, i - 1] - r[:, k])) + self.sum_smax[:, k]).astype(np.int64)
+        return (1 + (lag - (r[i - 1] - r[k])) + self.sum_smax[k]).astype(np.int64)
 
     def level(self, i: int, c: int, gamma_i: float, col: np.ndarray) -> np.ndarray:
         """at_i = alpha gamma_i + sum_j g[j, i] at_j (up_j for j < c, R_j for
@@ -463,12 +469,17 @@ class Closure:
         if c < self.edge:
             raise NonMonotoneConflicts(c, self.filled + 1, i)
         self._reserve(i)
+        (trials, old), cap = self.mass.shape, self.state.shape[1]
+        if old < cap:  # the first level, or the rows have grown
+            mass = np.zeros((trials, cap))
+            mass[:, :old] = self.mass
+            self.mass = mass
         crossed, fresh = slice(self.edge - 1, c - 1), slice(max(self.filled, c - 1), i - 1)
-        self.mass[:, crossed] = self.up[:, crossed] * self.at[:, crossed]
-        self.mass[:, fresh] = self.r[:, fresh] * self.at[:, fresh]
+        self.mass[:, crossed] = (self.up[crossed] * self.at[crossed]).T
+        self.mass[:, fresh] = (self.r[fresh] * self.at[fresh]).T
         self.edge, self.filled = c, i - 1
         at = self.alpha * gamma_i + self.mass[:, : i - 1] @ col
-        self.at[:, i - 1] = at
+        self.at[i - 1] = at
         return at
 
 

@@ -94,6 +94,27 @@ def test_generate_trial_is_row_of_generate_data(design):
         assert np.array_equal(pt, p[t]) and np.array_equal(lt, labels[t])
 
 
+@pytest.mark.parametrize(
+    "seed, trials", [(0, (0, 1, 999)), (9, (0, 7, 999)), (2**40, (0, 3, 999))]
+)
+def test_draws_are_those_of_a_fresh_philox_per_trial(seed, trials):
+    """Row k holds the uniforms, batch factors and noise that a freshly
+    built ``Generator(Philox(key=[seed, k]))`` draws, in that order, so a
+    change to Philox's state layout that breaks the per-trial reset fails here."""
+    cfg = SimConfig(n=40, b=5, trials=1000, seed=seed)
+    p, labels = generate_data(cfg)
+    for k in trials:
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        u, z0 = rng.random(cfg.n), rng.standard_normal(cfg.n // cfg.b)
+        eps = rng.standard_normal(cfg.n)
+        want = u < cfg.pi_a
+        z = np.sqrt(1.0 - cfg.rho) * eps + np.sqrt(cfg.rho) * np.repeat(z0, cfg.b)
+        want_p = ndtr(-(z + np.where(want, 3.0, cfg.mu_n)))
+        for got_p, got in (generate_trial(cfg, k), (p[k], labels[k])):
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_p, want_p)
+
+
 def test_data_statistics():
     cfg = SimConfig(n=100, b=1, pi_a=0.5, mu_n=-0.5, trials=400, seed=4)
     p, labels = generate_data(cfg)
@@ -176,6 +197,21 @@ def test_runner_matches_engine(kind, design):
     for t in range(cfg.trials):
         seq = _engine_levels(kind, cfg, p[t], lags)
         np.testing.assert_allclose(vec[t], seq, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["closed-spending", "closed-graph"])
+def test_closed_engines_match_runner_past_kernel_capacity(kind):
+    """n = 150 grows the closure rows twice (64 -> 128 -> 256) in the engine;
+    closed-spending levels are the runner's bits, closed-graph's agree to 1e-12."""
+    cfg = SimConfig(procedure=kind, n=150, b=5, trials=3, seed=6)
+    p, _ = generate_data(cfg)
+    vec = compute_levels(cfg, p)
+    for t in range(cfg.trials):
+        seq = _engine_levels(kind, cfg, p[t], cfg.lags())
+        if kind == "closed-spending":
+            np.testing.assert_array_equal(seq, vec[t])
+        else:
+            np.testing.assert_allclose(vec[t], seq, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -387,11 +423,20 @@ def test_adaptive_corr_quadrature_is_converged(rho):
     np.testing.assert_allclose(fixed, finer, rtol=1e-10)
 
 
-def test_adaptive_corr_refuses_unresolvable_correlation():
-    cfg = SimConfig(procedure="adaptive-graph-corr", n=10, b=5, rho=0.9999, trials=2, seed=7)
-    p, _ = generate_data(cfg)
+def test_adaptive_corr_refuses_unresolvable_correlation(tmp_path):
+    """A rho past the joint tail's node cap fails when the grid point is
+    built, so a grid refuses it before any point's work; the runner refuses
+    it on its own too."""
+    design = dict(n=10, b=5, rho=0.9999, trials=2, seed=7)
     with pytest.raises(DomainError):
-        compute_levels(cfg, p)
+        SimConfig(procedure="adaptive-graph-corr", **design)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("procedure = graph-conf, adaptive-graph-corr\nn = 10\nb = 5\nrho = 0.9999\n")
+    with pytest.raises(DomainError):
+        parse_grid_file(grid)
+    p, _ = generate_data(SimConfig(**design))  # the data design itself is fine
+    with pytest.raises(DomainError):
+        levels_adaptive_corr(p, 5, 0.9999, 0.2, 0.16, BASEL)
 
 
 def _adaptive_corr_dense(p, b, rho, alpha, lam, spec, nodes):
