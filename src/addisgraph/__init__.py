@@ -8,18 +8,7 @@ uniformly improved variants, a correlation-exploiting batch variant, an FDR
 variant, independent verification oracles, a simulation harness, and a CLI.
 """
 
-from .core import (
-    ConditionReport,
-    ConflictStructure,
-    Indicators,
-    LedgerEntry,
-    TrajectoryLedger,
-    check_corr_condition,
-    check_fdr_condition,
-    check_fwer_condition,
-    compute_indicators,
-    validate_conflicts,
-)
+from .core import ConflictStructure, check_corr_condition, check_fdr_condition, check_fwer_condition
 from .engines import (
     ENGINE_KINDS,
     ClosedGraph,
@@ -31,14 +20,7 @@ from .engines import (
     make_engine,
 )
 from .errors import AddisGraphError
-from .extensions import (
-    AdaptiveGraphCorr,
-    CorrModel,
-    FdrGraph,
-    alpha_c_gaussian,
-    alpha_c_monte_carlo,
-    rejection_memory,
-)
+from .extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
 from .gammas import GammaSpec
 from .oracles import (
     BudgetFunction,
@@ -46,25 +28,20 @@ from .oracles import (
     closure_oracle,
     improvement_weight_oracle,
 )
-from .sim import MetricsRow, SimConfig, expand_grid, parse_grid_file, run_config, run_grid
+from .sim import SimConfig, parse_grid_file, run_grid
 from .stream import StreamSession
-from .study import ReplayReport, ReplayStudy, replay_study
-from .weights import (
-    CustomTable,
-    ShiftedGamma,
-    WeightRule,
-    lemma1_row,
-)
+from .study import ReplayStudy, replay_study
+from .weights import CustomTable
 
 __version__ = "0.1.0"
 
+# What a user needs; everything else stays importable from its module.
 __all__ = [
     "AddisGraphError",
     "AdaptiveGraphCorr",
     "BudgetFunction",
     "ClosedGraph",
     "ClosedSpending",
-    "ConditionReport",
     "ConflictStructure",
     "CorrModel",
     "CustomTable",
@@ -74,33 +51,18 @@ __all__ = [
     "GammaSpec",
     "GraphConf",
     "GraphConfU",
-    "Indicators",
-    "LedgerEntry",
-    "MetricsRow",
-    "ReplayReport",
     "ReplayStudy",
-    "ShiftedGamma",
     "SimConfig",
     "SpendingLocal",
     "StreamSession",
-    "TrajectoryLedger",
-    "WeightRule",
-    "alpha_c_gaussian",
-    "alpha_c_monte_carlo",
     "brute_force_budget_check",
     "check_corr_condition",
     "check_fdr_condition",
     "check_fwer_condition",
     "closure_oracle",
-    "compute_indicators",
-    "expand_grid",
     "improvement_weight_oracle",
-    "lemma1_row",
     "make_engine",
     "parse_grid_file",
     "replay_study",
-    "rejection_memory",
-    "run_config",
     "run_grid",
-    "validate_conflicts",
 ]

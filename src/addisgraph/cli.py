@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import oracles, sim, study
-from .engines import ClosedGraph, make_engine
+from .engines import ENGINE_KINDS, ClosedGraph, make_engine
 from .errors import AddisGraphError
 from .gammas import GammaSpec
 from .stream import StreamSession, run_session
@@ -34,7 +34,9 @@ def _add_simulate(sub) -> None:
 
 def _add_stream(sub) -> None:
     p = sub.add_parser("stream", help="interactive line-protocol session")
-    p.add_argument("--procedure", default="graph-conf", help="engine kind")
+    p.add_argument(
+        "--procedure", default="graph-conf", help=f"engine kind: {', '.join(sorted(ENGINE_KINDS))}"
+    )
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--tau", type=float, default=0.8)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.16)

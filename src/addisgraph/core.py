@@ -77,15 +77,6 @@ class ConflictStructure:
             return self.conflict_sets[i - 1]
         return frozenset()
 
-    def lag(self, i: int) -> int:
-        if self.lags is None:
-            raise NonContiguousSuffix("structure has no lag form; run validate_conflicts")
-        return self.lags[i - 1] if i <= self.n else 0
-
-    @property
-    def is_lag_form(self) -> bool:
-        return self.lags is not None
-
     @classmethod
     def from_lags(cls, lags) -> "ConflictStructure":
         sets = []

@@ -229,9 +229,7 @@ class FwerEngine:
         kind = cfg.pop("kind")
         cfg.pop("version")
         cfg["lam"] = cfg.pop("lambda")
-        from .extensions import FdrGraph  # extensions imports this module
-
-        engine = FdrGraph(**cfg) if kind == FdrGraph.kind else make_engine(kind, **cfg)
+        engine = make_engine(kind, **cfg)
         for ev in events:
             if ev[0] == "L":
                 _, i, tau_i, lam_i, conf = ev
@@ -399,6 +397,7 @@ class ClosedGraph(ClosedEngine):
         return (tau_i - lam_i) * at[0]
 
 
+# extensions.py, which the package always imports, adds FdrGraph
 ENGINE_KINDS: dict[str, type[FwerEngine]] = {
     cls.kind: cls
     for cls in (SpendingLocal, GraphConf, GraphConfU, ClosedSpending, ClosedGraph)

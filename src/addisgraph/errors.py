@@ -64,10 +64,6 @@ class DuplicateObservation(AddisGraphError):
     """A p-value was reported twice for the same index."""
 
 
-class HorizonExceeded(AddisGraphError):
-    """A table computation was asked to run past its configured horizon."""
-
-
 class HorizonTooLarge(AddisGraphError):
     """An enumeration oracle was asked for a horizon beyond its guard."""
 

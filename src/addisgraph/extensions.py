@@ -29,7 +29,7 @@ from .core import (
     TrajectoryLedger,
     compute_indicators,
 )
-from .engines import FwerEngine
+from .engines import ENGINE_KINDS, FwerEngine
 from .errors import (
     BatchIncomplete,
     DomainError,
@@ -298,3 +298,6 @@ class FdrGraph(FwerEngine):
         return rejection_memory(
             [e.indicators.r if e.indicators is not None else 0 for e in self.ledger.entries]
         )
+
+
+ENGINE_KINDS[FdrGraph.kind] = FdrGraph  # registered here: this module imports engines

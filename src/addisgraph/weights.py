@@ -40,7 +40,6 @@ from scipy.special import ndtr, ndtri
 from .errors import (
     DegenerateRenormalization,
     DomainError,
-    HorizonExceeded,
     InvalidSpec,
     NonMonotoneConflicts,
     NonMonotoneGamma,
@@ -257,74 +256,6 @@ class CustomTable(WeightRule):
                 fh.write(f"{j} {i} {w!r}\n")
 
 
-def spending_counters(u: np.ndarray) -> np.ndarray:
-    """t(j) = 1 + sum_{k<j} (S_k - C_k) for every j, from the U feed."""
-    u = np.asarray(u)
-    t = np.empty(u.size, dtype=np.int64)
-    t[0] = 1
-    if u.size > 1:
-        t[1:] = 1 + np.cumsum(1 - u[:-1])
-    return t
-
-
-DEFAULT_HORIZON_CAP = 2000
-
-
-def algorithm1_weights(
-    spec: GammaSpec, lags, n: int, u, horizon_cap: int = DEFAULT_HORIZON_CAP
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reroute-adjusted weights for contiguous-lag conflicts (full table).
-
-    Straight transcription of the reroute recursion: when a target conflicts
-    with the source, its weight is moved forward through the target's own
-    row; inflow that arrived through conflicting intermediates is likewise
-    subtracted and pushed on.  Base weights are the counter-indexed gamma
-    increments, so they depend on the realized U feed.
-
-    Returns ``(table, overflow)`` where ``table[j-1, i-1]`` holds
-    ``g*[j, i]`` for ``1 <= j < i <= n`` and ``overflow[j-1]`` is the row
-    mass living past the horizon (base tail plus rerouted mass), so that
-    each row satisfies ``sum_i table[j-1, i-1] + overflow[j-1] = 1``.
-
-    The published recursion subtracts ``g-[j, l]`` in its second branch; the
-    index is read as ``g-[j, i]``, which is what the surrounding derivation
-    requires.
-    """
-    if n > horizon_cap:
-        raise HorizonExceeded(f"horizon {n} exceeds the cap {horizon_cap}")
-    lags = np.asarray(lags, dtype=np.int64)
-    u = np.asarray(u, dtype=np.int64)
-    t = spending_counters(u)
-    gamma = spec.values(int(t.max()) + n + 1)
-
-    # base rows g[j, j+1 .. n] and their tails past the horizon
-    g = np.zeros((n + 1, n + 1))
-    base_tail = np.zeros(n + 1)
-    for j in range(1, n + 1):
-        tj = t[j - 1]
-        length = n - j
-        if length > 0:
-            g[j, j + 1 :] = (gamma[tj - 1 : tj + length - 1] - gamma[tj : tj + length]) / gamma[tj - 1]
-        base_tail[j] = gamma[tj + n - j - 1] / gamma[tj - 1] if n - j >= 0 else 1.0
-
-    gstar = g.copy()
-    gminus = np.zeros((n + 1, n + 1))
-    overflow = base_tail.copy()
-    for j in range(1, n + 1):
-        for i in range(j + 1, n + 1):
-            if i - lags[i - 1] <= j:
-                gminus[j, i] = gstar[j, i]
-                gstar[j, i] = 0.0
-            else:
-                lo = i - lags[i - 1]
-                gminus[j, i] = float(g[lo:i, i] @ gminus[j, lo:i])
-                gstar[j, i] -= gminus[j, i]
-            if gminus[j, i] != 0.0:
-                gstar[j, i + 1 :] += gminus[j, i] * g[i, i + 1 :]
-                overflow[j] += gminus[j, i] * base_tail[i]
-    return gstar[1:, 1:], overflow[1:]
-
-
 class HeldMass:
     """Reroute-adjusted levels by the held-mass recursion, trial axis first.
 
@@ -338,7 +269,10 @@ class HeldMass:
 
     z_m is the mass source m holds for later targets: its own recycled
     wealth plus what was rerouted to it by blocked pairs.  Derivation from
-    the reroute table g-[j, m] of :func:`algorithm1_weights`: the level is
+    the reroute recursion, where g-[j, m] is the mass of source j rerouted
+    through m (a target that conflicts with j passes j's weight and inflow
+    on through its own row, a clear target only what reached it through
+    its window): the level is
     at_i = alpha gamma_i + sum_{j < c_i} (g[j, i]
     + sum_{m < c_i} g-[j, m] g[m, i]) U_j at_j.  Since g-[j, m] = 0 for
     m <= j, the inner sums regroup to sum_{m < c_i} g[m, i] (U_m at_m + y_m)
@@ -346,7 +280,9 @@ class HeldMass:
     recursion (blocked rows take g[j, m] plus all inflow, clear rows only
     the inflow through m's window [c_m, m)) gives
     y_m = sum_{c_m <= k < m} g[k, m] (U_k at_k + y_k).  So z = U at + y and
-    the table itself is never formed.
+    no table is formed.  ``oracles._push_table`` (``spending=False``) is the
+    independent reference: it forms the table of seed-mass proportions g+,
+    and at_i = alpha gamma_i + sum_{j < i} U_j alpha gamma_j g+[j, i].
 
     State per trial, grown on demand: z_m, gamma_{t_m}, the offset
     t_m - m - 2 and at_m for every index, and the counter ``t`` of the next
@@ -563,7 +499,8 @@ class JointTail:
 class Alg1Columns:
     """Incremental, pull-based evaluation of the reroute-adjusted weights.
 
-    Produces exactly the columns of :func:`algorithm1_weights`, but only ever
+    Produces the columns g*[j, i] = g[j, i] + sum_{m < c_i} g-[j, m] g[m, i]
+    of the reroute recursion (see :class:`HeldMass`), but only ever
     consumes indicator feedback for indices outside the requesting target's
     conflict set, which is what a live engine can legally know.  Capacity
     grows on demand so no horizon needs declaring up front.  The live engine

@@ -59,9 +59,9 @@ class Reference:
 
     def reroute_column(self, i, x):
         """{j: g*[j, i]} for sources j < c_i = i - L_i, by the reroute recursion
-        of ``weights.algorithm1_weights``: a target that conflicts with the
-        source passes the source's weight and inflow on through its own row;
-        a clear target passes on only what reached it through its window.
+        whose held-mass form is ``weights.HeldMass``: a target that conflicts
+        with the source passes the source's weight and inflow on through its
+        own row; a clear target passes on only what reached it through its window.
         Base weights g[m, k] = (gamma_{t_m+k-m-1} - gamma_{t_m+k-m}) / gamma_{t_m}."""
         c_i = i - len(x)
         t = {1: 1}

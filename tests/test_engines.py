@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from addisgraph.core import check_fwer_condition
+from addisgraph.core import check_fdr_condition, check_fwer_condition
 from addisgraph.engines import (
     ENGINE_KINDS,
     ClosedGraph,
@@ -316,8 +316,10 @@ def test_graph_conf_u_state_is_linear_in_n():
 
 
 def test_every_engine_trajectory_passes_condition():
+    """Each kind certifies the budget behind its own error rate."""
     rng = np.random.default_rng(7)
     for kind in sorted(ENGINE_KINDS):
+        check = check_fdr_condition if kind == "fdr-graph" else check_fwer_condition
         for _ in range(20):
             n = 30
             b = int(rng.integers(1, 6))
@@ -325,7 +327,7 @@ def test_every_engine_trajectory_passes_condition():
             p = rng.uniform(size=n) ** 0.7
             e = make_engine(kind)
             drive(e, p, lags, closed=kind.startswith("closed"))
-            assert check_fwer_condition(e.ledger, alpha=0.2).passed
+            assert check(e.ledger, alpha=e.alpha).passed
 
 
 # ---------------------------------------------------------------------------

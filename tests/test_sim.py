@@ -19,7 +19,8 @@ from addisgraph.errors import DegenerateRenormalization, DomainError, EmptyOutco
 from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
 from addisgraph.core import ConflictStructure
 from addisgraph.gammas import GammaSpec
-from addisgraph.weights import QUAD_SPAN, algorithm1_weights, gauss_legendre, renorm_table
+from addisgraph.oracles import _push_table
+from addisgraph.weights import QUAD_SPAN, gauss_legendre, renorm_table
 from addisgraph.sim import (
     ALL_PROCEDURES,
     CSV_HEADER,
@@ -369,15 +370,13 @@ def test_stored_mass_runners_are_bit_identical_to_per_level_products(
 
 
 def _confu_levels_from_table(p_row, lags, alpha, tau, lam, spec):
-    """graph-conf-u levels of one trial from the full reroute table."""
+    """graph-conf-u levels of one trial from the oracle's graph-side table of
+    seed-mass proportions: at_i = alpha gamma_i + sum_j U_j alpha gamma_j g+[j, i]."""
     n = p_row.size
     u = (p_row <= lam).astype(int) - (p_row <= tau).astype(int) + 1
-    table, _ = algorithm1_weights(spec, lags, n, u)
-    gam = spec.values(n)
-    at = np.empty(n)
-    for i0 in range(n):
-        at[i0] = alpha * gam[i0] + table[:i0, i0] @ (u[:i0] * at[:i0])
-    return (tau - lam) * at
+    table = _push_table(spec, lags, n, u, spending=False)
+    seed = alpha * spec.values(n)
+    return (tau - lam) * (seed + (u * seed) @ table)
 
 
 @given(

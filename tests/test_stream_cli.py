@@ -101,13 +101,9 @@ def _conflict_script(n, seed):
     return lines
 
 
-def _new_engine(kind):
-    return FdrGraph() if kind == FdrGraph.kind else make_engine(kind)
-
-
-@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS) + [FdrGraph.kind])
+@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
 def test_full_precision_levels_are_plain_floats(kind):
-    session = StreamSession(_new_engine(kind), full_precision=True)
+    session = StreamSession(make_engine(kind), full_precision=True)
     replies = [session.handle(x) for x in _conflict_script(30, seed=3)]
     levels = [r.split()[2] for r in replies if r.startswith("LEVEL")]
     assert len(levels) == 30
@@ -315,3 +311,26 @@ def test_cli_stream_matches_library(tmp_path):
     session = StreamSession(make_engine("graph-conf"), full_precision=True)
     expected = [session.handle(x) for x in lines]
     assert proc.stdout.splitlines() == expected
+
+
+def test_cli_stream_starts_fdr_graph():
+    lines = ["H 1", "P 1 0.001", "H 2 conflicts=1", "P 2 0.5", "H 3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "addisgraph.cli", "stream", "--procedure", "fdr-graph",
+         "--full-precision"],
+        input="\n".join(lines) + "\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    session = StreamSession(FdrGraph(alpha=0.2, tau=0.8, lam=0.16), full_precision=True)
+    expected = [session.handle(x) for x in lines]
+    assert proc.stdout.splitlines() == expected
+    assert expected[0].startswith("LEVEL 1 ") and expected[1].startswith("DECISION 1 reject")
+
+
+def test_cli_stream_refuses_adaptive_graph_corr(capsys):
+    """The correlation procedure takes batches, not protocol lines."""
+    assert main(["stream", "--procedure", "adaptive-graph-corr"]) == 2
+    assert "unknown engine kind 'adaptive-graph-corr'" in capsys.readouterr().err

@@ -6,20 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addisgraph.core import ConflictStructure, validate_conflicts
-from addisgraph.errors import DegenerateRenormalization, HorizonExceeded, NonMonotoneConflicts
+from addisgraph.errors import DegenerateRenormalization, NonMonotoneConflicts
 from addisgraph.gammas import GammaSpec
 from addisgraph.weights import (
     Alg1Columns,
     Closure,
     CustomTable,
+    HeldMass,
     IncrementalRenormalizer,
     ShiftedGamma,
-    algorithm1_weights,
     lemma1_base_weight,
     lemma1_row,
     renorm_table,
-    spending_counters,
 )
+from test_engine_reference import Reference
 
 BASEL = GammaSpec.parse("basel")
 
@@ -55,9 +55,14 @@ def test_shifted_gamma_rule():
 
 
 def test_spending_counters():
-    # t(j) = 1 + sum_{k<j} (1 - U_k)
+    # t(j) = 1 + sum_{k<j} (1 - U_k), as the held-mass kernel advances it
     u = np.array([1, 0, 0, 1, 0])
-    assert spending_counters(u).tolist() == [1, 1, 2, 3, 3]
+    held, t = HeldMass(BASEL, 0.2), []
+    for m in range(1, u.size + 1):
+        t.append(int(held.t[0]))
+        held.level(m, m)
+        held.hold(m, m, u[m - 1 : m])
+    assert t == [1, 1, 2, 3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -151,51 +156,26 @@ def test_custom_table_rejects_overweight_row():
 # uniform-improvement weights
 
 
-def test_algorithm1_requires_horizon_cap():
-    with pytest.raises(HorizonExceeded):
-        algorithm1_weights(BASEL, [0] * 3000, 3000, [1] * 3000)
-
-
-def test_algorithm1_zero_lags_returns_lemma1():
-    n = 12
-    rng = np.random.default_rng(0)
-    u = rng.integers(0, 2, n)
-    table, overflow = algorithm1_weights(BASEL, [0] * n, n, u)
-    t = spending_counters(u)
-    for j in range(1, n + 1):
-        expected = lemma1_row(BASEL, int(t[j - 1]), n - j)
-        np.testing.assert_allclose(table[j - 1, j:], expected, rtol=1e-13)
-    # conservation: placed mass + overflow = 1 per row
-    np.testing.assert_allclose(np.sum(table, axis=1) + overflow, 1.0, rtol=1e-12)
-
-
-@pytest.mark.parametrize("b", [2, 5])
-def test_algorithm1_zeroes_conflicts_and_conserves(b):
-    n = 20
-    rng = np.random.default_rng(1)
-    u = rng.integers(0, 2, n)
-    lags = [(i - 1) % b for i in range(1, n + 1)]
-    table, overflow = algorithm1_weights(BASEL, lags, n, u)
-    for i in range(1, n + 1):
-        for j in range(i - lags[i - 1], i):
-            assert table[j - 1, i - 1] == 0.0
-    assert np.all(table >= -1e-15)
-    np.testing.assert_allclose(np.sum(table, axis=1) + overflow, 1.0, rtol=1e-12)
-
-
 def test_alg1_columns_match_batch_table():
+    """Every column, zeros on the conflicting suffix included, against the
+    plain-Python reroute recursion of the engine reference."""
     n = 25
     rng = np.random.default_rng(2)
     u = rng.integers(0, 2, n)
     lags = [min((i - 1) % 4, i - 1) for i in range(1, n + 1)]
-    table, _ = algorithm1_weights(BASEL, lags, n, u)
+    ref = Reference("graph-conf-u", 0.2, "basel")
+    ref.sets = [frozenset(range(i - lags[i - 1], i)) for i in range(1, n + 1)]
+    ref.ind = [(1 - int(u_k), 0, 0) for u_k in u]  # S - C = 1 - U is all it reads
     cols = Alg1Columns(BASEL)
     for i in range(1, n + 1):
         cols.set_lag(i, lags[i - 1])
     for k in range(1, n + 1):
         cols.set_u(k, int(u[k - 1]))
     for i in range(2, n + 1):
-        np.testing.assert_allclose(cols.column(i), table[: i - 1, i - 1], atol=1e-14)
+        want = np.zeros(i - 1)
+        for j, w in ref.reroute_column(i, ref.sets[i - 1]).items():
+            want[j - 1] = w
+        np.testing.assert_allclose(cols.column(i), want, atol=1e-14)
 
 
 def test_alg1_columns_measurability():
@@ -211,17 +191,6 @@ def test_alg1_columns_measurability():
     col = cols.column(10)
     assert col.shape == (9,)
     assert col[7] == 0.0 and col[8] == 0.0  # conflicting entries
-
-
-@given(st.integers(0, 2**20 - 1))
-@settings(max_examples=40, deadline=None)
-def test_algorithm1_conservation_property(bits):
-    n = 20
-    u = [(bits >> k) & 1 for k in range(n)]
-    lags = [min(3, i) for i in range(n)]
-    table, overflow = algorithm1_weights(BASEL, lags, n, u)
-    np.testing.assert_allclose(np.sum(table, axis=1) + overflow, 1.0, rtol=1e-12)
-    assert np.all(table >= -1e-15)
 
 
 def _drawn_lags(seed, n, top):
