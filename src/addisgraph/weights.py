@@ -50,6 +50,7 @@ MASS_TOL = 1e-12
 CORR_QUAD_NODES = 512
 CORR_MAX_NODES = 4096
 QUAD_SPAN = 8.0
+NDTR_ONE = 8.292361075813597  # the least double x with ndtr(x) == 1.0; 1.0 at every larger x
 
 
 def lemma1_base_weight(spec: GammaSpec, t_j: int, j: int, i: int) -> float:
@@ -464,6 +465,19 @@ class JointTail:
     come; so only those rows are evaluated, and a member with none is
     skipped.  Every value read is that of a dense evaluation; the reused
     buffer's other rows hold finite stale values that the selections drop.
+
+    Two exact facts cut the ``ndtr`` calls of the evaluated rows further.
+    The nodes ascend, and floating-point subtraction and division by a
+    positive number are monotone, so each row's argument ``(crit - srz) /
+    s1`` is non-increasing along the nodes and the nodes where it is at
+    least ``NDTR_ONE`` (``ndtr`` exactly 1.0) are a prefix.  The row of the
+    least ``crit`` has the shortest such prefix, ``lead`` nodes, and every
+    row saturates there too; those columns are set to 1.0 and ``ndtr`` runs
+    on the rest.  And ``ndtr`` is a pure function of its argument, so rows
+    with equal ``crit`` have equal ``cond`` rows: it runs once per distinct
+    critical value, and the rows are gathered from those.  The product
+    with ``wq`` stays over all nodes and trials, so its summation order is
+    the dense one.
     """
 
     def __init__(self, rho: float, trials: int = 1, nodes: int | None = None):
@@ -485,7 +499,10 @@ class JointTail:
         for j0 in range(b):
             rows = np.flatnonzero((n_prior > 0) | (keep[:, j0] & (j0 < b - 1)))
             if rows.size:
-                cond[rows] = ndtr((crit[rows, j0][:, None] - srz) / s1)
+                vals, inv = np.unique(crit[rows, j0], return_inverse=True)
+                lead = np.count_nonzero((vals[0] - srz) / s1 >= NDTR_ONE)
+                cond[rows, :lead] = 1.0
+                cond[rows, lead:] = ndtr((vals[:, None] - srz[lead:]) / s1)[inv]
                 est = (prefix * (1.0 - cond)) @ wq
                 # empty intersection set: the tail is the level itself, exactly
                 alpha_c[:, j0] = np.where(n_prior == 0, levels[:, j0], est)

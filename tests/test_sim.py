@@ -20,7 +20,7 @@ from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
 from addisgraph.core import ConflictStructure
 from addisgraph.gammas import GammaSpec
 from addisgraph.oracles import _push_table
-from addisgraph.weights import QUAD_SPAN, gauss_legendre, renorm_table
+from addisgraph.weights import NDTR_ONE, QUAD_SPAN, corr_nodes, gauss_legendre, renorm_table
 from addisgraph.sim import (
     ALL_PROCEDURES,
     CSV_HEADER,
@@ -503,6 +503,43 @@ def test_adaptive_corr_runner_is_bit_identical_to_dense(case, trials, rho, nodes
     assert np.array_equal(alpha_c, ref_alpha_c)
 
 
+_CORR_EDGES = {
+    # name: (n, b, trials, rho, alpha, gamma, p_kind, seed)
+    "rho-0.995-long-saturated-prefix": (20, 5, 40, 0.995, 0.2, "basel", "uniform", 1),
+    "crit-inf-every-node-saturated": (10, 10, 30, 0.5, 0.2, "geometric:0.01", "uniform", 2),
+    "low-rho-large-levels-no-prefix": (20, 5, 40, 0.05, 0.9, "basel", "no-candidates", 3),
+    "one-trial": (20, 5, 1, 0.5, 0.2, "basel", "uniform", 4),
+    "first-batch-shared-levels": (12, 12, 200, 0.7, 0.2, "basel", "uniform", 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORR_EDGES))
+def test_adaptive_corr_runner_edge_cases_are_bit_identical_to_dense(name):
+    """The saturated-prefix slice and the one-row-per-critical-value gather
+    change no bit at the ends of their ranges: a prefix of most nodes (1024
+    of them), of every node, of none; one trial; every trial at one level."""
+    n, b, trials, rho, alpha, gamma, p_kind, seed = _CORR_EDGES[name]
+    lam, spec = 0.16, GammaSpec.parse(gamma)
+    u = np.random.default_rng(seed).uniform(size=(trials, n))
+    p = {"uniform": u, "no-candidates": lam + (1.0 - lam) * (1.0 - u)}[p_kind]
+    levels, alpha_c = levels_adaptive_corr(p, b, rho, alpha, lam, spec)
+    ref_levels, ref_alpha_c = _adaptive_corr_dense(p, b, rho, alpha, lam, spec, corr_nodes(rho))
+    assert np.array_equal(levels, ref_levels)
+    assert np.array_equal(alpha_c, ref_alpha_c)
+    # each case reaches the end it is named for
+    z, _ = gauss_legendre(corr_nodes(rho))
+    crit = ndtri(1.0 - levels)
+    first = (crit - np.sqrt(rho) * z[0]) / np.sqrt(1.0 - rho)  # each row's largest argument
+    if name == "rho-0.995-long-saturated-prefix":
+        assert corr_nodes(rho) == 1024 and np.mean(first >= NDTR_ONE) > 0.5
+    elif name == "crit-inf-every-node-saturated":
+        assert np.isposinf(crit[:, -1]).all() and np.isfinite(crit[:, 0]).all()
+    elif name == "low-rho-large-levels-no-prefix":
+        assert np.all(first < NDTR_ONE)
+    elif name == "first-batch-shared-levels":
+        assert np.all(levels == levels[0]) and np.unique(p <= lam, axis=0).shape[0] > 1
+
+
 def test_quadrature_rule_is_cached_and_read_only():
     rule = gauss_legendre(64)
     assert gauss_legendre(64) is rule
@@ -643,17 +680,29 @@ def test_run_grid_deterministic_and_paired(tmp_path):
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_sweep_many_csv_matches_recorded_digest(tmp_path, monkeypatch):
-    """The benchmark's sweep-many grid at seed 0 writes the CSV whose sha256
-    the benchmark recorded; perfbench files are read, never written."""
+def _sweep_csv_digest(workload, tmp_path, monkeypatch):
+    """sha256 of the CSV the benchmark's ``workload`` grid writes at seed 0,
+    and the one the benchmark recorded; perfbench files are read, never written."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     grid = tmp_path / "grid.cfg"
-    grid.write_text(workloads.grid_text("sweep-many", 0))
+    grid.write_text(workloads.grid_text(workload, 0))
     csv_path = tmp_path / "sweep.csv"
     run_grid(parse_grid_file(grid), csv_path=csv_path)
-    recorded = json.loads((PERFBENCH / "digests.json").read_text())["sweep-many"]["0"]
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == recorded
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload]["0"]
+    return hashlib.sha256(csv_path.read_bytes()).hexdigest(), recorded
+
+
+def test_sweep_many_csv_matches_recorded_digest(tmp_path, monkeypatch):
+    digest, recorded = _sweep_csv_digest("sweep-many", tmp_path, monkeypatch)
+    assert digest == recorded
+
+
+def test_sweep_reroute_csv_matches_recorded_digest(tmp_path, monkeypatch):
+    """The grid of the two reroute-class runners, ``adaptive-graph-corr``'s
+    joint-tail kernel among them."""
+    digest, recorded = _sweep_csv_digest("sweep-reroute", tmp_path, monkeypatch)
+    assert digest == recorded
 
 
 def test_run_config_roundtrip():

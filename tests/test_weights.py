@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from addisgraph.core import ConflictStructure, validate_conflicts
 from addisgraph.errors import DegenerateRenormalization, NonMonotoneConflicts
 from addisgraph.gammas import GammaSpec
 from addisgraph.weights import (
+    CORR_MAX_NODES,
+    CORR_QUAD_NODES,
+    NDTR_ONE,
     Alg1Columns,
     Closure,
     CustomTable,
     HeldMass,
     IncrementalRenormalizer,
     ShiftedGamma,
+    corr_nodes,
+    gauss_legendre,
     lemma1_base_weight,
     lemma1_row,
     renorm_table,
@@ -265,3 +271,22 @@ def test_closure_level_refuses_a_window_edge_moving_back():
     assert err.value.triple == (2, 4, 5)
     ats = [k.level(5, 3, gam[4], gam[:4][::-1]) for k in kernels]
     assert np.array_equal(ats[0], ats[1])
+
+
+# ---------------------------------------------------------------------------
+# the joint tail's saturated prefix
+
+
+def test_ndtr_saturation_threshold_and_node_order_are_pinned():
+    """``JointTail`` sets ``cond`` to 1.0 on the nodes whose argument is at
+    least ``NDTR_ONE`` and slices them off as a prefix; that is exact only
+    while ``ndtr`` is 1.0 from ``NDTR_ONE`` up and the nodes ascend."""
+    assert ndtr(NDTR_ONE) == 1.0
+    assert ndtr(np.nextafter(NDTR_ONE, -np.inf)) < 1.0
+    assert np.all(ndtr(np.linspace(NDTR_ONE, 40.0, 2_000_001)) == 1.0)
+    assert ndtr(np.inf) == 1.0
+    counts = {corr_nodes(rho) for rho in (0.0, 0.99, 0.995, 0.999, 0.9998)}
+    assert counts == {CORR_QUAD_NODES * 2**k for k in range(4)}
+    assert max(counts) == CORR_MAX_NODES
+    for k in (64, *sorted(counts)):
+        assert np.all(np.diff(gauss_legendre(k)[0]) > 0.0)
