@@ -11,7 +11,11 @@ Levels are deterministic functions of the configuration, the schedule, and
 indicators of non-conflicting predecessors only; once issued they never
 change.  Engines keep per-index arrays of indicators and propagated levels
 as they go, so a level is a dot product over them, not a loop over the
-predecessors.  All mutating calls are appended to an event log, which makes
+predecessors.  The state is one block of six per-index rows: S, C, R and U
+(zero until observed), the propagated level over its gap,
+``alpha_j / (tau_j - lambda_j)``, and the carry row ``U_j alpha_j / (tau_j -
+lambda_j)`` that the graph kinds recycle, written when ``observe`` records
+the indicators.  All mutating calls are appended to an event log, which makes
 the versioned snapshot trivial: serialize configuration plus events, restore
 by replay — behavior after a round-trip is bit-identical by construction.
 """
@@ -74,10 +78,11 @@ class FwerEngine:
         self._events: list[list] = []
         self._warned_lambda = False
         self._pending: set[int] = set()  # issued, not yet observed
-        # Per-index rows S, C, R, U (zero until observed) and the propagated
-        # level over its gap, alpha_j / (tau_j - lambda_j); doubled on demand.
-        self._state = np.zeros((5, 64))
-        self._s, self._c, self._r, self._u, self._alpha_tilde = self._state
+        # Per-index rows S, C, R, U (zero until observed), the propagated
+        # level over its gap, alpha_j / (tau_j - lambda_j), and the carry
+        # U_j alpha_j / (tau_j - lambda_j) (zero until observed); doubled on demand.
+        self._state = np.zeros((6, 64))
+        self._s, self._c, self._r, self._u, self._alpha_tilde, self._carry = self._state
         # Running sum of S - C over the longest observed prefix (entry k: 1..k).
         self._spent = [0]
 
@@ -136,6 +141,7 @@ class FwerEngine:
         ind = compute_indicators(p, entry.tau, entry.lam, entry.level)
         self.ledger.record(i, ind)
         self._state[:4, i - 1] = ind.s, ind.c, ind.r, ind.u
+        self._carry[i - 1] = self._u[i - 1] * self._alpha_tilde[i - 1]
         self._pending.discard(i)
         self._events.append(["P", i, p])
         done = len(self._spent) - 1
@@ -143,7 +149,11 @@ class FwerEngine:
             prev = self.ledger.entries[done].indicators
             self._spent.append(self._spent[-1] + prev.s - prev.c)
             done += 1
+        self._observed(i, ind)
         return ind, bool(ind.r)
+
+    def _observed(self, i: int, ind: Indicators) -> None:
+        """Hook run once observe(i, ...) has recorded the indicators of i."""
 
     # -- conflict bookkeeping ----------------------------------------------
 
@@ -167,10 +177,10 @@ class FwerEngine:
     def _reserve(self, n: int) -> None:
         cap = self._state.shape[1]
         if n > cap:
-            table = np.zeros((5, max(n, 2 * cap)))
+            table = np.zeros((6, max(n, 2 * cap)))
             table[:, :cap] = self._state
             self._state = table
-            self._s, self._c, self._r, self._u, self._alpha_tilde = table
+            self._s, self._c, self._r, self._u, self._alpha_tilde, self._carry = table
 
     def _require_observed(self, below: int, exempt: frozenset[int] = frozenset()) -> None:
         """Raise unless every index < ``below`` outside ``exempt`` is observed."""
@@ -297,7 +307,7 @@ class GraphConf(FwerEngine):
         else:
             col, cleared = self._renorm.column(i, blocked)
             self._renorm.pin(cleared)  # nothing below can fail
-        carried = col @ (self._u[: i - 1] * self._alpha_tilde[: i - 1])
+        carried = col @ self._carry[: i - 1]
         return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
 
 

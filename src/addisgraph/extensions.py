@@ -245,7 +245,9 @@ class FdrGraph(FwerEngine):
     recycled levels and the rejection rewards.  The issued testing level is
     min(alpha_hat_i, lambda_i); the graph propagates the unclipped
     alpha_hat.  The first rejection earns only ``alpha - W0``; all later ones
-    earn the full ``alpha``.
+    earn the full ``alpha``.  The reward row R_j [alpha K_j + (alpha - W0)(1 -
+    K_j)] over the observed rejections is kept as they arrive, beside the
+    shell's carry row.
     """
 
     kind = "fdr-graph"
@@ -265,6 +267,8 @@ class FdrGraph(FwerEngine):
             raise InvalidW0(f"starting wealth must lie in (0, alpha], got {w0}")
         self.w0 = w0
         self._renorm = IncrementalRenormalizer(ShiftedGamma(self.gamma))
+        self._reward = np.zeros(64)
+        self._first_rejection = 0  # earliest observed rejection; 0 before any
 
     def _extra_config(self):
         return {"w0": self.w0}
@@ -282,12 +286,30 @@ class FdrGraph(FwerEngine):
                     f"reward at index {first + int(late[0]) + 1} needs rejections "
                     "of all earlier indices"
                 )
-        earlier = np.cumsum(r) - r  # K_j = 1 iff a rejection precedes j
-        earn = np.where(earlier > 0.0, self.alpha, self.alpha - self.w0)
-        carried = col @ (self._u[:n] * self._alpha_tilde[:n])
-        reward = col @ (r * earn)
+        carried = col @ self._carry[:n]
+        reward = col @ self._reward[:n]
         self._renorm.pin(cleared)
         return (tau_i - lam_i) * (self.w0 * self.gamma.value(i) + carried + reward)
+
+    def _reserve(self, n):
+        super()._reserve(n)
+        if n > self._reward.size:
+            reward = np.zeros(self._state.shape[1])
+            reward[: self._reward.size] = self._reward
+            self._reward = reward
+
+    def _observed(self, i, ind):
+        """Only the earliest observed rejection earns alpha - W0 (K = 0)."""
+        if not ind.r:
+            return
+        first = self._first_rejection
+        if first and first < i:
+            self._reward[i - 1] = self.alpha
+            return
+        self._reward[i - 1] = self.alpha - self.w0
+        if first:
+            self._reward[first - 1] = self.alpha
+        self._first_rejection = i
 
     def _testing_level(self, propagated, lam_i):
         return min(propagated, lam_i)

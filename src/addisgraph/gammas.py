@@ -103,22 +103,12 @@ class GammaSpec:
         return 1.0 - self.tail_sum(m)
 
     def tail_sum(self, m: int) -> float:
-        """sum_{i>m} gamma_i."""
-        if m <= 0:
-            m = 0
-        if self.kind == "geometric":
-            return float(self.q**m) if m else 1.0
-        if self.kind == "basel":
-            return float(_BASEL * polygamma(1, m + 1))
-        if self.kind == "power":
-            return float(zeta(self.s, m + 1) / zeta(self.s))
-        if self.kind == "logq":
-            if m >= _PARTIAL_SUM_TERMS:
-                return float(_logq_norm() / math.log(m + 1.5))
-            return 1.0 - float(_logq_norm() * _logq_prefix(m)) if m else 1.0
-        # custom: finite support
-        vals = np.asarray(self.table, dtype=np.float64)
-        return float(vals[m:].sum())
+        """sum_{i>m} gamma_i (cached per spec and m)."""
+        key = (self, max(m, 0))
+        tail = _TAILS.get(key)
+        if tail is None:
+            tail = _TAILS[key] = _tail_sum(*key)
+        return tail
 
     def is_nonincreasing(self, n: int = 1000) -> bool:
         vals = self.values(n)
@@ -141,6 +131,10 @@ class GammaSpec:
             return cls(kind="geometric", q=float(parts[1]))
         raise InvalidSpec(f"cannot parse gamma spec {text!r}")
 
+
+# Tail sums by (spec, m), each the value _tail_sum gives afresh; a stream
+# asks for the same few offsets at every level.
+_TAILS: dict[tuple[GammaSpec, int], float] = {}
 
 # One read-only array per spec, doubled whenever a longer prefix is asked for.
 # Each element is computed on its own, so a prefix equals a fresh evaluation
@@ -174,3 +168,20 @@ def _evaluate(spec: GammaSpec, n: int) -> np.ndarray:
     k = min(n, table.size)
     out[:k] = table[:k]
     return out
+
+
+def _tail_sum(spec: GammaSpec, m: int) -> float:
+    """sum_{i>m} gamma_i for m >= 0, evaluated afresh."""
+    if spec.kind == "geometric":
+        return float(spec.q**m) if m else 1.0
+    if spec.kind == "basel":
+        return float(_BASEL * polygamma(1, m + 1))
+    if spec.kind == "power":
+        return float(zeta(spec.s, m + 1) / zeta(spec.s))
+    if spec.kind == "logq":
+        if m >= _PARTIAL_SUM_TERMS:
+            return float(_logq_norm() / math.log(m + 1.5))
+        return 1.0 - float(_logq_norm() * _logq_prefix(m)) if m else 1.0
+    # custom: finite support
+    vals = np.asarray(spec.table, dtype=np.float64)
+    return float(vals[m:].sum())

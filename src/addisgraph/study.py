@@ -210,10 +210,8 @@ def replay_study(
             if j not in observed:
                 engine.observe(j, float(p[j - 1]))
         decisions = p <= levels
-        u = c - s + 1
         carried = sum(
-            u[j - 1] * engine._alpha_tilde[j - 1] * engine._renorm.tail_mass(j, n)
-            for j in range(1, n + 1)
+            engine._carry[j - 1] * engine._renorm.tail_mass(j, n) for j in range(1, n + 1)
         )
         future = alpha * spec.tail_sum(n) + carried
     else:

@@ -136,13 +136,17 @@ class IncrementalRenormalizer:
         denom = self.base.tail_mass(j, i - 1)
         return denom if denom > MASS_TOL else 0.0
 
+    def _reserve(self, n: int) -> None:
+        """Room for sources 1..n; the new ones are unpinned, so this is no trace."""
+        if n > self._den.size:
+            grown = np.full(max(n, 2 * self._den.size), np.nan)
+            grown[: self._den.size] = self._den
+            self._den = grown
+
     def pin(self, cleared: dict[int, float]) -> None:
         """Store denominators returned by :meth:`column`, once the level stands."""
         for j, denom in cleared.items():
-            if j > self._den.size:
-                grown = np.full(max(j, 2 * self._den.size), np.nan)
-                grown[: self._den.size] = self._den
-                self._den = grown
+            self._reserve(j)
             if denom == 0.0:
                 warnings.warn(
                     f"all future weight of source {j} is blocked; emitting zero weights",
@@ -165,15 +169,18 @@ class IncrementalRenormalizer:
         first clear at ``i`` with their denominators.
 
         Nothing is stored: the caller passes the second value to :meth:`pin`
-        once its level stands, so a request that fails leaves no trace.
+        once its level stands, so a request that fails leaves no trace.  The
+        stored denominators are read in place, and copied only when some
+        source clears at ``i``.
         """
         n = i - 1
-        den = np.full(n, np.nan)
-        known = min(n, self._den.size)
-        den[:known] = self._den[:known]
+        self._reserve(n)
+        den = self._den[:n]
         fresh = np.flatnonzero(np.isnan(den) & ~blocked)
         cleared = {int(k) + 1: self._denominator(int(k) + 1, i) for k in fresh}
-        den[fresh] = list(cleared.values())
+        if cleared:
+            den = den.copy()
+            den[fresh] = list(cleared.values())
         out = np.zeros(n)
         np.divide(self.base.column(i), den, out=out, where=~blocked & (den != 0.0))
         return out, cleared

@@ -5,16 +5,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import addisgraph
+from addisgraph import gammas
 from addisgraph.core import ConflictStructure
-from addisgraph.engines import GraphConf
+from addisgraph.engines import FwerEngine, GraphConf
 from addisgraph.errors import (
     BatchIncomplete,
     DomainError,
     InvalidConfig,
     InvalidW0,
+    MissingIndicator,
     ModelUnavailable,
 )
 from addisgraph.extensions import (
@@ -26,6 +30,7 @@ from addisgraph.extensions import (
     rejection_memory,
 )
 from addisgraph.gammas import GammaSpec
+from addisgraph.weights import MASS_TOL
 
 BASEL = GammaSpec.parse("basel")
 G1, G2, G3 = BASEL.value(1), BASEL.value(2), BASEL.value(3)
@@ -361,3 +366,115 @@ def test_fdr_reward_accounting_bound():
         rewards = np.cumsum(r * (0.05 * k))  # w0 = alpha: only alpha*K per rejection
         allowance = 0.05 * np.maximum(np.cumsum(r), 1.0)
         assert np.all(seed + rewards <= allowance + 0.05 + 1e-12)
+
+
+# -- graph-kind levels against per-level expressions over the recorded state --
+
+
+def _recomputed_level(engine, i, x, tau, lam):
+    """The graph-conf or fdr-graph level of i, recomputed from the recorded
+    indicators in one vectorised pass: the denominators from a NaN-filled copy
+    of the pinned ones (fresh tail sums for the sources clearing at i),
+    U * alpha_tilde, and earn from cumsum(r) - r.  Also checks that the rows
+    the engine keeps at observe equal those products."""
+    n = i - 1
+    blocked = np.zeros(n, dtype=bool)
+    blocked[[j - 1 for j in x]] = True
+    pinned = engine._renorm._den
+    den = np.full(n, np.nan)
+    known = min(n, pinned.size)
+    den[:known] = pinned[:known]
+    fresh = np.flatnonzero(np.isnan(den) & ~blocked)
+    for k in fresh:  # source k + 1, first clear at i
+        tail = 1.0 if k + 2 == i else gammas._tail_sum(engine.gamma, int(n - k - 1))
+        den[k] = tail if tail > MASS_TOL else 0.0
+    col = np.zeros(n)
+    np.divide(engine._renorm.base.column(i), den, out=col, where=~blocked & (den != 0.0))
+    carry = engine._u[:n] * engine._alpha_tilde[:n]
+    assert np.array_equal(engine._carry[:n], carry)
+    carried = col @ carry
+    if engine.kind == "graph-conf":
+        return (tau - lam) * (engine.alpha * engine.gamma.value(i) + carried)
+    r = engine._r[:n]
+    earlier = np.cumsum(r) - r  # K_j = 1 iff a rejection precedes j
+    earn = np.where(earlier > 0.0, engine.alpha, engine.alpha - engine.w0)
+    assert np.array_equal(engine._reward[:n], r * earn)
+    reward = col @ (r * earn)
+    return min((tau - lam) * (engine.w0 * engine.gamma.value(i) + carried + reward), lam)
+
+
+def _same_rows(a, b):
+    n = a.issued
+    assert b.issued == n
+    assert np.array_equal(a._state[:, :n], b._state[:, :n])
+    if a.kind == "fdr-graph":
+        assert np.array_equal(a._reward[:n], b._reward[:n])
+        assert a._first_rejection == b._first_rejection
+
+
+@pytest.mark.filterwarnings("ignore:issued level:RuntimeWarning")
+@given(
+    kind=st.sampled_from(["graph-conf", "fdr-graph"]),
+    n=st.integers(min_value=1, max_value=30),
+    gamma=st.sampled_from(["basel", "logq", "power:1.6", "geometric:0.6"]),
+    w0_share=st.floats(0.05, 1.0),
+    rnd=st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_graph_levels_equal_the_recomputed_expressions(kind, n, gamma, w0_share, rnd):
+    """Every issued level equals, with ==, the level recomputed from the
+    recorded indicators, on finish-time conflicts with observations in random
+    order; a restore from the snapshot rebuilds the carry and reward rows
+    exactly."""
+    if kind == "graph-conf":
+        engine = GraphConf(gamma=gamma)
+    else:
+        engine = FdrGraph(alpha=0.05, gamma=gamma, w0=0.05 * w0_share)
+    finish = [j + rnd.choice([0, 0, 1, 2, 5]) for j in range(1, n + 1)]
+    p = [rnd.choice([rnd.random(), rnd.random() ** 4, rnd.uniform(0.0, 0.003)])
+         for _ in range(n)]
+    pending = []
+    for i in range(1, n + 1):
+        x = frozenset(j for j in range(1, i) if finish[j - 1] >= i)
+        tau = rnd.uniform(0.05, 1.0)
+        lam = tau * rnd.uniform(0.0, 0.95)
+        while True:
+            rnd.shuffle(pending)
+            for _ in range(rnd.randint(0, len(pending))):
+                j = pending.pop()
+                engine.observe(j, p[j - 1])
+            want = _recomputed_level(engine, i, x, tau, lam)
+            try:
+                got = engine.level(i, tau=tau, lam=lam, conflicts=x)
+            except MissingIndicator:
+                assert pending
+                continue
+            assert got == want, i
+            pending.append(i)
+            break
+    restored = FwerEngine.restore(engine.snapshot())
+    _same_rows(engine, restored)
+    for j in pending:
+        engine.observe(j, p[j - 1])
+        restored.observe(j, p[j - 1])
+    _same_rows(engine, restored)
+
+
+def test_fdr_reward_moves_to_a_rejection_observed_out_of_order():
+    """Rejections of 3 and then 1 are observed: 3 first earns alpha - W0 as
+    the earliest rejection seen, and alpha once 1 is seen to precede it."""
+    alpha, w0 = 0.05, 0.02
+    e = FdrGraph(alpha=alpha, w0=w0)
+    sets = [(), (1,), (1, 2), (1, 2, 3)]
+    for i, x in enumerate(sets, start=1):
+        assert e.level(i, conflicts=x) == _recomputed_level(e, i, frozenset(x), e.tau, e.lam)
+    e.observe(3, 1e-6)
+    assert e._reward[:4].tolist() == [0.0, 0.0, alpha - w0, 0.0]
+    e.observe(1, 1e-6)
+    assert e._reward[:4].tolist() == [alpha - w0, 0.0, alpha, 0.0]
+    e.observe(2, 0.9)
+    want = _recomputed_level(e, 5, frozenset({4}), e.tau, e.lam)
+    assert e.level(5, conflicts=[4]) == want
+    restored = FwerEngine.restore(e.snapshot())
+    _same_rows(e, restored)
+    assert restored._first_rejection == 1

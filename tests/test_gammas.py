@@ -101,3 +101,27 @@ def test_cached_prefix_equals_fresh_evaluation(name):
     for n in [*range(1, 3001), *SPARSE]:
         assert np.array_equal(spec.values(n), gammas._evaluate(spec, n)), n
     assert [spec.value(i) for i in range(1, LONG + 1)] == long.tolist()
+
+
+TAIL_SPECS = [
+    *(GammaSpec.parse(name) for name in
+      ["basel", "logq", "power:1.6", "power:1.7", "geometric:0.5", "geometric:0.6"]),
+    GammaSpec(kind="custom", table=(0.3, 0.2, 0.2, 0.1, 0.05)),
+]
+
+
+def test_tail_sum_cache_serves_fresh_evaluations(monkeypatch):
+    """``tail_sum`` is cached per (spec, m): every call, the one that fills an
+    entry and the ones that read it, gives the bits of a fresh evaluation, and
+    specs of one kind with other parameters never read each other's entries."""
+    monkeypatch.setattr(gammas, "_TAILS", {})
+    big = gammas._PARTIAL_SUM_TERMS  # logq switches to its integral tail here
+    ms = [*range(2001), big - 1, big, big + 1, 2 * big]
+    for spec in TAIL_SPECS:
+        fresh = [gammas._tail_sum(spec, m).hex() for m in ms]
+        assert [spec.tail_sum(m).hex() for m in ms] == fresh, spec.name
+        assert [spec.tail_sum(m).hex() for m in ms] == fresh, spec.name
+        assert spec.tail_sum(-3) == spec.tail_sum(0)
+    for a, b in [("power:1.6", "power:1.7"), ("geometric:0.5", "geometric:0.6")]:
+        sa, sb = GammaSpec.parse(a), GammaSpec.parse(b)
+        assert all(sa.tail_sum(m) != sb.tail_sum(m) for m in range(1, 501))  # no underflow
