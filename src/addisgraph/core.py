@@ -45,13 +45,17 @@ class Indicators:
         return self.c - self.s + 1
 
 
+# Indicators are immutable, so each of the six possible triples is built once.
+_TRIPLES = {(s, c, r): Indicators(s, c, r) for s in (0, 1) for c in range(s + 1) for r in (0, 1)}
+
+
 def compute_indicators(p: float, tau: float, lam: float, alpha: float) -> Indicators:
     """Evaluate the three threshold indicators with closed intervals (ties hit)."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p-value {p} outside [0, 1]")
     if not lam < tau:
         raise DomainError(f"need lambda < tau, got lambda={lam}, tau={tau}")
-    return Indicators(s=int(p <= tau), c=int(p <= lam), r=int(p <= alpha))
+    return _TRIPLES[p <= tau, p <= lam, p <= alpha]
 
 
 class ConflictStructure:

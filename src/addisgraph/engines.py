@@ -15,15 +15,24 @@ predecessors.  The state is one block of six per-index rows: S, C, R and U
 (zero until observed), the propagated level over its gap,
 ``alpha_j / (tau_j - lambda_j)``, and the carry row ``U_j alpha_j / (tau_j -
 lambda_j)`` that the graph kinds recycle, written when ``observe`` records
-the indicators.  All mutating calls are appended to an event log, which makes
-the versioned snapshot trivial: serialize configuration plus events, restore
-by replay — behavior after a round-trip is bit-identical by construction.
+the indicators.  Beside it sit one record per index (conflict set, issued
+level, tau, lambda) and one per observation (index, p-value, and how many
+levels had been issued when it arrived); no ledger entry, indicator object
+or event list is built per request.
+A conflict set that is a contiguous suffix ``{lo .. i-1}`` is held as
+``range(lo, i)`` and checked in O(1).  ``engine.ledger`` is a read-only
+ledger view of these rows.  The versioned snapshot is the configuration
+plus the accepted calls in arrival order, rebuilt from the records; restore
+replays them, so behavior after a round-trip is bit-identical by
+construction.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from array import array
+from collections.abc import Sequence
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,13 +41,13 @@ from .core import (
     ConflictStructure,
     Indicators,
     LedgerEntry,
-    TrajectoryLedger,
     check_monotone_step,
     compute_indicators,
 )
 from .errors import (
     DomainError,
     DuplicateObservation,
+    IncompleteLedger,
     InvalidConfig,
     MissingIndicator,
     NonContiguousSuffix,
@@ -73,11 +82,21 @@ class FwerEngine:
         self._check_gap(tau, lam)
         self.gamma = GammaSpec.parse(gamma) if isinstance(gamma, str) else gamma
         self.structure = structure
-        self.ledger = TrajectoryLedger()
-        self._sets: list[frozenset[int]] = []
-        self._events: list[list] = []
+        self.issued = 0
         self._warned_lambda = False
         self._pending: set[int] = set()  # issued, not yet observed
+        # Per index: X_i (range(lo, i) when it is a contiguous suffix, else a
+        # frozenset), the issued level, and tau and lambda as given, which the
+        # snapshot writes back unchanged.
+        self._sets: list[range | frozenset[int]] = []
+        self._levels: list[float] = []
+        self._taus: list[float] = []
+        self._lams: list[float] = []
+        # Per observation, in arrival order: its index, its p-value as given
+        # and the number of levels issued before it.
+        self._seen_index = array("q")
+        self._seen_p: list[float] = []
+        self._seen_issued = array("q")
         # Per-index rows S, C, R, U (zero until observed), the propagated
         # level over its gap, alpha_j / (tau_j - lambda_j), and the carry
         # U_j alpha_j / (tau_j - lambda_j) (zero until observed); doubled on demand.
@@ -93,11 +112,12 @@ class FwerEngine:
         if not 0.0 <= lam < tau or tau - lam < MIN_GAP:
             raise InvalidConfig(f"need lambda in [0, tau) with gap >= {MIN_GAP}")
 
-    # -- stream interface ---------------------------------------------------
-
     @property
-    def issued(self) -> int:
-        return len(self.ledger)
+    def ledger(self) -> "RowLedger":
+        """The trajectory so far, read from the rows."""
+        return RowLedger(self)
+
+    # -- stream interface ---------------------------------------------------
 
     def level(
         self,
@@ -111,7 +131,8 @@ class FwerEngine:
             raise DomainError(f"levels must be requested in order; expected {self.issued + 1}")
         tau_i = self.tau if tau is None else tau
         lam_i = self.lam if lam is None else lam
-        self._check_gap(tau_i, lam_i)
+        if tau is not None or lam is not None:  # the configured pair was checked in __init__
+            self._check_gap(tau_i, lam_i)
         x = self._declare_conflicts(i, conflicts)
         # plain floats, so that the stream's full-precision repr is a number
         propagated = float(self._compute_level(i, x, tau_i, lam_i))
@@ -120,8 +141,10 @@ class FwerEngine:
         self._alpha_tilde[i - 1] = propagated / (tau_i - lam_i)
         self._sets.append(x)
         self._pending.add(i)
-        self.ledger.append(LedgerEntry(index=i, level=alpha_i, tau=tau_i, lam=lam_i))
-        self._events.append(["L", i, tau_i, lam_i, sorted(x)])
+        self._levels.append(alpha_i)
+        self._taus.append(tau_i)
+        self._lams.append(lam_i)
+        self.issued = i
         if alpha_i > lam_i and not self._warned_lambda:
             warnings.warn(
                 f"issued level {alpha_i:.6g} exceeds lambda {lam_i:.6g}; "
@@ -135,20 +158,29 @@ class FwerEngine:
         """Report the p-value of an already-levelled index; returns decision."""
         if not 1 <= i <= self.issued:
             raise UnknownIndex(f"no level issued for index {i}")
-        entry = self.ledger.entries[i - 1]
-        if entry.indicators is not None:
+        if i not in self._pending:
             raise DuplicateObservation(f"p-value for index {i} already reported")
-        ind = compute_indicators(p, entry.tau, entry.lam, entry.level)
-        self.ledger.record(i, ind)
-        self._state[:4, i - 1] = ind.s, ind.c, ind.r, ind.u
-        self._carry[i - 1] = self._u[i - 1] * self._alpha_tilde[i - 1]
-        self._pending.discard(i)
-        self._events.append(["P", i, p])
-        done = len(self._spent) - 1
-        while done < self.issued and done + 1 not in self._pending:
-            prev = self.ledger.entries[done].indicators
-            self._spent.append(self._spent[-1] + prev.s - prev.c)
-            done += 1
+        k = i - 1
+        ind = compute_indicators(p, self._taus[k], self._lams[k], self._levels[k])
+        s, c = ind.s, ind.c
+        self._s[k] = s
+        self._c[k] = c
+        self._r[k] = ind.r
+        self._u[k] = u = c - s + 1
+        self._carry[k] = u * self._alpha_tilde[k]
+        self._pending.remove(i)
+        self._seen_index.append(i)
+        self._seen_p.append(p)
+        self._seen_issued.append(self.issued)
+        spent = self._spent
+        if len(spent) == i:  # i extends the observed prefix, and so may later indices
+            total = spent[-1] + s - c
+            spent.append(total)
+            for j in range(i, self.issued):
+                if j + 1 in self._pending:
+                    break
+                total += int(self._s[j]) - int(self._c[j])
+                spent.append(total)
         self._observed(i, ind)
         return ind, bool(ind.r)
 
@@ -157,20 +189,46 @@ class FwerEngine:
 
     # -- conflict bookkeeping ----------------------------------------------
 
-    def _declare_conflicts(self, i: int, conflicts) -> frozenset[int]:
-        """Check the conflict set of i and return it; mutates nothing."""
+    def _declare_conflicts(self, i: int, conflicts) -> range | frozenset[int]:
+        """Check the conflict set of i and return it; mutates nothing.
+
+        A contiguous suffix ``{lo .. i-1}`` comes back as ``range(lo, i)``
+        and costs O(1) to check; any other set is a frozenset, checked
+        member by member.
+        """
         if conflicts is None:
-            x = self.structure.conflict_set(i) if self.structure is not None else frozenset()
+            structure = self.structure
+            if structure is None or i > structure.n:
+                x = range(i, i)
+            elif structure.lags is not None:
+                x = range(i - structure.lags[i - 1], i)
+            else:
+                x = structure.conflict_set(i)
         else:
-            x = frozenset(conflicts)
+            x = _suffix(i, conflicts)
+            if x is None:
+                x = frozenset(conflicts)
+        if type(x) is range:
+            if x.start < 1:
+                raise DomainError(f"conflict set of {i} contains out-of-range indices")
+            if x.start < i - 1:
+                prev = self._sets[i - 2]
+                if type(prev) is not range or x.start < prev.start:
+                    # the frozenset the set would have been, whose iteration
+                    # order picks the member reported
+                    check_monotone_step(self._sets, i, frozenset(x))
+            return x
         if any(not 1 <= j < i for j in x):
             raise DomainError(f"conflict set of {i} contains out-of-range indices")
         check_monotone_step(self._sets, i, x)
-        if self.needs_lag_form and x and x != frozenset(range(i - len(x), i)):
-            raise NonContiguousSuffix(
-                f"{self.kind} requires contiguous-suffix conflict sets; got {sorted(x)} at {i}"
-            )
-        return x
+        suffix = range(i - len(x), i)
+        if x and x != frozenset(suffix):
+            if self.needs_lag_form:
+                raise NonContiguousSuffix(
+                    f"{self.kind} requires contiguous-suffix conflict sets; got {sorted(x)} at {i}"
+                )
+            return x
+        return suffix
 
     # -- helpers over recorded state ---------------------------------------
 
@@ -182,17 +240,32 @@ class FwerEngine:
             self._state = table
             self._s, self._c, self._r, self._u, self._alpha_tilde, self._carry = table
 
-    def _require_observed(self, below: int, exempt: frozenset[int] = frozenset()) -> None:
-        """Raise unless every index < ``below`` outside ``exempt`` is observed."""
-        missing = sorted(j for j in self._pending if j < below and j not in exempt)
+    def _require_observed(self, below: int, exempt: range | frozenset[int] = frozenset()) -> None:
+        """Raise unless every index < ``below`` outside ``exempt`` is observed.
+
+        Only the least pending index is looked up when it is at least
+        ``below``, or when ``exempt`` is a range that holds it and reaches
+        ``below``; otherwise every pending index is visited.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        first = min(pending)
+        if first >= below or (
+            type(exempt) is range and exempt.start <= first and below <= exempt.stop
+        ):
+            return
+        missing = sorted(j for j in pending if j < below and j not in exempt)
         if missing:
             raise MissingIndicator(f"levels need p-value feedback for indices {missing}")
 
     @staticmethod
-    def _blocked(i: int, x: frozenset[int]) -> np.ndarray:
+    def _blocked(i: int, x: range | frozenset[int]) -> np.ndarray:
         """Mask over sources 1..i-1 that conflict with i."""
         blocked = np.zeros(i - 1, dtype=bool)
-        if x:
+        if type(x) is range:
+            blocked[x.start - 1 :] = True
+        elif x:
             blocked[np.fromiter(x, np.intp, len(x)) - 1] = True
         return blocked
 
@@ -207,6 +280,25 @@ class FwerEngine:
 
     # -- snapshot / restore -------------------------------------------------
 
+    def _events(self) -> list[list]:
+        """Every accepted call in arrival order, rebuilt from the rows: the
+        levels come in index order, and each observation after as many of
+        them as had been issued when it arrived."""
+        sets, taus, lams = self._sets, self._taus, self._lams
+
+        def level_event(k):
+            x = sets[k]
+            return ["L", k + 1, taus[k], lams[k], list(x) if type(x) is range else sorted(x)]
+
+        events = []
+        k = 0
+        for i, p, m in zip(self._seen_index, self._seen_p, self._seen_issued):
+            events.extend(level_event(j) for j in range(k, m))
+            k = m  # nondecreasing over the observations
+            events.append(["P", i, p])
+        events.extend(level_event(j) for j in range(k, self.issued))
+        return events
+
     def snapshot(self) -> dict:
         if self.gamma.kind == "custom":
             raise InvalidConfig("snapshots support named gamma specs only")
@@ -217,7 +309,7 @@ class FwerEngine:
             "tau": self.tau,
             "lambda": self.lam,
             "gamma": self.gamma.name,
-            "events": self._events,
+            "events": self._events(),
         }
         snap.update(self._extra_config())
         return snap
@@ -248,6 +340,83 @@ class FwerEngine:
                 _, i, p = ev
                 engine.observe(i, p)
         return engine
+
+
+def _suffix(i: int, conflicts) -> range | None:
+    """``range(lo, i)`` when ``conflicts`` is that range, or a list of
+    ``lo .. i-1`` in increasing order; None otherwise."""
+    if type(conflicts) is range:
+        if conflicts.stop == i and conflicts.step == 1 and conflicts.start <= i:
+            return conflicts
+    elif type(conflicts) is list:
+        lo = i - len(conflicts)
+        if conflicts == list(range(lo, i)):
+            return range(lo, i)
+    return None
+
+
+class RowLedger(Sequence):
+    """Read-only :class:`.core.TrajectoryLedger` view of an engine's rows,
+    which is also its own sequence of entries.
+
+    Each :class:`.core.LedgerEntry` is built on access, in O(1); the budget
+    and rejection sums of the checkers are one numpy pass over the rows.
+    """
+
+    __slots__ = ("_engine",)
+
+    def __init__(self, engine: FwerEngine):
+        self._engine = engine
+
+    @property
+    def entries(self) -> "RowLedger":
+        return self
+
+    def __len__(self) -> int:
+        return self._engine.issued
+
+    def __getitem__(self, k):
+        e = self._engine
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(e.issued))]
+        if k < 0:
+            k += e.issued
+        if not 0 <= k < e.issued:
+            raise IndexError("ledger index out of range")
+        indicators = None
+        if k + 1 not in e._pending:
+            indicators = Indicators(int(e._s[k]), int(e._c[k]), int(e._r[k]))
+        return LedgerEntry(
+            index=k + 1, level=e._levels[k], tau=e._taus[k], lam=e._lams[k],
+            indicators=indicators,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RowLedger, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def _require_complete(self) -> None:
+        missing = sorted(self._engine._pending)
+        if missing:
+            raise IncompleteLedger(f"no indicators recorded for indices {missing}")
+
+    def budget_spent(self) -> np.ndarray:
+        """Prefix sums of the adaptive-discarding budget (nondecreasing)."""
+        self._require_complete()
+        e = self._engine
+        n = e.issued
+        gap = np.array(e._taus, dtype=np.float64) - np.array(e._lams, dtype=np.float64)
+        return np.cumsum(np.array(e._levels, dtype=np.float64) / gap * (e._s[:n] - e._c[:n]))
+
+    def rejection_counts(self) -> np.ndarray:
+        self._require_complete()
+        return np.cumsum(self._engine._r[: self._engine.issued])
 
 
 class SpendingLocal(FwerEngine):

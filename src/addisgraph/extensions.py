@@ -317,9 +317,7 @@ class FdrGraph(FwerEngine):
     @property
     def k_flags(self) -> np.ndarray:
         """K_1 .. K_{issued+1} from the currently observed rejections."""
-        return rejection_memory(
-            [e.indicators.r if e.indicators is not None else 0 for e in self.ledger.entries]
-        )
+        return rejection_memory(self._r[: self.issued])  # R is zero until observed
 
 
 ENGINE_KINDS[FdrGraph.kind] = FdrGraph  # registered here: this module imports engines

@@ -91,6 +91,18 @@ class StreamSession:
             raise ProtocolError("bad-index", f"index must be positive, got {i}")
         return i
 
+    @classmethod
+    def _indices(cls, val: str) -> list[int]:
+        """The comma-separated indices of ``val``, empty tokens skipped: one
+        ``int`` pass, and the per-token :meth:`_index` only to report a bad one."""
+        try:
+            indices = list(map(int, val.split(",")))
+            if indices and min(indices) >= 1:
+                return indices
+        except ValueError:
+            pass
+        return [cls._index(v) for v in val.split(",") if v]
+
     def _register(self, args: list[str]) -> str:
         if not args:
             raise ProtocolError("bad-command", "usage: H <id> [tau=] [lambda=] [conflicts=]")
@@ -108,7 +120,7 @@ class StreamSession:
                 elif key == "lambda":
                     lam = float(val)
                 elif key == "conflicts":
-                    conflicts = [self._index(v) for v in val.split(",") if v]
+                    conflicts = self._indices(val)
                 else:
                     raise ProtocolError("bad-command", f"unknown field {key!r}")
             except ValueError:

@@ -117,11 +117,21 @@ class IncrementalRenormalizer:
     row, so the surviving row totals one even where the base row holds less;
     an empty prefix keeps D_j = 1, and D_j <= ``MASS_TOL`` marks the row
     degenerate (zero weights, a ``DegenerateRenormalization`` warning).
+
+    Conflict sets are monotone, so a source that has cleared never conflicts
+    again, and only the open sources, those not pinned yet, can clear at a
+    later target.  :meth:`column` looks for new denominators among those
+    alone.
     """
 
     def __init__(self, base: WeightRule):
         self.base = base
         self._den = np.full(64, np.nan)  # NaN: not pinned yet; 0: degenerate row
+        # The divisor of each source's weights: D_j once pinned to a positive
+        # value, +inf otherwise, so that g / divisor is exactly 0.0 there.
+        self._divisor = np.full(64, np.inf)
+        self._open: set[int] = set()  # unpinned sources among 1 .. _known
+        self._known = 0
         self.degenerate_rows: set[int] = set()
 
     def _pinned(self, j: int) -> float | None:
@@ -138,10 +148,14 @@ class IncrementalRenormalizer:
 
     def _reserve(self, n: int) -> None:
         """Room for sources 1..n; the new ones are unpinned, so this is no trace."""
-        if n > self._den.size:
-            grown = np.full(max(n, 2 * self._den.size), np.nan)
-            grown[: self._den.size] = self._den
-            self._den = grown
+        size = self._den.size
+        if n > size:
+            grown = max(n, 2 * size)
+            den = np.full(grown, np.nan)
+            den[:size] = self._den
+            divisor = np.full(grown, np.inf)
+            divisor[:size] = self._divisor
+            self._den, self._divisor = den, divisor
 
     def pin(self, cleared: dict[int, float]) -> None:
         """Store denominators returned by :meth:`column`, once the level stands."""
@@ -153,7 +167,10 @@ class IncrementalRenormalizer:
                     DegenerateRenormalization,
                 )
                 self.degenerate_rows.add(j)
+            else:
+                self._divisor[j - 1] = denom
             self._den[j - 1] = denom
+            self._open.discard(j)
 
     def weight(self, j: int, i: int, conflicting: bool) -> float:
         if conflicting or i <= j:
@@ -170,20 +187,26 @@ class IncrementalRenormalizer:
 
         Nothing is stored: the caller passes the second value to :meth:`pin`
         once its level stands, so a request that fails leaves no trace.  The
-        stored denominators are read in place, and copied only when some
-        source clears at ``i``.
+        column is the base column over the stored divisors, with the blocked
+        sources zeroed and each source that clears at ``i`` divided by its
+        new denominator.
         """
         n = i - 1
         self._reserve(n)
-        den = self._den[:n]
-        fresh = np.flatnonzero(np.isnan(den) & ~blocked)
-        cleared = {int(k) + 1: self._denominator(int(k) + 1, i) for k in fresh}
-        if cleared:
-            den = den.copy()
-            den[fresh] = list(cleared.values())
-        out = np.zeros(n)
-        np.divide(self.base.column(i), den, out=out, where=~blocked & (den != 0.0))
-        return out, cleared
+        if n > self._known:  # sources new to the stream start open
+            den = self._den
+            self._open.update(j for j in range(self._known + 1, i) if np.isnan(den[j - 1]))
+            self._known = n
+        col = self.base.column(i)
+        fresh = [j for j in sorted(self._open) if j < i and not blocked[j - 1]]
+        heads = [col[j - 1] for j in fresh]
+        cleared = {j: self._denominator(j, i) for j in fresh}
+        np.divide(col, self._divisor[:n], out=col)
+        col[blocked] = 0.0
+        for j, g in zip(fresh, heads):
+            if cleared[j]:
+                col[j - 1] = g / cleared[j]
+        return col, cleared
 
     def tail_mass(self, j: int, m: int) -> float:
         denom = self._pinned(j)
