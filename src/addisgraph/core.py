@@ -113,10 +113,6 @@ class ConflictStructure:
             start += size
         return validate_conflicts(cls(sets, batch_of=batch_of), lag_form=True)
 
-    @classmethod
-    def trivial(cls, n: int) -> "ConflictStructure":
-        return validate_conflicts(cls([frozenset()] * n), lag_form=True)
-
 
 def check_monotone_step(sets, i: int, x) -> None:
     """Raise ``NonMonotoneConflicts`` unless ``x \\ {i-1}`` is a subset of ``X_{i-1}``.

@@ -15,10 +15,12 @@ predecessors.  The state is one block of six per-index rows: S, C, R and U
 (zero until observed), the propagated level over its gap,
 ``alpha_j / (tau_j - lambda_j)``, and the carry row ``U_j alpha_j / (tau_j -
 lambda_j)`` that the graph kinds recycle, written when ``observe`` records
-the indicators.  Beside it sit one record per index (conflict set, issued
-level, tau, lambda) and one per observation (index, p-value, and how many
-levels had been issued when it arrived); no ledger entry, indicator object
-or event list is built per request.
+the indicators (the batch correlation kind of ``extensions.py`` also writes
+a non-candidate's frozen joint-tail surplus there).  Beside it sit one
+record per index (conflict set, issued level, tau, lambda) and one per
+observation (index, p-value, and how many levels had been issued when it
+arrived); no ledger entry, indicator object or event list is built per
+request.
 A conflict set that is a contiguous suffix ``{lo .. i-1}`` is held as
 ``range(lo, i)`` and checked in O(1).  ``engine.ledger`` is a read-only
 ledger view of these rows.  The versioned snapshot is the configuration
@@ -232,6 +234,16 @@ class FwerEngine:
 
     # -- helpers over recorded state ---------------------------------------
 
+    def _entry(self, k: int) -> LedgerEntry:
+        """The ledger entry of index k + 1, built from the rows."""
+        indicators = None
+        if k + 1 not in self._pending:
+            indicators = Indicators(int(self._s[k]), int(self._c[k]), int(self._r[k]))
+        return LedgerEntry(
+            index=k + 1, level=self._levels[k], tau=self._taus[k], lam=self._lams[k],
+            indicators=indicators,
+        )
+
     def _reserve(self, n: int) -> None:
         cap = self._state.shape[1]
         if n > cap:
@@ -359,8 +371,9 @@ class RowLedger(Sequence):
     """Read-only :class:`.core.TrajectoryLedger` view of an engine's rows,
     which is also its own sequence of entries.
 
-    Each :class:`.core.LedgerEntry` is built on access, in O(1); the budget
-    and rejection sums of the checkers are one numpy pass over the rows.
+    Each :class:`.core.LedgerEntry` is built on access by the engine's
+    ``_entry``, in O(1); the budget and rejection sums of the checkers are
+    one numpy pass over the rows.
     """
 
     __slots__ = ("_engine",)
@@ -383,13 +396,7 @@ class RowLedger(Sequence):
             k += e.issued
         if not 0 <= k < e.issued:
             raise IndexError("ledger index out of range")
-        indicators = None
-        if k + 1 not in e._pending:
-            indicators = Indicators(int(e._s[k]), int(e._c[k]), int(e._r[k]))
-        return LedgerEntry(
-            index=k + 1, level=e._levels[k], tau=e._taus[k], lam=e._lams[k],
-            indicators=indicators,
-        )
+        return e._entry(k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RowLedger, list)):

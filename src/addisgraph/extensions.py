@@ -2,11 +2,12 @@
 
 Two extensions of the graphical family:
 
-* :class:`AdaptiveGraphCorr` — for batch-dependent streams with ``tau = 1``,
-  non-candidate hypotheses return the *joint-tail surplus* ``alpha_j -
-  alpha_j^c`` instead of nothing, where ``alpha_j^c`` is the joint null
-  probability of rejecting ``H_j`` while every earlier non-candidate in the
-  batch was accepted.  For equicorrelated Gaussian batches the joint tail is
+* :class:`AdaptiveGraphCorr` — the graph-conf engine at ``tau = 1`` on a
+  batch-dependent stream, where non-candidate hypotheses return the
+  *joint-tail surplus* ``alpha_j - alpha_j^c`` instead of nothing, written
+  into the engine's carry row when their batch completes; ``alpha_j^c`` is
+  the joint null probability of rejecting ``H_j`` while every earlier
+  non-candidate in the batch was accepted.  For equicorrelated Gaussian batches the joint tail is
   a one-dimensional integral over the common factor, evaluated by
   :class:`~.weights.JointTail` on a fixed Gauss-Legendre rule whose node
   count depends on the correlation alone, the rule of the simulation runner.
@@ -22,23 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConflictStructure,
-    Indicators,
-    LedgerEntry,
-    TrajectoryLedger,
-    compute_indicators,
-)
-from .engines import ENGINE_KINDS, FwerEngine
+from .core import ConflictStructure, Indicators
+from .engines import ENGINE_KINDS, FwerEngine, GraphConf
 from .errors import (
     BatchIncomplete,
     DomainError,
-    DuplicateObservation,
     InvalidConfig,
     InvalidW0,
     MissingIndicator,
     ModelUnavailable,
-    UnknownIndex,
 )
 from .gammas import GammaSpec
 from .weights import IncrementalRenormalizer, JointTail, ShiftedGamma, corr_nodes
@@ -79,7 +72,9 @@ class CorrModel:
     Either an equicorrelated Gaussian correlation ``rho`` (analytic, by
     quadrature) or a matrix of joint null p-value draws (``samples``, one row
     per draw, one column per within-batch position; Monte Carlo with SE).
-    ``lam`` is the candidate threshold, constant within each batch.
+    ``lam`` is the candidate threshold, constant within each batch: one value,
+    or a dict with one per batch.  The structure's batches are 1, 2, ... in
+    index order, and each index conflicts with its earlier batch-mates only.
     """
 
     structure: ConflictStructure
@@ -88,8 +83,20 @@ class CorrModel:
     samples: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.structure.batch_of is None:
+        batch_of = self.structure.batch_of
+        if batch_of is None:
             raise InvalidConfig("correlation model needs a batch-form conflict structure")
+        batches = self.structure.batches
+        ref = ConflictStructure.from_batches([len(m) for m in batches])
+        if (ref.batch_of, ref.conflict_sets) != (batch_of, self.structure.conflict_sets):
+            raise InvalidConfig(
+                "correlation model needs batches 1, 2, ... of consecutive indices, "
+                "each index conflicting with exactly its earlier batch-mates"
+            )
+        for b in range(1, len(batches) + 1):
+            if isinstance(self.lam, dict) and b not in self.lam:
+                raise InvalidConfig(f"no lambda given for batch {b}")
+            FwerEngine._check_gap(1.0, self.lambda_for(b))  # tau = 1
         if self.rho is not None:
             corr_nodes(self.rho)  # refuses a correlation the quadrature cannot resolve
         elif self.samples is None:
@@ -128,97 +135,77 @@ class CorrModel:
         return val, se
 
 
-class AdaptiveGraphCorr:
-    """Batch-stream procedure returning joint-tail surplus of non-candidates.
+class AdaptiveGraphCorr(GraphConf):
+    """ADDIS-Graph at tau = 1 on a batch stream, where non-candidates pass on
+    their joint-tail surplus.
 
     alpha_i = (1 - lambda_{b_i}) (alpha gamma_i
       + sum_{j: b_j < b_i} g*[j,i] [ C_j alpha_j / (1 - lambda_{b_j})
                                     + (1 - C_j)(alpha_j - alpha_j^c) / (1 - lambda_{b_j}) ])
 
-    Joint-tail values alpha_j^c are computed once, when batch b_j completes,
-    and frozen into the ledger; a level request whose prior batches are not
-    yet frozen raises ``BatchIncomplete``.  The bracketed coefficient of each
-    source is stored when its batch freezes, and g* comes from the online
-    renormaliser with the batch-mates before i blocked, so a level is one
-    product over the stored coefficients.
+    This is :class:`.engines.GraphConf` with tau = 1, lambda per batch from
+    the model and the batch-mates before i as the conflict set of i.  At
+    tau = 1, S_j = 1, so the shell's carry row U_j alpha_j / (1 - lambda_{b_j})
+    is the candidate term.  When a batch completes, its joint tails
+    alpha_j^c are frozen and each non-candidate's surplus term is written
+    into the carry row; a level request whose earlier batches are not yet
+    frozen raises ``BatchIncomplete``.  Snapshots are refused: their format
+    has no place for the model.
     """
 
     kind = "adaptive-graph-corr"
 
     def __init__(self, model: CorrModel, alpha: float = 0.2, gamma: GammaSpec | str = "basel"):
+        super().__init__(alpha=alpha, tau=1.0, gamma=gamma, structure=model.structure)
+        self.lam = model.lam  # each level passes the lambda of its batch
         self.model = model
-        self.alpha = alpha
-        self.gamma = GammaSpec.parse(gamma) if isinstance(gamma, str) else gamma
-        self.structure = model.structure
-        self._batch_of = np.asarray(self.structure.batch_of)
-        self._renorm = IncrementalRenormalizer(ShiftedGamma(self.gamma))
-        self.ledger = TrajectoryLedger()
         self.alpha_c_se: dict[int, float] = {}
+        self._alpha_c: list[float] = []  # per index, once its batch is frozen
         self._frozen_batches = 0
-        # the bracketed coefficient of each source over 1 - lambda, set when
-        # its batch freezes; zero before, where its weights are zero too
-        self._coef = np.zeros(64)
 
-    @property
-    def issued(self) -> int:
-        return len(self.ledger)
+    def _extra_config(self):
+        raise InvalidConfig("snapshots do not support the batch correlation model")
 
-    def _batch(self, i: int) -> int:
-        return self.structure.batch_of[i - 1]
-
-    def _try_freeze(self) -> None:
-        assert self.structure.batches is not None
-        while self._frozen_batches < len(self.structure.batches):
-            members = self.structure.batches[self._frozen_batches]
-            entries = self.ledger.entries
-            if members[-1] > len(entries) or any(
-                entries[j - 1].indicators is None for j in members
-            ):
-                return
-            batch = [entries[j - 1] for j in members]
-            levels = np.array([e.level for e in batch])
-            keep = np.array([e.indicators.c == 0 for e in batch])
-            vals, ses = self.model.batch_alpha_c(levels, keep)
-            for j, e, val, se, k in zip(members, batch, vals, ses, keep):
-                e.alpha_c = float(val)
-                if se:
-                    self.alpha_c_se[j] = float(se)
-                self._coef[j - 1] = (e.level - val if k else e.level) / (1.0 - e.lam)
-            self._frozen_batches += 1
+    def _entry(self, k):
+        entry = super()._entry(k)
+        entry.batch = self.structure.batch_of[k]
+        if k < len(self._alpha_c):
+            entry.alpha_c = self._alpha_c[k]
+        return entry
 
     def level(self, i: int) -> float:
-        if i != self.issued + 1:
-            raise DomainError(f"levels must be requested in order; expected {self.issued + 1}")
-        b = self._batch(i)
+        n = self.structure.n
+        if not 1 <= i <= n:
+            raise DomainError(f"index {i} lies outside the model's hypotheses 1..{n}")
+        return super().level(i, lam=self.model.lambda_for(self.structure.batch_of[i - 1]))
+
+    def _compute_level(self, i, x, tau_i, lam_i):
+        b = self.structure.batch_of[i - 1]
         if self._frozen_batches < b - 1:
             raise BatchIncomplete(
                 f"level for batch {b} needs joint-tail values of batches "
                 f"{self._frozen_batches + 1}..{b - 1}"
             )
-        lam_b = self.model.lambda_for(b)
-        if i > self._coef.size:
-            coef = np.zeros(2 * i)
-            coef[: self._coef.size] = self._coef
-            self._coef = coef
-        col, cleared = self._renorm.column(i, self._batch_of[: i - 1] == b)
-        self._renorm.pin(cleared)
-        carried = float(col @ self._coef[: i - 1])
-        alpha_i = (1.0 - lam_b) * (self.alpha * self.gamma.value(i) + carried)
-        self.ledger.append(
-            LedgerEntry(index=i, level=alpha_i, tau=1.0, lam=lam_b, batch=b)
-        )
-        return alpha_i
+        return super()._compute_level(i, x, tau_i, lam_i)
 
     def observe(self, i: int, p: float) -> tuple[Indicators, bool]:
-        if not 1 <= i <= self.issued:
-            raise UnknownIndex(f"no level issued for index {i}")
-        entry = self.ledger.entries[i - 1]
-        if entry.indicators is not None:
-            raise DuplicateObservation(f"p-value for index {i} already reported")
-        ind = compute_indicators(p, entry.tau, entry.lam, entry.level)
-        self.ledger.record(i, ind)
-        self._try_freeze()
-        return ind, bool(ind.r)
+        decision = super().observe(i, p)
+        batches = self.structure.batches
+        while self._frozen_batches < len(batches):
+            members = batches[self._frozen_batches]
+            if members[-1] > self.issued or not self._pending.isdisjoint(members):
+                break
+            lo, hi = members[0] - 1, members[-1]
+            keep = self._c[lo:hi] == 0.0
+            vals, ses = self.model.batch_alpha_c(np.array(self._levels[lo:hi]), keep)
+            for j, val, se, k in zip(members, vals, ses, keep):
+                self._alpha_c.append(float(val))
+                if se:
+                    self.alpha_c_se[j] = float(se)
+                if k:
+                    self._carry[j - 1] = (self._levels[j - 1] - val) / (1.0 - self._lams[j - 1])
+            self._frozen_batches += 1
+        return decision
 
 
 def rejection_memory(rejections) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from scipy.special import ndtr
 
 import addisgraph
 from addisgraph import gammas
-from addisgraph.core import ConflictStructure
+from addisgraph.core import ConflictStructure, check_corr_condition
 from addisgraph.engines import FwerEngine, GraphConf
 from addisgraph.errors import (
     BatchIncomplete,
@@ -34,6 +35,7 @@ from addisgraph.weights import MASS_TOL
 
 BASEL = GammaSpec.parse("basel")
 G1, G2, G3 = BASEL.value(1), BASEL.value(2), BASEL.value(3)
+CORR_ENGINE_DIGEST = "8da4dcc2d0a42cf9daa0226fdf9edab44d65d640a73b6616fc953d6cddf7ab84"
 
 
 def _mc_draws(rng, rho, k, n):
@@ -132,6 +134,53 @@ def test_corr_model_refuses_what_it_cannot_evaluate():
     CorrModel(structure=structure, samples=np.full((10, 3), 0.5))
 
 
+@pytest.mark.parametrize(
+    "lam, structure",
+    [
+        pytest.param(1.5, None, id="lambda-above-one"),
+        pytest.param(-0.1, None, id="lambda-negative"),
+        pytest.param(1.0 - 1e-7, None, id="lambda-within-min-gap-of-one"),
+        pytest.param({1: 0.1, 3: 0.1}, None, id="lambda-dict-lacks-batch-2"),
+        pytest.param(
+            0.16, ConflictStructure([frozenset()] * 4, batch_of=[1, 1, 2, 2]),
+            id="conflicts-not-batch-mates",
+        ),
+        pytest.param(
+            0.16, ConflictStructure([(), (), (1,), (2,)], batch_of=[1, 2, 1, 2]),
+            id="batch-not-consecutive",
+        ),
+        pytest.param(
+            0.16, ConflictStructure([(), (1,), (), (3,)], batch_of=[2, 2, 3, 3]),
+            id="batches-not-numbered-from-one",
+        ),
+    ],
+)
+def test_corr_model_refuses_what_the_engine_cannot_run(lam, structure):
+    """A lambda the shell refuses, a batch without a lambda, or conflict sets
+    that are not the earlier batch-mates are refused when the model is built,
+    not at a level or an observation later."""
+    structure = structure or ConflictStructure.from_batches([2, 1, 3])
+    with pytest.raises(InvalidConfig):
+        CorrModel(structure=structure, lam=lam, rho=0.5)
+
+
+def test_engine_edges_raise_package_errors():
+    """A level past the model's hypotheses is a DomainError, and a snapshot is
+    refused, as for a custom gamma: the format has no place for the model."""
+    e = _corr_engine([2, 2])
+    for i in (1, 2):
+        e.level(i)
+        e.observe(i, 0.5)
+    e.level(3)
+    e.level(4)
+    with pytest.raises(DomainError):
+        e.level(5)
+    with pytest.raises(InvalidConfig):
+        e.snapshot()
+    with pytest.raises(InvalidConfig):
+        e.snapshot_json()
+
+
 def test_engine_alpha_c_is_the_kernel_per_member():
     """A frozen batch's joint tails are alpha_c_gaussian of each member over
     the levels of its batch's earlier non-candidates."""
@@ -154,9 +203,7 @@ def test_singleton_batches_match_graph_conf_tau_one():
     corr = _corr_engine([1] * 20)
     ref = GraphConf(alpha=0.2, tau=1.0, lam=0.16)
     for i in range(1, 21):
-        a = corr.level(i)
-        b = ref.level(i)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert corr.level(i) == ref.level(i)
         corr.observe(i, float(p[i - 1]))
         ref.observe(i, float(p[i - 1]))
 
@@ -255,6 +302,68 @@ def test_alpha_c_frozen_at_batch_completion():
     e.observe(3, 0.4)
     e.level(4)
     assert [e.ledger.entries[0].alpha_c, e.ledger.entries[1].alpha_c] == frozen
+
+
+def _corr_session_lines(model, alpha, gamma, seed):
+    """Drive one engine through random calls, in-order levels (refused ones
+    included) and observations in random order within and across batches,
+    and return every outcome, every level, alpha_c and SE as ``float.hex``,
+    and the certificate, as text lines."""
+    rng = np.random.default_rng(seed)
+    n = model.structure.n
+    p = rng.uniform(size=n) ** 2
+    e = AdaptiveGraphCorr(model, alpha=alpha, gamma=gamma)
+    lines = []
+    pending = []
+    while e.issued < n or pending:
+        if e.issued < n and (not pending or rng.random() < 0.5):
+            i = e.issued + 1
+            try:
+                lines.append(f"L {i} {e.level(i).hex()}")
+            except BatchIncomplete:
+                lines.append(f"L {i} refused")
+                continue
+            pending.append(i)
+        else:
+            j = pending.pop(int(rng.integers(len(pending))))
+            ind, reject = e.observe(j, float(p[j - 1]))
+            lines.append(f"P {j} {ind.c} {int(reject)}")
+    for entry in e.ledger.entries:
+        lines.append(f"E {entry.index} {entry.batch} {entry.level.hex()} {entry.alpha_c.hex()}")
+    lines.extend(f"SE {j} {se.hex()}" for j, se in sorted(e.alpha_c_se.items()))
+    report = check_corr_condition(e.ledger, model.lambda_by_batch(), alpha)
+    lines.append(f"R {report.passed} {report.max_spend.hex()} {report.worst_index}")
+    return lines
+
+
+@pytest.mark.filterwarnings("ignore:issued level:RuntimeWarning")
+def test_engine_bits_are_pinned():
+    """Levels, joint tails, their SEs and the certificate of the batch
+    correlation engine, hashed as ``float.hex`` over fixed seeds: the rho model
+    from independence to rho = 0.999, a lambda per batch, another gamma and a
+    model of joint null draws, with observations out of order and refused
+    levels.  The digest was recorded before the engine moved onto the shell."""
+    rng = np.random.default_rng(2024)
+    lines = []
+    for seed in range(8):
+        sizes = rng.integers(1, 6, size=5).tolist()
+        structure = ConflictStructure.from_batches(sizes)
+        lam_by_batch = {b: float(rng.uniform(0.02, 0.5)) for b in range(1, 6)}
+        draws = _mc_draws(rng, 0.5, max(sizes), 2000)
+        models = [
+            (CorrModel(structure=structure, rho=rho), 0.2, "basel")
+            for rho in (0.0, 0.3, 0.95, 0.999)
+        ] + [
+            (CorrModel(structure=structure, lam=lam_by_batch, rho=0.6), 0.3, "basel"),
+            (CorrModel(structure=structure, lam=0.1, rho=0.4), 0.2, "geometric:0.6"),
+            (CorrModel(structure=structure, lam=lam_by_batch, samples=draws), 0.2, "basel"),
+        ]
+        for k, (model, alpha, gamma) in enumerate(models):
+            lines.append(f"# seed {seed} model {k}")
+            lines.extend(_corr_session_lines(model, alpha, gamma, 100 * seed + k))
+    text = "\n".join(lines)
+    assert text.count("refused") > 20
+    assert hashlib.sha256(text.encode()).hexdigest() == CORR_ENGINE_DIGEST
 
 
 def test_corr_model_from_sample_file(tmp_path):
