@@ -17,12 +17,14 @@ import numpy as np
 from .errors import (
     DomainError,
     IncompleteLedger,
+    InvalidConfig,
     MissingAlphaC,
     NonContiguousSuffix,
     NonMonotoneConflicts,
 )
 
 DEFAULT_TOL = 1e-10
+MIN_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,15 @@ class Indicators:
 
 # Indicators are immutable, so each of the six possible triples is built once.
 _TRIPLES = {(s, c, r): Indicators(s, c, r) for s in (0, 1) for c in range(s + 1) for r in (0, 1)}
+
+
+def check_gap(tau: float, lam: float) -> None:
+    """Raise ``InvalidConfig`` unless ``0 < tau <= 1`` and ``0 <= lam < tau``
+    with ``tau - lam >= MIN_GAP``: the thresholds every budget divides by."""
+    if not 0.0 < tau <= 1.0:
+        raise InvalidConfig(f"tau must lie in (0,1], got {tau}")
+    if not 0.0 <= lam < tau or tau - lam < MIN_GAP:
+        raise InvalidConfig(f"need lambda in [0, tau) with gap >= {MIN_GAP}")
 
 
 def compute_indicators(p: float, tau: float, lam: float, alpha: float) -> Indicators:
@@ -135,6 +146,51 @@ def check_monotone_step(sets, i: int, x) -> None:
             raise NonMonotoneConflicts(j, k, i)
 
 
+def _suffix(i: int, conflicts) -> range | None:
+    """``range(lo, i)`` when ``conflicts`` is that range, or a list of
+    ``lo .. i-1`` in increasing order; None otherwise."""
+    if type(conflicts) is range:
+        if conflicts.stop == i and conflicts.step == 1 and conflicts.start <= i:
+            return conflicts
+    elif type(conflicts) is list:
+        lo = i - len(conflicts)
+        if conflicts == list(range(lo, i)):
+            return range(lo, i)
+    return None
+
+
+def declare_conflicts(sets, i: int, conflicts) -> range | frozenset[int]:
+    """Check the conflict set ``X_i`` against ``sets`` (``X_1 .. X_{i-1}``,
+    already declared) and return it; mutates nothing.
+
+    Every member must lie in ``[1, i-1]`` (else ``DomainError``) and the
+    family must stay monotone (see :func:`check_monotone_step`).  A
+    contiguous suffix ``{lo .. i-1}`` comes back as ``range(lo, i)``; given
+    as such a range or as an in-order list, its range and monotonicity
+    checks cost O(1).  Any other set is a frozenset, checked member by
+    member.
+    """
+    x = _suffix(i, conflicts)
+    if x is not None:
+        if x.start < 1:
+            raise DomainError(f"conflict set of {i} contains out-of-range indices")
+        if x.start < i - 1:
+            prev = sets[i - 2]
+            if type(prev) is not range or x.start < prev.start:
+                # the frozenset the set would have been, whose iteration
+                # order picks the member reported
+                check_monotone_step(sets, i, frozenset(x))
+        return x
+    x = frozenset(conflicts)
+    if any(not 1 <= j < i for j in x):
+        raise DomainError(f"conflict set of {i} contains out-of-range indices")
+    check_monotone_step(sets, i, x)
+    suffix = range(i - len(x), i)
+    if x and x != frozenset(suffix):
+        return x
+    return suffix
+
+
 def validate_conflicts(structure: ConflictStructure, lag_form: bool = False) -> ConflictStructure:
     """Check monotonicity and derive lags where the sets are contiguous suffixes.
 
@@ -145,37 +201,22 @@ def validate_conflicts(structure: ConflictStructure, lag_form: bool = False) -> 
 
     Every member of ``X_i`` must be an earlier index in ``[1, i-1]``; the
     first set holding another index raises ``DomainError`` before the
-    monotonicity pass.  Monotonicity holds iff ``X_i \\ {i-1}`` is a subset
-    of ``X_{i-1}`` for every ``i`` (see :func:`check_monotone_step`), which
-    costs O(sum |X_i|).
+    monotonicity pass.  That pass declares the sets in order through
+    :func:`declare_conflicts`, the check an engine runs on each level
+    request, in O(sum |X_i|).
     """
     sets = structure.conflict_sets
-    n = structure.n
-    for i in range(1, n + 1):
+    for i in range(1, structure.n + 1):
         bad = [j for j in sets[i - 1] if not 1 <= j < i]
         if bad:
             raise DomainError(
                 f"conflict set of {i} contains index {min(bad)} outside [1, {i - 1}]"
             )
-    for i in range(2, n + 1):
-        check_monotone_step(sets, i, sets[i - 1])
-    lags = []
-    contiguous = True
-    for i in range(1, n + 1):
-        s = sets[i - 1]
-        lag = len(s)
-        if s and s != frozenset(range(i - lag, i)):
-            contiguous = False
-            break
-        lags.append(lag)
-    if contiguous:
-        for i in range(n - 1):
-            if lags[i + 1] > lags[i] + 1:
-                # cannot happen for monotone sets, kept as a safety net
-                contiguous = False
-                break
-    if contiguous:
-        structure.lags = tuple(lags)
+    held: list[range | frozenset[int]] = []
+    for i, x in enumerate(sets, start=1):
+        held.append(declare_conflicts(held, i, x))
+    if all(type(x) is range for x in held):
+        structure.lags = tuple(len(x) for x in held)
     elif lag_form:
         raise NonContiguousSuffix("conflict sets are not contiguous suffixes")
     return structure
@@ -208,7 +249,8 @@ class TrajectoryLedger:
     """Ordered record of a realized trajectory, consumed by the checkers.
 
     Entries must arrive with gap-free consecutive 1-based indices.  Indicators
-    may be attached later (asynchronous observation) via :meth:`record`.
+    may be attached later (asynchronous observation) by setting an entry's
+    ``indicators``.
     """
 
     def __init__(self):
@@ -222,9 +264,6 @@ class TrajectoryLedger:
         if entry.index != expected:
             raise DomainError(f"ledger expected index {expected}, got {entry.index}")
         self.entries.append(entry)
-
-    def record(self, index: int, indicators: Indicators) -> None:
-        self.entries[index - 1].indicators = indicators
 
     def _require_complete(self) -> None:
         missing = [e.index for e in self.entries if e.indicators is None]

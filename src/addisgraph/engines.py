@@ -21,12 +21,16 @@ record per index (conflict set, issued level, tau, lambda) and one per
 observation (index, p-value, and how many levels had been issued when it
 arrived); no ledger entry, indicator object or event list is built per
 request.
-A conflict set that is a contiguous suffix ``{lo .. i-1}`` is held as
-``range(lo, i)`` and checked in O(1).  ``engine.ledger`` is a read-only
-ledger view of these rows.  The versioned snapshot is the configuration
-plus the accepted calls in arrival order, rebuilt from the records; restore
-replays them, so behavior after a round-trip is bit-identical by
-construction.
+The input rules live in :mod:`.core`: a conflict set is checked by
+:func:`.core.declare_conflicts`, the rule that
+:func:`.core.validate_conflicts` folds over a whole structure, and each
+(tau, lambda) pair by :func:`.core.check_gap`.  A conflict set that is a
+contiguous suffix ``{lo .. i-1}`` is held as ``range(lo, i)`` and checked
+in O(1); the engine adds only the refusal of non-suffix sets by the kinds
+that need lags.  ``engine.ledger`` is a read-only ledger view of these
+rows.  The versioned snapshot is the configuration plus the accepted calls
+in arrival order, rebuilt from the records; restore replays them, so
+behavior after a round-trip is bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ from .core import (
     ConflictStructure,
     Indicators,
     LedgerEntry,
-    check_monotone_step,
+    check_gap,
     compute_indicators,
+    declare_conflicts,
 )
 from .errors import (
     DomainError,
@@ -58,8 +63,6 @@ from .errors import (
 )
 from .gammas import GammaSpec
 from .weights import Closure, HeldMass, IncrementalRenormalizer, ShiftedGamma, WeightRule
-
-MIN_GAP = 1e-6
 
 
 class FwerEngine:
@@ -81,7 +84,7 @@ class FwerEngine:
         self.alpha = alpha
         self.tau = tau
         self.lam = lam
-        self._check_gap(tau, lam)
+        check_gap(tau, lam)
         self.gamma = GammaSpec.parse(gamma) if isinstance(gamma, str) else gamma
         self.structure = structure
         self.issued = 0
@@ -107,13 +110,6 @@ class FwerEngine:
         # Running sum of S - C over the longest observed prefix (entry k: 1..k).
         self._spent = [0]
 
-    @staticmethod
-    def _check_gap(tau: float, lam: float) -> None:
-        if not 0.0 < tau <= 1.0:
-            raise InvalidConfig(f"tau must lie in (0,1], got {tau}")
-        if not 0.0 <= lam < tau or tau - lam < MIN_GAP:
-            raise InvalidConfig(f"need lambda in [0, tau) with gap >= {MIN_GAP}")
-
     @property
     def ledger(self) -> "RowLedger":
         """The trajectory so far, read from the rows."""
@@ -134,7 +130,7 @@ class FwerEngine:
         tau_i = self.tau if tau is None else tau
         lam_i = self.lam if lam is None else lam
         if tau is not None or lam is not None:  # the configured pair was checked in __init__
-            self._check_gap(tau_i, lam_i)
+            check_gap(tau_i, lam_i)
         x = self._declare_conflicts(i, conflicts)
         # plain floats, so that the stream's full-precision repr is a number
         propagated = float(self._compute_level(i, x, tau_i, lam_i))
@@ -192,45 +188,22 @@ class FwerEngine:
     # -- conflict bookkeeping ----------------------------------------------
 
     def _declare_conflicts(self, i: int, conflicts) -> range | frozenset[int]:
-        """Check the conflict set of i and return it; mutates nothing.
-
-        A contiguous suffix ``{lo .. i-1}`` comes back as ``range(lo, i)``
-        and costs O(1) to check; any other set is a frozenset, checked
-        member by member.
-        """
+        """The conflict set of i, inline or from the structure, checked by
+        :func:`.core.declare_conflicts`; mutates nothing."""
         if conflicts is None:
             structure = self.structure
             if structure is None or i > structure.n:
-                x = range(i, i)
+                conflicts = range(i, i)
             elif structure.lags is not None:
-                x = range(i - structure.lags[i - 1], i)
+                conflicts = range(i - structure.lags[i - 1], i)
             else:
-                x = structure.conflict_set(i)
-        else:
-            x = _suffix(i, conflicts)
-            if x is None:
-                x = frozenset(conflicts)
-        if type(x) is range:
-            if x.start < 1:
-                raise DomainError(f"conflict set of {i} contains out-of-range indices")
-            if x.start < i - 1:
-                prev = self._sets[i - 2]
-                if type(prev) is not range or x.start < prev.start:
-                    # the frozenset the set would have been, whose iteration
-                    # order picks the member reported
-                    check_monotone_step(self._sets, i, frozenset(x))
-            return x
-        if any(not 1 <= j < i for j in x):
-            raise DomainError(f"conflict set of {i} contains out-of-range indices")
-        check_monotone_step(self._sets, i, x)
-        suffix = range(i - len(x), i)
-        if x and x != frozenset(suffix):
-            if self.needs_lag_form:
-                raise NonContiguousSuffix(
-                    f"{self.kind} requires contiguous-suffix conflict sets; got {sorted(x)} at {i}"
-                )
-            return x
-        return suffix
+                conflicts = structure.conflict_set(i)
+        x = declare_conflicts(self._sets, i, conflicts)
+        if type(x) is not range and self.needs_lag_form:
+            raise NonContiguousSuffix(
+                f"{self.kind} requires contiguous-suffix conflict sets; got {sorted(x)} at {i}"
+            )
+        return x
 
     # -- helpers over recorded state ---------------------------------------
 
@@ -352,19 +325,6 @@ class FwerEngine:
                 _, i, p = ev
                 engine.observe(i, p)
         return engine
-
-
-def _suffix(i: int, conflicts) -> range | None:
-    """``range(lo, i)`` when ``conflicts`` is that range, or a list of
-    ``lo .. i-1`` in increasing order; None otherwise."""
-    if type(conflicts) is range:
-        if conflicts.stop == i and conflicts.step == 1 and conflicts.start <= i:
-            return conflicts
-    elif type(conflicts) is list:
-        lo = i - len(conflicts)
-        if conflicts == list(range(lo, i)):
-            return range(lo, i)
-    return None
 
 
 class RowLedger(Sequence):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConflictStructure, Indicators
+from .core import ConflictStructure, Indicators, check_gap
 from .engines import ENGINE_KINDS, FwerEngine, GraphConf
 from .errors import (
     BatchIncomplete,
@@ -96,7 +96,7 @@ class CorrModel:
         for b in range(1, len(batches) + 1):
             if isinstance(self.lam, dict) and b not in self.lam:
                 raise InvalidConfig(f"no lambda given for batch {b}")
-            FwerEngine._check_gap(1.0, self.lambda_for(b))  # tau = 1
+            check_gap(1.0, self.lambda_for(b))  # tau = 1
         if self.rho is not None:
             corr_nodes(self.rho)  # refuses a correlation the quadrature cannot resolve
         elif self.samples is None:

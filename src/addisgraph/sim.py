@@ -29,7 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import EmptyOutcomeSet, InvalidConfig
+from .core import check_gap
+from .errors import EmptyOutcomeSet, InvalidConfig, InvalidW0
 from .gammas import GammaSpec
 from .weights import Closure, HeldMass, JointTail, corr_nodes, renorm_table
 
@@ -85,8 +86,15 @@ class SimConfig:
             raise InvalidConfig("seed must be a nonnegative integer")
         if self.e is not None and (self.e < 0 or self.b != 1):
             raise InvalidConfig("asynchronous duration e needs e >= 0 and batch size 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidConfig(f"alpha must lie in (0,1), got {self.alpha}")
         if self.procedure == "adaptive-graph-corr":
+            check_gap(1.0, self.lam)  # the runner tests at tau = 1, as CorrModel does
             corr_nodes(self.rho)  # a rho the joint tail cannot resolve fails here, before any work
+        else:
+            check_gap(self.tau, self.lam)
+        if self.procedure == "fdr-graph" and self.w0 is not None and not 0.0 < self.w0 <= self.alpha:
+            raise InvalidW0(f"starting wealth must lie in (0, alpha], got {self.w0}")
 
     @property
     def gamma_spec(self) -> GammaSpec:
@@ -433,12 +441,19 @@ def run_config(config: SimConfig, data=None) -> TrialSet:
 # grids
 
 
-def expand_grid(base: SimConfig, **lists) -> list[SimConfig]:
-    """Cross product of list-valued overrides, in deterministic order."""
-    configs = [base]
+def _points(lists: dict) -> list[dict]:
+    """Cross product of list-valued overrides, in deterministic order: the
+    values of the last key vary fastest."""
+    points = [{}]
     for key, values in lists.items():
-        configs = [replace(c, **{key: v}) for c in configs for v in values]
-    return configs
+        points = [{**pt, key: v} for pt in points for v in values]
+    return points
+
+
+def expand_grid(base: SimConfig, **lists) -> list[SimConfig]:
+    """Cross product of list-valued overrides, in deterministic order; only
+    the full grid points are checked, not the partial overrides."""
+    return [replace(base, **pt) for pt in _points(lists)]
 
 
 _GRID_KEYS = {
@@ -491,8 +506,7 @@ def parse_grid_file(path) -> list[SimConfig]:
                 single[key] = values[0]
             else:
                 multi[key] = values
-    base = SimConfig(**single)
-    return expand_grid(base, **multi)
+    return [SimConfig(**single, **pt) for pt in _points(multi)]
 
 
 def run_grid(configs, csv_path=None, threads: int = 1) -> list[MetricsRow]:
@@ -508,21 +522,18 @@ def run_grid(configs, csv_path=None, threads: int = 1) -> list[MetricsRow]:
         return (c.n, c.b, c.rho, c.pi_a, c.mu_n, c.trials, c.seed)
 
     def run_one(c: SimConfig) -> MetricsRow:
+        return run_config(c, data=data_cache[data_key(c)]).metrics()
+
+    # filled in grid order before any point runs, so workers only read it
+    for c in configs:
         key = data_key(c)
         if key not in data_cache:
             data_cache[key] = generate_data(c)
-        return run_config(c, data=data_cache[key]).metrics()
-
     if threads > 1:
-        # prefill the cache sequentially so workers only read it
-        for c in configs:
-            key = data_key(c)
-            if key not in data_cache:
-                data_cache[key] = generate_data(c)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(run_one, configs))
     else:
-        rows = [run_one(c) for c in configs]
+        rows = list(map(run_one, configs))
 
     if csv_path is not None:
         write_csv(rows, csv_path)

@@ -23,7 +23,7 @@ import os
 import re
 
 from .engines import FwerEngine
-from .errors import AddisGraphError, DuplicateObservation, ProtocolError, UnknownIndex
+from .errors import AddisGraphError, ProtocolError
 
 
 class StreamSession:
@@ -41,10 +41,6 @@ class StreamSession:
             return self._dispatch(line.strip())
         except ProtocolError as exc:
             return f"ERR {exc.code} {exc.detail}"
-        except UnknownIndex as exc:
-            return f"ERR unknown-index {exc}"
-        except DuplicateObservation as exc:
-            return f"ERR duplicate-observation {exc}"
         except AddisGraphError as exc:
             code = re.sub(r"(?<=[a-z])(?=[A-Z])", "-", type(exc).__name__).lower()
             return f"ERR {code} {exc}"

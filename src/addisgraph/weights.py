@@ -53,20 +53,6 @@ QUAD_SPAN = 8.0
 NDTR_ONE = 8.292361075813597  # the least double x with ndtr(x) == 1.0; 1.0 at every larger x
 
 
-def lemma1_base_weight(spec: GammaSpec, t_j: int, j: int, i: int) -> float:
-    """Base weight (gamma_{t+i-j-1} - gamma_{t+i-j}) / gamma_t for one pair."""
-    if i <= j:
-        raise InvalidSpec("base weights are defined for targets i > j")
-    if t_j < 1:
-        raise InvalidSpec("spending counter t(j) must be >= 1")
-    k = t_j + i - j
-    vals = spec.values(k)
-    num = vals[k - 2] - vals[k - 1]
-    if num < 0.0:
-        raise NonMonotoneGamma("negative weight: gamma sequence is not nonincreasing")
-    return float(num / vals[t_j - 1])
-
-
 def lemma1_row(spec: GammaSpec, t_j: int, length: int) -> np.ndarray:
     """Vector of base weights for targets j+1 .. j+length at counter t_j."""
     vals = spec.values(t_j + length)

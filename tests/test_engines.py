@@ -3,8 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from addisgraph.core import check_fdr_condition, check_fwer_condition
+from addisgraph.core import (
+    ConflictStructure,
+    check_fdr_condition,
+    check_fwer_condition,
+    validate_conflicts,
+)
 from addisgraph.engines import (
     ENGINE_KINDS,
     ClosedGraph,
@@ -182,6 +189,63 @@ def test_inline_non_monotone_conflicts_are_named(kind):
     assert exc.value.triple == (1, 3, 4)
     assert e.issued == 3
     e.level(4, conflicts=(3,))
+
+
+def _lag_sets(lags):
+    lags = [min(lag, i) for i, lag in enumerate(lags)]
+    for i in range(1, len(lags)):  # monotone sets: a lag grows by at most one
+        lags[i] = min(lags[i], lags[i - 1] + 1)
+    return [frozenset(range(i - lag, i)) for i, lag in enumerate(lags, start=1)]
+
+
+def _batch_sets(sizes):
+    return list(ConflictStructure.from_batches(sizes).conflict_sets)
+
+
+def _finish_time_sets(delays):
+    # j is in X_i iff j < i <= e_j; delays that shrink leave gaps in the sets
+    finish = [i + d for i, d in enumerate(delays, start=1)]
+    n = len(finish)
+    return [frozenset(j for j in range(1, i) if finish[j - 1] >= i) for i in range(1, n + 1)]
+
+
+def _any_sets(masks):
+    # subsets of the earlier indices, mostly not monotone
+    return [frozenset(j for j in range(1, i) if m >> (j - 1) & 1) for i, m in enumerate(masks, 1)]
+
+
+CONFLICT_FAMILIES = st.one_of(
+    st.lists(st.integers(0, 5), min_size=1, max_size=20).map(_lag_sets),
+    st.lists(st.integers(1, 5), min_size=1, max_size=6).map(_batch_sets),
+    st.lists(st.integers(0, 6), min_size=1, max_size=20).map(_finish_time_sets),
+    st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=12).map(_any_sets),
+)
+
+
+@given(CONFLICT_FAMILIES)
+@settings(max_examples=300, deadline=None)
+def test_structure_and_engine_share_the_conflict_rule(sets):
+    """validate_conflicts and an engine fed the same sets inline agree: lags
+    exactly when every held set is a range, and the same non-monotone triple."""
+    try:
+        structure = validate_conflicts(ConflictStructure(sets))
+        expected = None
+    except NonMonotoneConflicts as exc:
+        expected = exc.triple
+    e = make_engine("graph-conf")
+    try:
+        for i, x in enumerate(sets, start=1):
+            e.level(i, conflicts=sorted(x))
+            for j in sorted(e._pending):
+                e.observe(j, 0.5)
+    except NonMonotoneConflicts as exc:
+        assert exc.triple == expected
+        assert e.issued == exc.triple[2] - 1
+        return
+    assert expected is None
+    assert (structure.lags is not None) == all(type(x) is range for x in e._sets)
+    if structure.lags is not None:
+        assert structure.lags == tuple(len(x) for x in e._sets)
 
 
 def test_observe_requires_issued_level():

@@ -271,6 +271,21 @@ def test_non_candidate_gains_joint_tail_mass():
     assert a2 == pytest.approx(expected, rel=1e-12)
 
 
+def test_non_candidate_surplus_enters_later_levels():
+    # batch {1, 2}: 1 is accepted, so 2's joint tail falls short of its level
+    # and the non-candidate 2 passes the surplus alpha_2 - alpha_2^c to 3
+    e = _corr_engine([2, 1])
+    lam = 0.16
+    e.level(1)
+    a2 = e.level(2)
+    e.observe(2, 0.9)
+    e.observe(1, 0.5)
+    a3 = e.level(3)
+    a2c = e.ledger.entries[1].alpha_c
+    assert a2c < a2
+    assert a3 == (1 - lam) * (0.2 * G3 + G1 * (a2 - a2c) / (1 - lam))
+
+
 def test_corr_dominates_candidate_only_recycling():
     rng = np.random.default_rng(3)
     p = rng.uniform(size=24) ** 1.5

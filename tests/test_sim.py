@@ -15,7 +15,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
 from addisgraph.engines import make_engine
-from addisgraph.errors import DegenerateRenormalization, DomainError, EmptyOutcomeSet, InvalidConfig
+from addisgraph.errors import (
+    DegenerateRenormalization,
+    DomainError,
+    EmptyOutcomeSet,
+    InvalidConfig,
+    InvalidW0,
+)
 from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
 from addisgraph.core import ConflictStructure
 from addisgraph.gammas import GammaSpec
@@ -61,6 +67,52 @@ def test_config_validation():
         SimConfig(mu_n=0.5)
     with pytest.raises(InvalidConfig):
         SimConfig(e=2, b=5)  # asynchrony only with singleton batches
+
+
+def _engine_for(procedure="graph-conf-u", alpha=0.2, tau=0.8, lam=0.16, w0=None):
+    """The live counterpart of a grid point's procedure and thresholds."""
+    if procedure == "adaptive-graph-corr":
+        return AdaptiveGraphCorr(
+            CorrModel(ConflictStructure.from_batches([2]), lam=lam, rho=0.5), alpha=alpha
+        )
+    if procedure == "fdr-graph":
+        return FdrGraph(alpha=alpha, tau=tau, lam=lam, w0=w0)
+    return make_engine(procedure, alpha=alpha, tau=tau, lam=lam)
+
+
+@pytest.mark.parametrize(
+    "inputs, error",
+    [
+        ({"tau": 0.1, "lam": 0.16}, InvalidConfig),
+        ({"lam": -0.2}, InvalidConfig),
+        ({"tau": 1.5}, InvalidConfig),
+        ({"alpha": 1.5}, InvalidConfig),
+        ({"alpha": 0.0}, InvalidConfig),
+        ({"procedure": "adaptive-graph-corr", "lam": 1.0}, InvalidConfig),
+        ({"procedure": "fdr-graph", "w0": 0.5}, InvalidW0),
+        ({"procedure": "fdr-graph", "w0": 0.0}, InvalidW0),
+    ],
+)
+def test_config_refuses_what_the_engines_refuse(tmp_path, inputs, error):
+    with pytest.raises(error):
+        _engine_for(**inputs)
+    with pytest.raises(error):
+        SimConfig(n=20, trials=20, **inputs)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("n = 20\ntrials = 20\n" + "".join(f"{k} = {v}\n" for k, v in inputs.items()))
+    with pytest.raises(error):
+        parse_grid_file(grid)
+
+
+def test_config_checks_thresholds_at_the_procedure_tau(tmp_path):
+    # the correlation runner tests at tau = 1, whatever tau the grid gives
+    SimConfig(procedure="adaptive-graph-corr", lam=0.9)
+    _engine_for(procedure="adaptive-graph-corr", lam=0.9)
+    SimConfig(procedure="fdr-graph", alpha=0.05, w0=0.05)
+    # only full grid points are checked: lambda 0.85 needs the listed taus
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("lambda = 0.85\ntau = 0.9, 1.0\n")
+    assert [(c.tau, c.lam) for c in parse_grid_file(grid)] == [(0.9, 0.85), (1.0, 0.85)]
 
 
 def test_lag_profiles():

@@ -21,7 +21,6 @@ from addisgraph.weights import (
     ShiftedGamma,
     corr_nodes,
     gauss_legendre,
-    lemma1_base_weight,
     lemma1_row,
     renorm_table,
 )
@@ -46,12 +45,6 @@ def test_lemma1_row_telescopes_to_one(t_j):
         1.0 - BASEL.value(t_j + 4000) / BASEL.value(t_j), rel=1e-12
     )
     assert np.all(row >= 0)
-
-
-def test_lemma1_base_weight_matches_row():
-    row = lemma1_row(BASEL, 3, 10)
-    for i in range(1, 11):
-        assert lemma1_base_weight(BASEL, 3, 5, 5 + i) == pytest.approx(row[i - 1], abs=0)
 
 
 def test_shifted_gamma_rule():
