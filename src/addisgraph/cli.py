@@ -51,7 +51,10 @@ def _add_replay(sub) -> None:
     p = sub.add_parser("replay", help="replay a recorded study file")
     p.add_argument("--study", required=True, help="study file path")
     p.add_argument("--procedure", choices=("graph", "spending"), default="graph")
-    p.add_argument("--q", type=float, default=0.6, help="geometric seed-sequence ratio")
+    p.add_argument(
+        "--q", type=float, default=None,
+        help="geometric seed-sequence ratio (default: the study file's, else 0.6)",
+    )
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)

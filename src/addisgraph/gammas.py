@@ -56,7 +56,7 @@ class GammaSpec:
 
     def __post_init__(self):
         if self.kind == "power":
-            if self.s is None or self.s <= 1.0:
+            if self.s is None or not self.s > 1.0:  # NaN fails too
                 raise InvalidSpec(f"power spec needs exponent s > 1, got {self.s}")
         elif self.kind == "geometric":
             if self.q is None or not 0.0 < self.q < 1.0:
@@ -120,16 +120,19 @@ class GammaSpec:
 
     @classmethod
     def parse(cls, text: str) -> "GammaSpec":
-        """Parse strings like ``basel``, ``logq``, ``power:1.6``, ``geometric:0.6``."""
-        parts = text.strip().split(":")
-        kind = parts[0]
-        if kind in ("basel", "logq"):
+        """Parse ``basel``, ``logq``, ``power:<s>`` or ``geometric:<q>``; any
+        other text, a non-numeric parameter included, raises ``InvalidSpec``."""
+        kind, *params = text.strip().split(":")
+        if kind in ("basel", "logq") and not params:
             return cls(kind=kind)
-        if kind == "power":
-            return cls(kind="power", s=float(parts[1]))
-        if kind == "geometric":
-            return cls(kind="geometric", q=float(parts[1]))
-        raise InvalidSpec(f"cannot parse gamma spec {text!r}")
+        name = {"power": "s", "geometric": "q"}.get(kind)
+        if name is None or len(params) != 1:
+            raise InvalidSpec(f"cannot parse gamma spec {text!r}")
+        try:
+            value = float(params[0])
+        except ValueError:
+            raise InvalidSpec(f"gamma spec {text!r}: {params[0]!r} is not a number") from None
+        return cls(kind=kind, **{name: value})
 
 
 # Tail sums by (spec, m), each the value _tail_sum gives afresh; a stream

@@ -95,6 +95,7 @@ class SimConfig:
             check_gap(self.tau, self.lam)
         if self.procedure == "fdr-graph" and self.w0 is not None and not 0.0 < self.w0 <= self.alpha:
             raise InvalidW0(f"starting wealth must lie in (0, alpha], got {self.w0}")
+        GammaSpec.parse(self.gamma)  # a malformed gamma fails here, before any work
 
     @property
     def gamma_spec(self) -> GammaSpec:
@@ -296,7 +297,9 @@ def levels_adaptive_corr(
 
 
 def compute_levels(config: SimConfig, p: np.ndarray) -> np.ndarray:
-    """Dispatch to the vectorized runner for the configured procedure."""
+    """Dispatch to the vectorized runner for the configured procedure.
+    Known fault: ``fdr-graph`` takes its conflicts from ``e`` alone, so at
+    b > 1 batch-mates do not conflict (pinned by the benchmark digests)."""
     spec = config.gamma_spec
     lags = config.lags()
     a, t, l = config.alpha, config.tau, config.lam

@@ -7,6 +7,7 @@ Study file format (line-oriented text, ``#`` comments):
     alpha = 0.05
     tau = 0.8
     lambda = 0.3
+    q = 0.6
     # one line per hypothesis, in entry order
     T1 enter=1 exit=10 p=0.002
     T2 enter=2 exit=11 p=NA
@@ -120,6 +121,9 @@ class ReplayStudy:
         hyps.sort(key=lambda h: h.index)
         if [h.index for h in hyps] != list(range(1, len(hyps) + 1)):
             raise InvalidConfig("hypothesis indices must be consecutive from T1")
+        for idx in sorted(overrides):
+            if not 1 <= idx <= len(hyps):
+                raise InvalidConfig(f"conflicts override for T{idx}: the study has no such arm")
         sets = []
         for i, h in enumerate(hyps, start=1):
             if i in overrides:
@@ -169,7 +173,7 @@ def _generalized_spending_levels(sets, p, alpha, tau, lam, spec: GammaSpec) -> n
 def replay_study(
     study: ReplayStudy,
     procedure: str = "graph",
-    q: float = 0.6,
+    q: float | None = None,
     alpha: float | None = None,
     tau: float | None = None,
     lam: float | None = None,
@@ -178,8 +182,10 @@ def replay_study(
 
     ``procedure`` is ``"graph"`` (conflict-renormalized recycling graph) or
     ``"spending"`` (generalized locally shifted spending); the seed sequence
-    is geometric with ratio ``q``.
+    is geometric with ratio ``q``.  ``q``, ``alpha``, ``tau`` and ``lam``
+    fall back to the study file's defaults, then to 0.6, 0.05, 0.8 and 0.3.
     """
+    q = study.defaults.get("q", 0.6) if q is None else q
     alpha = study.defaults.get("alpha", 0.05) if alpha is None else alpha
     tau = study.defaults.get("tau", 0.8) if tau is None else tau
     lam = study.defaults.get("lam", 0.3) if lam is None else lam

@@ -16,12 +16,12 @@ The renormalization rule lives here alone.  Source ``j`` is blocked for the
 targets ``j+1 .. d_j - 1``, ``d_j`` its first clear target; its surviving
 weights are ``g[j, i] / D_j`` for ``i >= d_j``, with ``D_j`` the unblocked
 tail ``sum_{k >= d_j} g[j, k]`` itself, never ``1 - blocked``, which cancels
-on steep rows.  An empty blocked prefix keeps the base row (``D_j = 1``),
-and a row with ``D_j <= MASS_TOL`` is degenerate and gets zero weights.  For
-a rule whose rows hold less than one, ``D_j`` scales the surviving row to
-total one.  :class:`IncrementalRenormalizer` applies the rule online, to
-any base rule; :func:`renorm_table` tabulates it for shifted gamma and
-lag-form conflicts.
+on steep rows.  A row with ``D_j <= MASS_TOL`` is degenerate and gets zero
+weights; a rule whose rows hold less than one is scaled to total one.
+:class:`IncrementalRenormalizer` applies the rule online, to any base rule,
+with ``D_j = 1`` on an empty blocked prefix; :func:`renorm_table` tabulates
+it for shifted gamma and lag-form conflicts, with ``spec.tail_sum(0)``
+there, one only up to rounding (1 + 4.4e-16 for ``power:1.6``).
 
 Each shared kernel keeps the trial axis first, and a live engine drives it
 with one trial: :class:`HeldMass` (``graph-conf-u``), :class:`Closure` (the
@@ -530,92 +530,9 @@ class JointTail:
 
 
 class Alg1Columns:
-    """Incremental, pull-based evaluation of the reroute-adjusted weights.
-
-    Produces the columns g*[j, i] = g[j, i] + sum_{m < c_i} g-[j, m] g[m, i]
-    of the reroute recursion (see :class:`HeldMass`), but only ever
-    consumes indicator feedback for indices outside the requesting target's
-    conflict set, which is what a live engine can legally know.  Capacity
-    grows on demand so no horizon needs declaring up front.  The live engine
-    does not use it (it drives :class:`HeldMass`); tests keep it as a
-    reference.
-    """
-
-    def __init__(self, spec: GammaSpec, capacity: int = 64):
-        self.spec = spec
-        self.cap = capacity
-        self.u = np.full(capacity + 1, -1, dtype=np.int64)
-        self.lags = np.zeros(capacity + 1, dtype=np.int64)
-        self.g = np.zeros((capacity + 1, capacity + 1))
-        self.gm = np.zeros((capacity + 1, capacity + 1))
-        self._row_done = np.zeros(capacity + 1, dtype=bool)
-        self._gm_done = 0  # gminus columns resolved through this index
-
-    def _grow(self, need: int) -> None:
-        while self.cap < need:
-            self.cap *= 2
-        newg = np.zeros((self.cap + 1, self.cap + 1))
-        newg[: self.g.shape[0], : self.g.shape[1]] = self.g
-        self.g = newg
-        newgm = np.zeros((self.cap + 1, self.cap + 1))
-        newgm[: self.gm.shape[0], : self.gm.shape[1]] = self.gm
-        self.gm = newgm
-        self.u = np.concatenate([self.u, np.full(self.cap + 1 - self.u.size, -1, dtype=np.int64)])
-        self.lags = np.concatenate(
-            [self.lags, np.zeros(self.cap + 1 - self.lags.size, dtype=np.int64)]
-        )
-        # base rows must be re-extended to the new capacity
-        self._row_done = np.zeros(self.cap + 1, dtype=bool)
-
-    def set_lag(self, i: int, lag: int) -> None:
-        if i > self.cap:
-            self._grow(i)
-        self.lags[i] = lag
-
-    def set_u(self, k: int, u_k: int) -> None:
-        if k > self.cap:
-            self._grow(k)
-        self.u[k] = u_k
-
-    def _ensure_row(self, m: int) -> None:
-        """Fill base row m up to current capacity; needs U_1..U_{m-1}."""
-        if self._row_done[m]:
-            return
-        t_m = 1 + int(np.sum(1 - self.u[1:m]))
-        length = self.cap - m
-        if length > 0:
-            self.g[m, m + 1 :] = lemma1_row(self.spec, t_m, length)
-        self._row_done[m] = True
-
-    def _resolve_gminus_through(self, c: int) -> None:
-        """Resolve reroute columns gm[:, l] for l < c (needs U_1..U_{c-2})."""
-        for l in range(self._gm_done + 1, c):
-            for m in range(1, l):
-                self._ensure_row(m)
-            lo = l - self.lags[l]
-            col = self.g[1:l, l]
-            inflow = self.gm[1:l, 1:l] @ col  # inflow[j-1] = sum_m gm[j,m] g[m,l]
-            if lo <= l - 1:
-                window = self.gm[1:l, lo:l] @ self.g[lo:l, l]
-            else:
-                window = np.zeros(l - 1)
-            js = np.arange(1, l)
-            blocked = js >= lo
-            self.gm[1:l, l] = np.where(blocked, self.g[1:l, l] + inflow, window)
-            self._gm_done = l
+    """Placeholder: ``perfbench/layers.py`` wraps ``column`` by name until the
+    tracer wraps the live kernels (ROADMAP item 3); :class:`HeldMass`
+    computes the reroute weights."""
 
     def column(self, i: int) -> np.ndarray:
-        """Adjusted weights g*[1..i-1, i]; zero on the conflicting suffix."""
-        if i > self.cap:
-            self._grow(i)
-        c = i - int(self.lags[i])
-        if np.any(self.u[1:c] < 0):
-            missing = [k for k in range(1, c) if self.u[k] < 0]
-            raise InvalidSpec(f"U feed missing for indices {missing}")
-        self._resolve_gminus_through(c)
-        for m in range(1, c):
-            self._ensure_row(m)
-        out = np.zeros(i - 1)
-        if c > 1:
-            out[: c - 1] = self.g[1:c, i] + self.gm[1:c, 1:c] @ self.g[1:c, i]
-        return out
+        raise NotImplementedError("the reroute weights come from HeldMass")

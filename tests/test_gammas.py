@@ -63,6 +63,17 @@ def test_parse_rejects_unknown():
         GammaSpec.parse("power:0.5")  # diverges
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["power", "power:abc", "geometric:", "basel:7", "logq:1", "power:1.6:2", "power:nan",
+     "power:1", "geometric:nan"],
+)
+def test_parse_refuses_malformed_specs(text):
+    """A missing, non-numeric or extra parameter, or an s that is not > 1."""
+    with pytest.raises(InvalidSpec):
+        GammaSpec.parse(text)
+
+
 def test_custom_table_must_be_nonincreasing_when_required():
     spec = GammaSpec(kind="custom", table=(0.1, 0.5, 0.2))
     assert not spec.is_nonincreasing()

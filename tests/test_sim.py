@@ -20,6 +20,7 @@ from addisgraph.errors import (
     DomainError,
     EmptyOutcomeSet,
     InvalidConfig,
+    InvalidSpec,
     InvalidW0,
 )
 from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
@@ -69,15 +70,16 @@ def test_config_validation():
         SimConfig(e=2, b=5)  # asynchrony only with singleton batches
 
 
-def _engine_for(procedure="graph-conf-u", alpha=0.2, tau=0.8, lam=0.16, w0=None):
-    """The live counterpart of a grid point's procedure and thresholds."""
+def _engine_for(procedure="graph-conf-u", alpha=0.2, tau=0.8, lam=0.16, w0=None, gamma="basel"):
+    """The live counterpart of a grid point's procedure, thresholds and gamma."""
     if procedure == "adaptive-graph-corr":
         return AdaptiveGraphCorr(
-            CorrModel(ConflictStructure.from_batches([2]), lam=lam, rho=0.5), alpha=alpha
+            CorrModel(ConflictStructure.from_batches([2]), lam=lam, rho=0.5),
+            alpha=alpha, gamma=gamma,
         )
     if procedure == "fdr-graph":
-        return FdrGraph(alpha=alpha, tau=tau, lam=lam, w0=w0)
-    return make_engine(procedure, alpha=alpha, tau=tau, lam=lam)
+        return FdrGraph(alpha=alpha, tau=tau, lam=lam, w0=w0, gamma=gamma)
+    return make_engine(procedure, alpha=alpha, tau=tau, lam=lam, gamma=gamma)
 
 
 @pytest.mark.parametrize(
@@ -91,6 +93,10 @@ def _engine_for(procedure="graph-conf-u", alpha=0.2, tau=0.8, lam=0.16, w0=None)
         ({"procedure": "adaptive-graph-corr", "lam": 1.0}, InvalidConfig),
         ({"procedure": "fdr-graph", "w0": 0.5}, InvalidW0),
         ({"procedure": "fdr-graph", "w0": 0.0}, InvalidW0),
+        ({"gamma": "power"}, InvalidSpec),
+        ({"gamma": "power:abc"}, InvalidSpec),
+        ({"gamma": "basel:7"}, InvalidSpec),
+        ({"gamma": "power:nan"}, InvalidSpec),
     ],
 )
 def test_config_refuses_what_the_engines_refuse(tmp_path, inputs, error):

@@ -257,6 +257,18 @@ def test_cli_simulate_overrides(tmp_path):
     assert ",5," in out.read_text().splitlines()[1]
 
 
+@pytest.mark.parametrize("gamma", ["power", "power:abc", "geometric:", "basel:7", "power:nan"])
+def test_cli_refuses_a_malformed_gamma(tmp_path, capsys, monkeypatch, gamma):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("H 1\n"))
+    assert main(["stream", "--gamma", gamma]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    grid = tmp_path / "g.cfg"
+    grid.write_text(f"procedure = spending-local\nn = 10\ntrials = 5\ngamma = {gamma}\n")
+    assert main(["simulate", "--grid", str(grid), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cli_replay_missing_data_exit_code(capsys):
     code = main(["replay", "--study", str(DATA)])
     assert code == 2
@@ -272,6 +284,15 @@ def test_cli_replay_filled(tmp_path, capsys):
     assert "rejections=0" in out
     assert "future-level=0.0001" in out
     assert out.count("accept") == 12
+
+
+def test_cli_replay_reads_q_from_the_study(tmp_path, capsys):
+    study = tmp_path / "s.study"
+    study.write_text("q = 0.3\n" + DATA.read_text().replace("p=NA", "p=0.5"))
+    assert main(["replay", "--study", str(study)]) == 0
+    assert "q=0.3 " in capsys.readouterr().out
+    assert main(["replay", "--study", str(study), "--q", "0.7"]) == 0
+    assert "q=0.7 " in capsys.readouterr().out
 
 
 def test_cli_verify_all(capsys):

@@ -62,6 +62,28 @@ def test_conflict_override(tmp_path):
     assert study.conflict_sets[1] == frozenset()
 
 
+def test_conflict_override_for_a_missing_arm_is_rejected(tmp_path):
+    path = tmp_path / "missing.study"
+    path.write_text(
+        "T1 enter=1 exit=5 p=0.5\nT2 enter=2 exit=6 p=0.5\nconflicts T7 = 1\n"
+    )
+    with pytest.raises(InvalidConfig, match="T7"):
+        ReplayStudy.parse(path)
+
+
+def test_q_falls_back_to_the_study_default(tmp_path):
+    path = tmp_path / "q.study"
+    path.write_text("q = 0.3\nT1 enter=1 exit=5 p=0.01\nT2 enter=2 exit=6 p=0.9\n")
+    study = ReplayStudy.parse(path)
+    assert study.defaults["q"] == 0.3
+    report = replay_study(study)
+    assert report.q == 0.3
+    np.testing.assert_array_equal(report.levels, replay_study(study, q=0.3).levels)
+    assert replay_study(study, q=0.7).q == 0.7  # an explicit q wins
+    path.write_text("T1 enter=1 exit=5 p=0.01\n")
+    assert replay_study(ReplayStudy.parse(path)).q == 0.6
+
+
 def test_conflict_override_naming_a_later_hypothesis_is_rejected(tmp_path):
     path = tmp_path / "later.study"
     path.write_text(

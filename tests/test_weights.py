@@ -13,7 +13,6 @@ from addisgraph.weights import (
     CORR_MAX_NODES,
     CORR_QUAD_NODES,
     NDTR_ONE,
-    Alg1Columns,
     Closure,
     CustomTable,
     HeldMass,
@@ -24,7 +23,6 @@ from addisgraph.weights import (
     lemma1_row,
     renorm_table,
 )
-from test_engine_reference import Reference
 
 BASEL = GammaSpec.parse("basel")
 
@@ -149,47 +147,6 @@ def test_custom_table_round_trip(tmp_path):
 def test_custom_table_rejects_overweight_row():
     with pytest.raises(Exception):
         CustomTable({(1, 2): 0.8, (1, 3): 0.4})
-
-
-# ---------------------------------------------------------------------------
-# uniform-improvement weights
-
-
-def test_alg1_columns_match_batch_table():
-    """Every column, zeros on the conflicting suffix included, against the
-    plain-Python reroute recursion of the engine reference."""
-    n = 25
-    rng = np.random.default_rng(2)
-    u = rng.integers(0, 2, n)
-    lags = [min((i - 1) % 4, i - 1) for i in range(1, n + 1)]
-    ref = Reference("graph-conf-u", 0.2, "basel")
-    ref.sets = [frozenset(range(i - lags[i - 1], i)) for i in range(1, n + 1)]
-    ref.ind = [(1 - int(u_k), 0, 0) for u_k in u]  # S - C = 1 - U is all it reads
-    cols = Alg1Columns(BASEL)
-    for i in range(1, n + 1):
-        cols.set_lag(i, lags[i - 1])
-    for k in range(1, n + 1):
-        cols.set_u(k, int(u[k - 1]))
-    for i in range(2, n + 1):
-        want = np.zeros(i - 1)
-        for j, w in ref.reroute_column(i, ref.sets[i - 1]).items():
-            want[j - 1] = w
-        np.testing.assert_allclose(cols.column(i), want, atol=1e-14)
-
-
-def test_alg1_columns_measurability():
-    """Column i only consumes U outside the conflict window."""
-    n = 10
-    lags = [min(2, i - 1) for i in range(1, n + 1)]
-    cols = Alg1Columns(BASEL)
-    for i in range(1, n + 1):
-        cols.set_lag(i, lags[i - 1])
-    # feed only the U values outside X_10 = {8, 9}; column(10) must resolve
-    for k in range(1, 8):
-        cols.set_u(k, 1)
-    col = cols.column(10)
-    assert col.shape == (9,)
-    assert col[7] == 0.0 and col[8] == 0.0  # conflicting entries
 
 
 def _drawn_lags(seed, n, top):
