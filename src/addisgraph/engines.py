@@ -26,9 +26,10 @@ The input rules live in :mod:`.core`: a conflict set is checked by
 :func:`.core.validate_conflicts` folds over a whole structure, and each
 (tau, lambda) pair by :func:`.core.check_gap`.  A conflict set that is a
 contiguous suffix ``{lo .. i-1}`` is held as ``range(lo, i)`` and checked
-in O(1); the engine adds only the refusal of non-suffix sets by the kinds
-that need lags.  ``engine.ledger`` is a read-only ledger view of these
-rows.  The versioned snapshot is the configuration plus the accepted calls
+in O(1), and the graph kinds pass that range on to the renormaliser, which
+zeroes the window as a slice; the engine adds only the refusal of non-suffix
+sets by the kinds that need lags.  ``engine.ledger`` is a read-only ledger
+view of these rows.  The versioned snapshot is the configuration plus the accepted calls
 in arrival order, rebuilt from the records; restore replays them, so
 behavior after a round-trip is bit-identical by construction.
 """
@@ -62,7 +63,14 @@ from .errors import (
     UnknownIndex,
 )
 from .gammas import GammaSpec
-from .weights import Closure, HeldMass, IncrementalRenormalizer, ShiftedGamma, WeightRule
+from .weights import (
+    Closure,
+    HeldMass,
+    IncrementalRenormalizer,
+    ShiftedGamma,
+    WeightRule,
+    blocked_mask,
+)
 
 
 class FwerEngine:
@@ -244,16 +252,6 @@ class FwerEngine:
         if missing:
             raise MissingIndicator(f"levels need p-value feedback for indices {missing}")
 
-    @staticmethod
-    def _blocked(i: int, x: range | frozenset[int]) -> np.ndarray:
-        """Mask over sources 1..i-1 that conflict with i."""
-        blocked = np.zeros(i - 1, dtype=bool)
-        if type(x) is range:
-            blocked[x.start - 1 :] = True
-        elif x:
-            blocked[np.fromiter(x, np.intp, len(x)) - 1] = True
-        return blocked
-
     def _compute_level(self, i, x, tau_i, lam_i) -> float:
         """The level of i that later levels build on; must change no state
         before its last check has passed."""
@@ -431,17 +429,16 @@ class GraphConf(FwerEngine):
 
     def _compute_level(self, i, x, tau_i, lam_i):
         self._require_observed(i, x)
-        blocked = self._blocked(i, x)
         if self.adjust == "none":
             col = self.base_rule.column(i)
-            bad = np.flatnonzero(blocked & (col != 0.0))
+            bad = np.flatnonzero(blocked_mask(i, x) & (col != 0.0))
             if bad.size:
                 j = int(bad[0]) + 1
                 raise ScheduleViolation(
                     f"base rule puts weight {col[j - 1]} on conflicting pair ({j}, {i})"
                 )
         else:
-            col, cleared = self._renorm.column(i, blocked)
+            col, cleared = self._renorm.column(i, x)
             self._renorm.pin(cleared)  # nothing below can fail
         carried = col @ self._carry[: i - 1]
         return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)

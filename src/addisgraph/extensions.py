@@ -263,10 +263,16 @@ class FdrGraph(FwerEngine):
     def _compute_level(self, i, x, tau_i, lam_i):
         self._require_observed(i, x)
         n = i - 1
-        col, cleared = self._renorm.column(i, self._blocked(i, x))
-        r = self._r[:n]
-        if self._pending:  # every pending index conflicts with i
+        col, cleared = self._renorm.column(i, x)
+        # Every pending index lies in x (_require_observed), so no weight
+        # reaches it; but a rejection observed after the first pending index
+        # has an unknown K flag, and its reward must not reach i.  For a window
+        # x = range(lo, i) the scan is vacuous: the first pending index is at
+        # least lo, so every source it scans lies in lo..i-1, where the column
+        # is zero.
+        if self._pending and type(x) is not range:
             first = min(self._pending)
+            r = self._r[:n]
             late = np.flatnonzero((col[first:] != 0.0) & (r[first:] == 1.0))
             if late.size:
                 raise MissingIndicator(

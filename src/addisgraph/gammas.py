@@ -9,7 +9,7 @@ computed once by partial summation plus an integral tail bound and cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +18,7 @@ from scipy.special import polygamma, zeta
 from .errors import DomainError, InvalidSpec, NonMonotoneGamma
 
 _BASEL = 6.0 / math.pi**2
+_NONE = np.empty(0)  # a spec's gamma array before its first read
 _PARTIAL_SUM_TERMS = 10**6
 
 
@@ -71,6 +72,14 @@ class GammaSpec:
                 raise InvalidSpec("custom gamma table sums beyond 1")
         elif self.kind not in ("logq", "basel"):
             raise InvalidSpec(f"unknown gamma kind {self.kind!r}")
+        # This instance's views of the shared caches below, read without
+        # hashing the spec.  They are not fields: ==, hash and repr ignore
+        # them, and __reduce__ leaves them out of copies and pickles.
+        object.__setattr__(self, "_values", _NONE)
+        object.__setattr__(self, "_tails", {})
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.s, self.q, self.table)
 
     @property
     def name(self) -> str:
@@ -86,13 +95,24 @@ class GammaSpec:
         """gamma_i for a single 1-based index."""
         if i < 1:
             raise DomainError(f"gamma index must be >= 1, got {i}")
-        return float(_cached(self, i)[i - 1])
+        arr = self._values
+        if arr.size < i:
+            arr = self._grow(i)
+        return float(arr[i - 1])
 
     def values(self, n: int) -> np.ndarray:
         """Array of gamma_1 .. gamma_n (a read-only view)."""
         if n < 1:
             raise DomainError(f"need n >= 1, got {n}")
-        return _cached(self, n)[:n]
+        arr = self._values
+        if arr.size < n:
+            arr = self._grow(n)
+        return arr[:n]
+
+    def _grow(self, n: int) -> np.ndarray:
+        arr = _cached(self, n)
+        object.__setattr__(self, "_values", arr)
+        return arr
 
     def prefix_sum(self, m: int) -> float:
         """sum_{i<=m} gamma_i (exact for geometric, high precision otherwise)."""
@@ -104,10 +124,15 @@ class GammaSpec:
 
     def tail_sum(self, m: int) -> float:
         """sum_{i>m} gamma_i (cached per spec and m)."""
-        key = (self, max(m, 0))
-        tail = _TAILS.get(key)
+        if m < 0:
+            m = 0
+        tail = self._tails.get(m)
         if tail is None:
-            tail = _TAILS[key] = _tail_sum(*key)
+            key = (self, m)
+            tail = _TAILS.get(key)
+            if tail is None:
+                tail = _TAILS[key] = _tail_sum(self, m)
+            self._tails[m] = tail
         return tail
 
     def is_nonincreasing(self, n: int = 1000) -> bool:
@@ -136,12 +161,14 @@ class GammaSpec:
 
 
 # Tail sums by (spec, m), each the value _tail_sum gives afresh; a stream
-# asks for the same few offsets at every level.
+# asks for the same few offsets at every level.  Each spec instance also
+# keeps the entries it has read, by m alone.
 _TAILS: dict[tuple[GammaSpec, int], float] = {}
 
 # One read-only array per spec, doubled whenever a longer prefix is asked for.
 # Each element is computed on its own, so a prefix equals a fresh evaluation
-# of that length bit for bit (tests/test_gammas.py checks this).
+# of that length bit for bit (tests/test_gammas.py checks this).  Each spec
+# instance also keeps the longest array it has read.
 _ARRAYS: dict[GammaSpec, np.ndarray] = {}
 _MIN_CACHED = 64
 

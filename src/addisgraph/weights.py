@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from functools import lru_cache
+from math import isnan
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -93,6 +94,17 @@ class ShiftedGamma(WeightRule):
         return self.spec.tail_sum(max(m - j, 0))
 
 
+def blocked_mask(i: int, x: range | frozenset[int]) -> np.ndarray:
+    """Mask over the sources 1..i-1 of target ``i`` that lie in its conflict
+    set ``x``."""
+    blocked = np.zeros(i - 1, dtype=bool)
+    if type(x) is range:
+        blocked[x.start - 1 :] = True
+    elif x:
+        blocked[np.fromiter(x, np.intp, len(x)) - 1] = True
+    return blocked
+
+
 class IncrementalRenormalizer:
     """Per-source renormalization discovered on the fly by a live engine.
 
@@ -121,7 +133,7 @@ class IncrementalRenormalizer:
         self.degenerate_rows: set[int] = set()
 
     def _pinned(self, j: int) -> float | None:
-        if j > self._den.size or np.isnan(self._den[j - 1]):
+        if j > self._den.size or isnan(self._den[j - 1]):
             return None
         return float(self._den[j - 1])
 
@@ -167,28 +179,35 @@ class IncrementalRenormalizer:
             self.pin({j: denom})
         return self.base.weight(j, i) / denom if denom else 0.0
 
-    def column(self, i: int, blocked: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:
-        """Weights g*[1..i-1, i], zero where ``blocked``, and the sources that
-        first clear at ``i`` with their denominators.
+    def column(self, i: int, x: range | frozenset[int]) -> tuple[np.ndarray, dict[int, float]]:
+        """Weights g*[1..i-1, i], zero on the conflict set ``x`` of ``i``, and
+        the sources that first clear at ``i`` with their denominators.
 
         Nothing is stored: the caller passes the second value to :meth:`pin`
         once its level stands, so a request that fails leaves no trace.  The
-        column is the base column over the stored divisors, with the blocked
-        sources zeroed and each source that clears at ``i`` divided by its
-        new denominator.
+        column is the base column over the stored divisors, with the sources
+        in ``x`` zeroed and each source that clears at ``i`` divided by its
+        new denominator.  A contiguous window ``x = range(lo, i)`` zeroes the
+        slice of sources ``lo .. i-1``, and the sources that clear are the
+        open ones below ``lo``; only a frozenset builds a mask over the column.
         """
         n = i - 1
         self._reserve(n)
         if n > self._known:  # sources new to the stream start open
             den = self._den
-            self._open.update(j for j in range(self._known + 1, i) if np.isnan(den[j - 1]))
+            self._open.update(j for j in range(self._known + 1, i) if isnan(den[j - 1]))
             self._known = n
         col = self.base.column(i)
-        fresh = [j for j in sorted(self._open) if j < i and not blocked[j - 1]]
+        if type(x) is range:
+            zero = slice(x.start - 1, None)
+            fresh = sorted(j for j in self._open if j < x.start)
+        else:
+            zero = blocked_mask(i, x)
+            fresh = [j for j in sorted(self._open) if j < i and not zero[j - 1]]
         heads = [col[j - 1] for j in fresh]
         cleared = {j: self._denominator(j, i) for j in fresh}
         np.divide(col, self._divisor[:n], out=col)
-        col[blocked] = 0.0
+        col[zero] = 0.0
         for j, g in zip(fresh, heads):
             if cleared[j]:
                 col[j - 1] = g / cleared[j]

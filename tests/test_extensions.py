@@ -602,3 +602,21 @@ def test_fdr_reward_moves_to_a_rejection_observed_out_of_order():
     restored = FwerEngine.restore(e.snapshot())
     _same_rows(e, restored)
     assert restored._first_rejection == 1
+
+
+def test_fdr_refuses_a_level_whose_reward_waits_on_a_pending_index():
+    """X_2 = X_3 = {1}: with 2 observed as a rejection and 1 still pending,
+    the reward of 2 reaches 3 but its K flag waits on 1, so level(3) is
+    refused and changes nothing."""
+    e = FdrGraph()
+    e.level(1)
+    e.level(2, conflicts=[1])
+    _, rejected = e.observe(2, 1e-9)
+    assert rejected
+    before = e.snapshot_json()
+    with pytest.raises(
+        MissingIndicator, match="reward at index 2 needs rejections of all earlier indices"
+    ):
+        e.level(3, conflicts=[1])
+    assert e.snapshot_json() == before
+    assert e.issued == 2

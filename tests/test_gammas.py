@@ -1,3 +1,10 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,3 +143,65 @@ def test_tail_sum_cache_serves_fresh_evaluations(monkeypatch):
     for a, b in [("power:1.6", "power:1.7"), ("geometric:0.5", "geometric:0.6")]:
         sa, sb = GammaSpec.parse(a), GammaSpec.parse(b)
         assert all(sa.tail_sum(m) != sb.tail_sum(m) for m in range(1, 501))  # no underflow
+
+
+SPEC_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda spec: pickle.loads(pickle.dumps(spec)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(SPEC_COPIES))
+@pytest.mark.parametrize("name", [*FAMILIES, "custom"])
+def test_spec_copies_hash_and_compare_equal(name, how):
+    """A copy of a spec that has read values and tails is equal to a fresh
+    spec of the same text, hashes alike, finds the fresh spec's cache
+    entries, and gives the same bits."""
+    fresh = (
+        GammaSpec(kind="custom", table=(0.3, 0.2, 0.1)) if name == "custom"
+        else GammaSpec.parse(name)
+    )
+    used = copy.copy(fresh)
+    used.values(300)
+    used.tail_sum(7)
+    assert b"_tails" not in pickle.dumps(used)  # the caches stay behind
+    dup = SPEC_COPIES[how](used)
+    assert dup == fresh and hash(dup) == hash(fresh)
+    assert {fresh: 1}[dup] == 1
+    assert np.array_equal(dup.values(300), fresh.values(300))
+    assert dup.tail_sum(7) == fresh.tail_sum(7)
+
+
+def test_pickled_spec_loads_in_a_process_with_another_hash_seed(tmp_path):
+    """A spec pickled where str hashes take one seed is, loaded where they
+    take another, equal to and hashed like the specs built there."""
+    src = str(Path(gammas.__file__).resolve().parents[1])
+    path = tmp_path / "spec.pickle"
+    head = (
+        f"import pickle, sys; sys.path.insert(0, {src!r}); "
+        "from addisgraph.gammas import GammaSpec; "
+    )
+    dump = (
+        "s = GammaSpec.parse('power:1.6'); s.values(100); s.tail_sum(3); "
+        "pickle.dump(s, open(sys.argv[1], 'wb'))"
+    )
+    load = (
+        "s = pickle.load(open(sys.argv[1], 'rb')); f = GammaSpec.parse('power:1.6'); "
+        "assert s == f and hash(s) == hash(f) and {f: 1}[s] == 1; "
+        "assert s.values(100).tolist() == f.values(100).tolist(); "
+        "assert s.tail_sum(3) == f.tail_sum(3); print(hash(f))"
+    )
+
+    def run(code, seed):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        return subprocess.run(
+            [sys.executable, "-c", head + code, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    hashes = set()
+    for dump_seed, load_seed in (("1", "2"), ("2", "1")):
+        run(dump, dump_seed)
+        hashes.add(run(load, load_seed))
+    assert len(hashes) == 2  # the two seeds do hash the kind string apart

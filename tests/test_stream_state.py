@@ -7,9 +7,10 @@ thresholds and ``SAVE``.  A line answered ``ERR`` must change nothing; the
 live engine, ``restore(snapshot)`` and a fresh session fed only the
 accepted lines must then agree bit for bit, in their snapshots and in every
 reply to a common continuation.  Beside it: the replies to malformed
-``conflicts=`` fields and the snapshot bytes after a fixed script, pinned
-as strings and digests, and the budget certificates of the engine's ledger
-against a ledger built entry by entry.
+``conflicts=`` fields, the snapshot bytes after a fixed script and the
+replies of a delay-10 session that levels while earlier p-values are
+pending, pinned as strings and digests, and the budget certificates of the
+engine's ledger against a ledger built entry by entry.
 """
 
 import hashlib
@@ -37,6 +38,7 @@ from addisgraph.core import (
 )
 from addisgraph.engines import ENGINE_KINDS, FwerEngine, make_engine
 from addisgraph.errors import IncompleteLedger
+from addisgraph.sim import SimConfig, generate_data
 from addisgraph.stream import StreamSession
 
 pytestmark = pytest.mark.filterwarnings("ignore:issued level:RuntimeWarning")
@@ -419,3 +421,78 @@ def test_structure_lag_view_matches_explicit_conflicts():
                     b.observe(j, float(p[j - 1]))
             assert a.level(i) == b.level(i, conflicts=list(range(i - lags[i - 1], i)))
         assert a.snapshot()["events"] == b.snapshot()["events"]
+
+
+# ---------------------------------------------------------------------------
+# replies of a delay-10 session whose windows hold pending p-values
+
+PIN_N = 200
+PIN_DELAY = 10
+
+
+def _late_session_lines(kind: str, p_row) -> list[str]:
+    """Requests of a delay-10 session, each ``P`` sent as late as allowed.
+
+    ``H i`` declares the window ``{i-10 .. i-1}``.  An open kind needs the
+    p-values of ``1 .. lo-1`` before it levels ``i``, so up to ten levels
+    wait for feedback at once; a closed kind needs every predecessor, so its
+    ``P i`` follows ``H i`` at once.
+    """
+    lines, sent = [], 0
+    for i in range(1, PIN_N + 1):
+        lo = max(1, i - PIN_DELAY)
+        if kind not in CLOSED:
+            while sent < lo - 1:
+                sent += 1
+                lines.append(f"P {sent} {float(p_row[sent - 1])!r}")
+        window = ",".join(str(j) for j in range(lo, i))
+        lines.append(f"H {i} conflicts={window}" if window else f"H {i}")
+        if kind in CLOSED:
+            sent = i
+            lines.append(f"P {i} {float(p_row[i - 1])!r}")
+    lines.extend(f"P {j} {float(p_row[j - 1])!r}" for j in range(sent + 1, PIN_N + 1))
+    return lines
+
+
+# sha256 of the full-precision replies and of snapshot_json() at the end,
+# per kind, for the session of _late_session_lines
+LATE_SESSION_SHA256 = {
+    "closed-graph": (
+        "733c355700b42b8a40226c56a4de083f41370811a42b32e6486245a65760e528",
+        "7a30b1e78e3e6b241e9bd7a4dc876ae740f9d67cf8762f32bac0bcdd9b0c921f",
+    ),
+    "closed-spending": (
+        "3b974ee8c7a713c2a0134183301a521760b9099370b753c1efc8d86ad8705a53",
+        "d62d25801647ca6db12f49787ed5089b9b401fab10eae898228bad04e773ea4c",
+    ),
+    "fdr-graph": (
+        "3dff78a9789744213b5d4a433a91309630ec2b9005b880e01e30a28433f2d752",
+        "9f6021c2d763d3438bf91b6c2c593e33b7cc52984170db884a89e01269839327",
+    ),
+    "graph-conf": (
+        "28200938520245c7f320f8d66c44e444511036344bd9f00c261c8de5ca7ef1fe",
+        "74d824c4ff256e0022a43adbdb60ba73b9a61d1f5896d737149c51be3e28f800",
+    ),
+    "graph-conf-u": (
+        "f2b864e6b9028cba8af50a8e14f212241743876e3f5e6f85aaeffa37e17f3375",
+        "8b2a60478127c56b79628445e6ce46f7e36c5235bee7e741c91a69ad0c0736ef",
+    ),
+    "spending-local": (
+        "7acf378d6e954f7306497c9bc7493a10fd8e39d04e311d94979b0bc6431eb8e0",
+        "446953e91e04e4120c0c4d49f1b595015bcf1cbcba420387f4bf31bba4cbfc04",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_replies_of_a_delay_10_session_are_pinned(kind):
+    config = SimConfig(n=PIN_N, e=PIN_DELAY, pi_a=0.3, mu_n=-0.5, trials=len(KINDS), seed=3)
+    p, _ = generate_data(config)
+    session = StreamSession(make_engine(kind), full_precision=True)
+    replies = [session.handle(line) for line in _late_session_lines(kind, p[KINDS.index(kind)])]
+    assert not any(r.startswith("ERR") for r in replies)
+    digests = (
+        hashlib.sha256("\n".join(replies).encode()).hexdigest(),
+        hashlib.sha256(session.engine.snapshot_json().encode()).hexdigest(),
+    )
+    assert digests == LATE_SESSION_SHA256[kind]

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import numpy as np
@@ -72,9 +73,7 @@ def _online(spec, structure, n):
     inc = IncrementalRenormalizer(ShiftedGamma(spec))
     w = np.zeros((n, n))
     for i in range(2, n + 1):
-        blocked = np.zeros(i - 1, dtype=bool)
-        blocked[[j - 1 for j in structure.conflict_sets[i - 1]]] = True
-        col, cleared = inc.column(i, blocked)
+        col, cleared = inc.column(i, structure.conflict_sets[i - 1])
         inc.pin(cleared)
         w[: i - 1, i - 1] = col
     return inc, w
@@ -132,6 +131,73 @@ def test_degenerate_row_warns():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateRenormalization):
             _online(spec, structure, 950)
+
+
+# Bases for the window-form check: two shifted gammas, a finite table whose
+# rows hold less than one, and a steep gamma whose long windows leave a
+# degenerate row.
+WINDOW_BASES = {
+    "basel": lambda: ShiftedGamma(BASEL),
+    "power:1.6": lambda: ShiftedGamma(GammaSpec.parse("power:1.6")),
+    "custom": lambda: CustomTable(
+        {(j, i): 0.4 * 0.6 ** (i - j - 1) for j in range(1, 60) for i in range(j + 1, j + 12)}
+    ),
+    "geometric:0.5": lambda: ShiftedGamma(GammaSpec.parse("geometric:0.5")),
+}
+
+
+def _window_columns_agree(base, steps, pins, shuffles):
+    """Drive one renormaliser with windows ``range(lo, i)`` and one with the
+    same sets as frozensets, in lockstep: at each target the columns must be
+    equal bit for bit and the cleared sources and denominators equal.  A
+    target whose ``pins`` flag is false fails after ``column`` and is asked
+    again, as a refused request is; ``shuffles`` orders each ``pin``.
+    Returns the degenerate rows warned about, which both sides must share."""
+    ranges, masks = IncrementalRenormalizer(WINDOW_BASES[base]()), IncrementalRenormalizer(
+        WINDOW_BASES[base]()
+    )
+    lo, warned = 1, []
+    flags = iter(pins)
+    for i, step in enumerate(steps, start=2):
+        lo = min(i, lo + step)  # nondecreasing, so the windows are monotone
+        while True:
+            col_r, cleared_r = ranges.column(i, range(lo, i))
+            col_m, cleared_m = masks.column(i, frozenset(range(lo, i)))
+            assert np.array_equal(col_r, col_m), i
+            assert cleared_r == cleared_m, i
+            if next(flags, True):
+                break
+        order = list(cleared_r.items())
+        shuffles.shuffle(order)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ranges.pin(dict(order))
+            masks.pin(dict(reversed(order)))
+        warned += [str(w.message) for w in caught if w.category is DegenerateRenormalization]
+    assert ranges.degenerate_rows == masks.degenerate_rows
+    assert np.array_equal(ranges._den, masks._den, equal_nan=True)
+    return ranges.degenerate_rows, warned
+
+
+@given(
+    base=st.sampled_from(sorted(WINDOW_BASES)),
+    steps=st.lists(st.sampled_from([0, 0, 1, 1, 2]), min_size=1, max_size=60),
+    pins=st.lists(st.booleans(), max_size=80),
+    shuffles=st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_window_column_equals_the_mask_form(base, steps, pins, shuffles):
+    _window_columns_agree(base, steps, pins, shuffles)
+
+
+def test_window_column_equals_the_mask_form_on_a_degenerate_row():
+    """Source 1 stays blocked through target 44, so at 45, its first clear
+    target, geometric:0.5 leaves it the tail 0.5**43 <= MASS_TOL."""
+    rows, warned = _window_columns_agree(
+        "geometric:0.5", [0] * 43 + [1] * 10, [True, False] * 30, random.Random(4)
+    )
+    assert 1 in rows
+    assert len(warned) == 2 * len(rows)  # once per side and row
 
 
 def test_custom_table_round_trip(tmp_path):
