@@ -266,12 +266,17 @@ def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:
 
 
 def levels_adaptive_corr(
-    p, b, rho, alpha, lam, spec: GammaSpec, nodes: int | None = None
+    p, b, rho, alpha, lam, spec: GammaSpec, nodes: int | None = None, candidates: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Levels and frozen joint-tail values for the batch correlation procedure.
 
     Each batch's joint tails come from :class:`JointTail` over all trials,
-    on the ``corr_nodes(rho)`` rule unless ``nodes`` is given.
+    on the ``corr_nodes(rho)`` rule unless ``nodes`` is given.  A later
+    level reads only the non-candidates' alpha^c, through their surplus
+    alpha_j - alpha^c_j; a candidate's coefficient is its level.  So with
+    ``candidates=False`` the candidates' alpha^c are not evaluated and come
+    back NaN, and the levels keep their bits; by default every member's
+    alpha^c is returned, as the joint-tail budget reads them.
     """
     ttr, n = p.shape
     gam = spec.values(n)
@@ -289,7 +294,7 @@ def levels_adaptive_corr(
                 alpha * gam[i0] + coef[:, :start] @ w[1 : start + 1, i0 + 1]
             )
         batch = slice(start, start + b)
-        alpha_c[:, batch] = tail.batch(levels[:, batch], keep[:, batch])
+        alpha_c[:, batch] = tail.batch(levels[:, batch], keep[:, batch], candidates)
         coef[:, batch] = np.where(
             keep[:, batch], levels[:, batch] - alpha_c[:, batch], levels[:, batch]
         ) / (1.0 - lam)
@@ -298,6 +303,8 @@ def levels_adaptive_corr(
 
 def compute_levels(config: SimConfig, p: np.ndarray) -> np.ndarray:
     """Dispatch to the vectorized runner for the configured procedure.
+    Only the levels are returned, so ``adaptive-graph-corr`` evaluates the
+    joint tails of its non-candidates alone (``candidates=False``).
     Known fault: ``fdr-graph`` takes its conflicts from ``e`` alone, so at
     b > 1 batch-mates do not conflict (pinned by the benchmark digests)."""
     spec = config.gamma_spec
@@ -318,7 +325,7 @@ def compute_levels(config: SimConfig, p: np.ndarray) -> np.ndarray:
         w0 = config.w0 if config.w0 is not None else a
         return levels_fdr_graph(p, e, a, t, l, w0, spec)
     if config.procedure == "adaptive-graph-corr":
-        levels, _ = levels_adaptive_corr(p, config.b, config.rho, a, l, spec)
+        levels, _ = levels_adaptive_corr(p, config.b, config.rho, a, l, spec, candidates=False)
         return levels
     raise InvalidConfig(f"unknown procedure {config.procedure!r}")
 

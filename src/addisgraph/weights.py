@@ -255,12 +255,15 @@ class CustomTable(WeightRule):
 
     def __init__(self, entries: dict[tuple[int, int], float]):
         self.entries = dict(entries)
-        row_mass: dict[int, float] = {}
+        # each source's (i, w) pairs in the order of ``entries``, so a row's
+        # sums add the terms a scan of the whole table would, in its order
+        self._rows: dict[int, list[tuple[int, float]]] = {}
         for (j, i), w in self.entries.items():
             if w < 0.0 or i <= j:
                 raise InvalidSpec(f"invalid table entry ({j}, {i}) -> {w}")
-            row_mass[j] = row_mass.get(j, 0.0) + w
-        for j, mass in row_mass.items():
+            self._rows.setdefault(j, []).append((i, w))
+        for j in self._rows:
+            mass = self.tail_mass(j, j)
             if mass > 1.0 + MASS_TOL:
                 raise InvalidSpec(f"row {j} has total mass {mass} > 1")
 
@@ -268,7 +271,7 @@ class CustomTable(WeightRule):
         return self.entries.get((j, i), 0.0)
 
     def tail_mass(self, j, m):
-        return sum(w for (jj, i), w in self.entries.items() if jj == j and i > m)
+        return sum(w for i, w in self._rows.get(j, ()) if i > m)
 
     @classmethod
     def load(cls, path) -> "CustomTable":
@@ -498,8 +501,15 @@ class JointTail:
     where the trial has an earlier non-candidate (``n_prior > 0``), and by
     the prefix update of a non-candidate (``keep``) with a later member to
     come; so only those rows are evaluated, and a member with none is
-    skipped.  Every value read is that of a dense evaluation; the reused
-    buffer's other rows hold finite stale values that the selections drop.
+    skipped.  ``batch(..., candidates=False)`` drops the estimates of the
+    candidates (C = 1) too, for a caller that reads alpha^c only where a
+    level or a budget does: on the non-candidates, as a candidate's level
+    coefficient is its level and its budget term carries the factor
+    1 - C_j = 0.  Then a member's rows are its non-candidates with an
+    earlier non-candidate or a later member, and the candidates' entries
+    come back NaN, "not evaluated".  Every value read is that of a dense
+    evaluation; the reused buffer's other rows hold finite stale values that
+    the selections drop.
 
     Two exact facts cut the ``ndtr`` calls of the evaluated rows further.
     The nodes ascend, and floating-point subtraction and division by a
@@ -511,8 +521,10 @@ class JointTail:
     on the rest.  And ``ndtr`` is a pure function of its argument, so rows
     with equal ``crit`` have equal ``cond`` rows: it runs once per distinct
     critical value, and the rows are gathered from those.  The product
-    with ``wq`` stays over all nodes and trials, so its summation order is
-    the dense one.
+    with ``wq`` stays one product over all nodes and trials, as a product
+    over a subset of rows may sum in another order; the prefix update
+    multiplies only the kept rows past ``lead``, where the factor is not
+    exactly 1.0, and stops after the last member.
     """
 
     def __init__(self, rho: float, trials: int = 1, nodes: int | None = None):
@@ -521,30 +533,44 @@ class JointTail:
         self._srz, self._s1 = np.sqrt(rho) * z, np.sqrt(1.0 - rho)
         self._cond = np.ones((trials, z.size))
         self._prefix = np.empty((trials, z.size))
+        self._terms = np.empty((trials, z.size))
 
-    def batch(self, levels: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    def batch(self, levels: np.ndarray, keep: np.ndarray, candidates: bool = True) -> np.ndarray:
         """alpha^c of every member, from the (T, b) levels of one batch and
-        its non-candidate flags ``keep`` (C = 0), members in order."""
+        its non-candidate flags ``keep`` (C = 0), members in order; NaN on
+        the candidates unless ``candidates``."""
         ttr, b = levels.shape
-        cond, prefix, wq, srz, s1 = self._cond, self._prefix, self._wq, self._srz, self._s1
+        cond, prefix, terms = self._cond, self._prefix, self._terms
+        wq, srz, s1 = self._wq, self._srz, self._s1
         alpha_c = np.empty((ttr, b))
         crit = ndtri(1.0 - levels)
         prefix.fill(1.0)
         n_prior = np.zeros(ttr)
         for j0 in range(b):
-            rows = np.flatnonzero((n_prior > 0) | (keep[:, j0] & (j0 < b - 1)))
+            kept, more = keep[:, j0], j0 < b - 1
+            prior = n_prior > 0
+            est_rows = prior if candidates else prior & kept
+            rows = np.flatnonzero(est_rows | kept if more else est_rows)
             if rows.size:
                 vals, inv = np.unique(crit[rows, j0], return_inverse=True)
                 lead = np.count_nonzero((vals[0] - srz) / s1 >= NDTR_ONE)
                 cond[rows, :lead] = 1.0
-                cond[rows, lead:] = ndtr((vals[:, None] - srz[lead:]) / s1)[inv]
-                est = (prefix * (1.0 - cond)) @ wq
-                # empty intersection set: the tail is the level itself, exactly
-                alpha_c[:, j0] = np.where(n_prior == 0, levels[:, j0], est)
-                prefix *= np.where(keep[:, j0, None], cond, 1.0)
-            else:
-                alpha_c[:, j0] = levels[:, j0]
-            n_prior += keep[:, j0]
+                arg = np.subtract(vals[:, None], srz[lead:])
+                arg /= s1
+                cond[rows, lead:] = ndtr(arg, out=arg)[inv]
+            est = levels[:, j0]
+            if est_rows.any():
+                np.subtract(1.0, cond, out=terms)
+                terms *= prefix
+                est = terms @ wq
+            # empty intersection set: the tail is the level itself, exactly
+            alpha_c[:, j0] = np.where(prior, est, levels[:, j0])
+            if more and rows.size:
+                past = prefix[:, lead:]
+                np.multiply(past, cond[:, lead:], out=past, where=kept[:, None])
+            n_prior += kept
+        if not candidates:
+            alpha_c[~keep] = np.nan
         return alpha_c
 
 

@@ -24,6 +24,7 @@ from addisgraph.errors import (
     InvalidW0,
 )
 from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
+from addisgraph import weights
 from addisgraph.core import ConflictStructure
 from addisgraph.gammas import GammaSpec
 from addisgraph.oracles import _push_table
@@ -528,6 +529,24 @@ def _adaptive_corr_dense(p, b, rho, alpha, lam, spec, nodes):
     return levels, alpha_c
 
 
+def _check_levels_only(p, b, rho, alpha, lam, gamma, nodes, ref_levels, ref_alpha_c):
+    """The levels-only path (``candidates=False``) gives the dense levels and
+    the dense alpha^c on the non-candidates, NaN on the candidates; on the
+    default node rule ``compute_levels`` takes it and gives the dense levels."""
+    levels, alpha_c = levels_adaptive_corr(
+        p, b, rho, alpha, lam, GammaSpec.parse(gamma), nodes=nodes, candidates=False
+    )
+    keep = p > lam
+    assert np.array_equal(levels, ref_levels)
+    assert np.array_equal(alpha_c[keep], ref_alpha_c[keep])
+    assert np.isnan(alpha_c[~keep]).all()
+    if nodes == corr_nodes(rho):
+        trials, n = p.shape
+        design = dict(gamma=gamma, n=n, b=b, rho=rho, alpha=alpha, lam=lam, trials=trials)
+        cfg = SimConfig(procedure="adaptive-graph-corr", **design)
+        assert np.array_equal(compute_levels(cfg, p), ref_levels)
+
+
 @st.composite
 def _corr_case(draw):
     b_kind = draw(st.sampled_from(["1", "2", "n"]))
@@ -559,6 +578,7 @@ def test_adaptive_corr_runner_is_bit_identical_to_dense(case, trials, rho, nodes
     ref_levels, ref_alpha_c = _adaptive_corr_dense(p, b, rho, alpha, lam, BASEL, nodes)
     assert np.array_equal(levels, ref_levels)
     assert np.array_equal(alpha_c, ref_alpha_c)
+    _check_levels_only(p, b, rho, alpha, lam, "basel", nodes, ref_levels, ref_alpha_c)
 
 
 _CORR_EDGES = {
@@ -584,6 +604,7 @@ def test_adaptive_corr_runner_edge_cases_are_bit_identical_to_dense(name):
     ref_levels, ref_alpha_c = _adaptive_corr_dense(p, b, rho, alpha, lam, spec, corr_nodes(rho))
     assert np.array_equal(levels, ref_levels)
     assert np.array_equal(alpha_c, ref_alpha_c)
+    _check_levels_only(p, b, rho, alpha, lam, gamma, corr_nodes(rho), ref_levels, ref_alpha_c)
     # each case reaches the end it is named for
     z, _ = gauss_legendre(corr_nodes(rho))
     crit = ndtri(1.0 - levels)
@@ -596,6 +617,24 @@ def test_adaptive_corr_runner_edge_cases_are_bit_identical_to_dense(name):
         assert np.all(first < NDTR_ONE)
     elif name == "first-batch-shared-levels":
         assert np.all(levels == levels[0]) and np.unique(p <= lam, axis=0).shape[0] > 1
+
+
+def test_compute_levels_skips_the_candidates_joint_tails(monkeypatch):
+    """``compute_levels`` discards alpha^c, so it takes the levels-only path
+    and evaluates fewer ``ndtr`` elements than the default runner."""
+    evaluated = []
+
+    def counting(x, out=None):
+        evaluated.append(x.size)
+        return ndtr(x, out=out)
+
+    monkeypatch.setattr(weights, "ndtr", counting)
+    cfg = SimConfig(procedure="adaptive-graph-corr", n=20, b=5, trials=50, seed=3)
+    p, _ = generate_data(cfg)
+    levels_adaptive_corr(p, cfg.b, cfg.rho, cfg.alpha, cfg.lam, BASEL)
+    default, evaluated[:] = sum(evaluated), []
+    compute_levels(cfg, p)
+    assert 0 < sum(evaluated) < default
 
 
 def test_quadrature_rule_is_cached_and_read_only():

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from addisgraph.core import ConflictStructure, validate_conflicts
 from addisgraph.errors import DegenerateRenormalization, NonMonotoneConflicts
+from addisgraph import weights
 from addisgraph.gammas import GammaSpec
 from addisgraph.weights import (
     CORR_MAX_NODES,
@@ -18,6 +19,7 @@ from addisgraph.weights import (
     CustomTable,
     HeldMass,
     IncrementalRenormalizer,
+    JointTail,
     ShiftedGamma,
     corr_nodes,
     gauss_legendre,
@@ -215,6 +217,24 @@ def test_custom_table_rejects_overweight_row():
         CustomTable({(1, 2): 0.8, (1, 3): 0.4})
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_custom_table_tail_mass_keeps_the_bits_of_a_full_scan(seed):
+    """A source's tail sum adds its entries in the table's order, as a scan
+    over every entry does; weights of unequal magnitude, entered in shuffled
+    order, make another order show in the last bits."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 16))
+    pairs = [(j, i) for j in range(1, n) for i in range(j + 1, n + 1) if rng.uniform() < 0.7]
+    order = rng.permutation(len(pairs))
+    entries = {pairs[k]: float(rng.uniform() * 10.0 ** -rng.uniform(0, 8)) / n for k in order}
+    table = CustomTable(entries)
+    for j in range(n + 2):
+        for m in range(n + 2):
+            scan = sum(w for (jj, i), w in entries.items() if jj == j and i > m)
+            assert float(table.tail_mass(j, m)).hex() == float(scan).hex()
+
+
 def _drawn_lags(seed, n, top):
     """Monotone contiguous lags L_{i+1} <= L_i + 1, drawn up to ``top``."""
     rng = np.random.default_rng(seed)
@@ -306,3 +326,68 @@ def test_ndtr_saturation_threshold_and_node_order_are_pinned():
     assert max(counts) == CORR_MAX_NODES
     for k in (64, *sorted(counts)):
         assert np.all(np.diff(gauss_legendre(k)[0]) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the joint tail's levels-only path
+
+
+@given(
+    trials=st.integers(1, 6),
+    b=st.integers(1, 8),
+    rho=st.floats(0.05, 0.95),
+    kind=st.sampled_from(["mixed", "all-candidates", "no-candidates"]),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(trials=1, b=5, rho=0.5, kind="mixed", shared=False, seed=1)
+@example(trials=1, b=5, rho=0.5, kind="all-candidates", shared=False, seed=1)
+@example(trials=1, b=5, rho=0.5, kind="no-candidates", shared=False, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_joint_tail_levels_only_keeps_every_non_candidate_bit(trials, b, rho, kind, shared, seed):
+    """``candidates=False`` gives the default's alpha^c on the
+    non-candidates, bit for bit, and NaN on the candidates, also when one
+    kernel runs both ways in turn over its reused buffers."""
+    rng = np.random.default_rng(seed)
+    if shared:  # equal levels across trials: the one-row-per-critical-value gather
+        levels = np.repeat(rng.uniform(1e-4, 0.3, size=(1, b)), trials, axis=0)
+    else:
+        levels = rng.uniform(1e-4, 0.3, size=(trials, b))
+    keep = {
+        "mixed": rng.uniform(size=(trials, b)) > 0.16,
+        "all-candidates": np.zeros((trials, b), dtype=bool),
+        "no-candidates": np.ones((trials, b), dtype=bool),
+    }[kind]
+    tail = JointTail(rho, trials, nodes=64)
+    first = tail.batch(levels, keep, candidates=False)
+    full = tail.batch(levels, keep)
+    again = tail.batch(levels, keep, candidates=False)
+    assert np.array_equal(full, JointTail(rho, trials, nodes=64).batch(levels, keep))
+    for part in (first, again):
+        assert np.array_equal(part[keep], full[keep])
+        assert np.isnan(part[~keep]).all()
+
+
+def test_levels_only_joint_tail_evaluates_fewer_ndtr_elements(monkeypatch):
+    """Without candidates both paths evaluate the same rows; with uniform
+    p-values (C = 1 where p <= lambda) the levels-only path skips the
+    candidates' rows and evaluates strictly fewer ``ndtr`` elements."""
+    evaluated = []
+
+    def counting(x, out=None):
+        evaluated.append(x.size)
+        return ndtr(x, out=out)
+
+    monkeypatch.setattr(weights, "ndtr", counting)
+    rng = np.random.default_rng(5)
+    levels = rng.uniform(1e-3, 0.1, size=(200, 10))
+
+    def count(keep, candidates):
+        evaluated.clear()
+        JointTail(0.5, 200).batch(levels, keep, candidates)
+        return sum(evaluated)
+
+    none = np.ones(levels.shape, dtype=bool)
+    assert count(none, True) == count(none, False) > 0
+    uniform = rng.uniform(size=levels.shape) > 0.16
+    assert count(uniform, False) < count(uniform, True)
