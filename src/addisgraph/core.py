@@ -4,13 +4,14 @@ Everything here is procedure-agnostic: a ledger records what actually
 happened on a testing trajectory (levels, thresholds, threshold indicators)
 and the checkers certify, for any realized trajectory, that the budget
 inequality backing the respective error-control guarantee held at every
-prefix.  Index space is 1-based throughout.
+prefix.  A ledger hands the checkers float64 rows through ``rows()``, and
+every budget path, theirs and the simulation runner's, is one call of
+:func:`budget_path`.  Index space is 1-based throughout.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,23 +235,13 @@ class LedgerEntry:
     alpha_c: float | None = None
     batch: int | None = None
 
-    @property
-    def gap(self) -> float:
-        return self.tau - self.lam
-
-    @property
-    def spend(self) -> float:
-        """This entry's contribution to the adaptive-discarding budget."""
-        ind = self.indicators
-        return self.level / self.gap * (ind.s - ind.c)
-
 
 class TrajectoryLedger:
     """Ordered record of a realized trajectory, consumed by the checkers.
 
-    Entries must arrive with gap-free consecutive 1-based indices.  Indicators
-    may be attached later (asynchronous observation) by setting an entry's
-    ``indicators``.
+    Entries must arrive with gap-free consecutive 1-based indices and
+    thresholds that pass :func:`check_gap`.  Indicators may be attached later
+    (asynchronous observation) by setting an entry's ``indicators``.
     """
 
     def __init__(self):
@@ -263,23 +254,28 @@ class TrajectoryLedger:
         expected = len(self.entries) + 1
         if entry.index != expected:
             raise DomainError(f"ledger expected index {expected}, got {entry.index}")
+        check_gap(entry.tau, entry.lam)
         self.entries.append(entry)
 
-    def _require_complete(self) -> None:
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """Float64 rows ``(level, gap, s, c, r)`` over the entries, with
+        ``gap = tau - lam``; ``IncompleteLedger`` while any lacks indicators."""
         missing = [e.index for e in self.entries if e.indicators is None]
         if missing:
             raise IncompleteLedger(f"no indicators recorded for indices {missing}")
+        table = np.array(
+            [(e.level, e.tau - e.lam, e.indicators.s, e.indicators.c, e.indicators.r)
+             for e in self.entries],
+            dtype=np.float64,
+        ).reshape(-1, 5)
+        return tuple(table.T)
 
-    def budget_spent(self) -> np.ndarray:
-        """Prefix sums of the adaptive-discarding budget (nondecreasing)."""
-        self._require_complete()
-        terms = np.array([e.spend for e in self.entries], dtype=np.float64)
-        return np.cumsum(terms)
 
-    def rejection_counts(self) -> np.ndarray:
-        self._require_complete()
-        terms = np.array([e.indicators.r for e in self.entries], dtype=np.float64)
-        return np.cumsum(terms)
+def budget_path(level, gap, s, c) -> np.ndarray:
+    """Prefix sums ``sum_{j<=i} level_j / gap_j * (s_j - c_j)`` along the last
+    axis of (n,) or (T, n) operands: the adaptive-discarding budget spent by
+    each prefix of a trajectory, or of each trial row."""
+    return np.cumsum(level / gap * (s - c), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -292,36 +288,35 @@ class ConditionReport:
         return self.passed
 
 
+def _report(spent: np.ndarray, slack: np.ndarray, bound: float) -> ConditionReport:
+    """The prefix of greatest ``slack`` (the first on ties), which passes
+    when its slack is at most ``bound``; an empty trajectory passes."""
+    if not len(spent):
+        return ConditionReport(passed=True, max_spend=0.0, worst_index=0)
+    worst = int(np.argmax(slack))
+    return ConditionReport(
+        passed=bool(slack[worst] <= bound),
+        max_spend=float(spent[worst]),
+        worst_index=worst + 1,
+    )
+
+
 def check_fwer_condition(
     ledger: TrajectoryLedger, alpha: float, tol: float = DEFAULT_TOL
 ) -> ConditionReport:
     """Certify the FWER budget: every prefix spend stays at or below alpha."""
-    if not len(ledger):
-        return ConditionReport(passed=True, max_spend=0.0, worst_index=0)
-    spent = ledger.budget_spent()
-    worst = int(np.argmax(spent))
-    return ConditionReport(
-        passed=bool(spent[worst] <= alpha + tol),
-        max_spend=float(spent[worst]),
-        worst_index=worst + 1,
-    )
+    level, gap, s, c, _ = ledger.rows()
+    spent = budget_path(level, gap, s, c)
+    return _report(spent, spent, alpha + tol)
 
 
 def check_fdr_condition(
     ledger: TrajectoryLedger, alpha: float, tol: float = DEFAULT_TOL
 ) -> ConditionReport:
     """Certify the FDR budget: prefix spend <= alpha * (rejections-so-far or 1)."""
-    if not len(ledger):
-        return ConditionReport(passed=True, max_spend=0.0, worst_index=0)
-    spent = ledger.budget_spent()
-    allowance = alpha * np.maximum(ledger.rejection_counts(), 1.0)
-    slack = spent - allowance
-    worst = int(np.argmax(slack))
-    return ConditionReport(
-        passed=bool(slack[worst] <= tol),
-        max_spend=float(spent[worst]),
-        worst_index=worst + 1,
-    )
+    level, gap, s, c, r = ledger.rows()
+    spent = budget_path(level, gap, s, c)
+    return _report(spent, spent - alpha * np.maximum(np.cumsum(r), 1.0), tol)
 
 
 def check_corr_condition(
@@ -333,21 +328,23 @@ def check_corr_condition(
     """Certify the joint-distribution budget for batch structures with tau = 1.
 
     Each term uses the joint-tail level annotated on the ledger instead of the
-    marginal level: sum_j alpha_j^c / (1 - lambda_{b_j}) * (1 - C_j) <= alpha.
+    marginal level: sum_j alpha_j^c / (1 - lambda_{b_j}) * (1 - C_j) <= alpha,
+    with lambda_{b_j} from ``lambda_by_batch`` (an entry with no batch uses
+    its own lambda).
     """
-    if not len(ledger):
-        return ConditionReport(passed=True, max_spend=0.0, worst_index=0)
-    ledger._require_complete()
-    terms = []
-    for e in ledger.entries:
+    _, _, _, c, _ = ledger.rows()
+    alpha_c = np.empty(len(c))
+    lam = np.empty(len(c))
+    for k, e in enumerate(ledger.entries):
         if e.alpha_c is None:
             raise MissingAlphaC(f"no joint-tail level recorded for index {e.index}")
-        lam = lambda_by_batch[e.batch] if e.batch is not None else e.lam
-        terms.append(e.alpha_c / (1.0 - lam) * (1 - e.indicators.c))
-    spent = np.cumsum(np.array(terms, dtype=np.float64))
-    worst = int(np.argmax(spent))
-    return ConditionReport(
-        passed=bool(spent[worst] <= alpha + tol),
-        max_spend=float(spent[worst]),
-        worst_index=worst + 1,
-    )
+        alpha_c[k] = e.alpha_c
+        if e.batch is None:
+            lam[k] = e.lam
+        elif e.batch in lambda_by_batch:
+            lam[k] = lambda_by_batch[e.batch]
+            check_gap(1.0, lam[k])
+        else:
+            raise InvalidConfig(f"no lambda given for batch {e.batch}")
+    spent = budget_path(alpha_c, 1.0 - lam, 1.0, c)
+    return _report(spent, spent, alpha + tol)

@@ -330,8 +330,8 @@ class RowLedger(Sequence):
     which is also its own sequence of entries.
 
     Each :class:`.core.LedgerEntry` is built on access by the engine's
-    ``_entry``, in O(1); the budget and rejection sums of the checkers are
-    one numpy pass over the rows.
+    ``_entry``, in O(1); :meth:`rows`, which the checkers read, is one
+    numpy slice of the engine's rows.
     """
 
     __slots__ = ("_engine",)
@@ -366,22 +366,17 @@ class RowLedger(Sequence):
     def __repr__(self) -> str:
         return repr(list(self))
 
-    def _require_complete(self) -> None:
-        missing = sorted(self._engine._pending)
-        if missing:
-            raise IncompleteLedger(f"no indicators recorded for indices {missing}")
-
-    def budget_spent(self) -> np.ndarray:
-        """Prefix sums of the adaptive-discarding budget (nondecreasing)."""
-        self._require_complete()
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """Float64 rows ``(level, gap, s, c, r)`` sliced from the engine's
+        state, as :meth:`.core.TrajectoryLedger.rows` gives them, without
+        building an entry; ``IncompleteLedger`` while any p-value is pending."""
         e = self._engine
-        n = e.issued
+        if e._pending:
+            missing = sorted(e._pending)
+            raise IncompleteLedger(f"no indicators recorded for indices {missing}")
         gap = np.array(e._taus, dtype=np.float64) - np.array(e._lams, dtype=np.float64)
-        return np.cumsum(np.array(e._levels, dtype=np.float64) / gap * (e._s[:n] - e._c[:n]))
-
-    def rejection_counts(self) -> np.ndarray:
-        self._require_complete()
-        return np.cumsum(self._engine._r[: self._engine.issued])
+        s, c, r = e._state[:3, : e.issued].copy()
+        return np.array(e._levels, dtype=np.float64), gap, s, c, r
 
 
 class SpendingLocal(FwerEngine):

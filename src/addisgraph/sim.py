@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtr
 
-from .core import check_gap
+from .core import budget_path, check_gap
 from .errors import EmptyOutcomeSet, InvalidConfig, InvalidW0
 from .gammas import GammaSpec
 from .weights import Closure, HeldMass, JointTail, corr_nodes, renorm_table
@@ -331,18 +331,15 @@ def compute_levels(config: SimConfig, p: np.ndarray) -> np.ndarray:
 
 
 def max_budget_spend(p, levels, tau: float, lam: float) -> np.ndarray:
-    """Worst prefix of the adaptive-discarding budget, per trial.
-
-    Array counterpart of the ledger-based certifier: for each trial row,
-    max_i sum_{j<=i} alpha_j/(tau-lam) (S_j - C_j); error control requires
-    this to stay at or below the overall alpha.
+    """Worst prefix of the adaptive-discarding budget, per trial: the row
+    maximum of :func:`.core.budget_path`, max_i sum_{j<=i}
+    alpha_j/(tau-lam) (S_j - C_j); error control requires this to stay at or
+    below the overall alpha.
     """
     p = np.atleast_2d(p)
-    levels = np.atleast_2d(levels)
     s = (p <= tau).astype(np.float64)
     c = (p <= lam).astype(np.float64)
-    spend = np.cumsum(levels / (tau - lam) * (s - c), axis=1)
-    return np.max(spend, axis=1)
+    return np.max(budget_path(np.atleast_2d(levels), tau - lam, s, c), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from addisgraph.sim import (
     compute_levels,
     expand_grid,
     generate_data,
+    max_budget_spend,
     run_grid,
     write_csv,
 )
@@ -60,6 +61,7 @@ def test_01_ledger_checker_agrees_on_sampled_trajectories():
         cfg = SimConfig(procedure="graph-conf-u", gamma=gamma, n=100, b=b, trials=5, seed=1)
         p, _ = generate_data(cfg)
         levels = compute_levels(cfg, p)
+        spends = max_budget_spend(p, levels, cfg.tau, cfg.lam)
         for t in range(cfg.trials):
             ledger = TrajectoryLedger()
             for i in range(1, cfg.n + 1):
@@ -68,7 +70,9 @@ def test_01_ledger_checker_agrees_on_sampled_trajectories():
                     float(p[t, i - 1]), tau=cfg.tau, lam=cfg.lam, alpha=float(levels[t, i - 1])
                 )
                 ledger.append(entry)
-            assert check_fwer_condition(ledger, alpha=cfg.alpha, tol=1e-10).passed
+            report = check_fwer_condition(ledger, alpha=cfg.alpha, tol=1e-10)
+            assert report.passed
+            assert report.max_spend == spends[t]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from addisgraph.core import (
     Indicators,
     LedgerEntry,
     TrajectoryLedger,
+    budget_path,
     check_corr_condition,
     check_fdr_condition,
     check_fwer_condition,
@@ -17,6 +18,7 @@ from addisgraph.core import (
 from addisgraph.errors import (
     DomainError,
     IncompleteLedger,
+    InvalidConfig,
     MissingAlphaC,
     NonContiguousSuffix,
     NonMonotoneConflicts,
@@ -181,10 +183,49 @@ def test_budget_recomputable_in_reverse():
     ledger = TrajectoryLedger()
     for i in range(1, 60):
         ledger.append(_entry(i, level=float(rng.uniform(0, 0.01)), p=float(rng.uniform())))
-    spent = ledger.budget_spent()
+    spent = budget_path(*ledger.rows()[:4])
     assert np.all(np.diff(spent) >= 0)
-    reverse = sum(e.spend for e in reversed(ledger.entries))
+    reverse = sum(
+        e.level / (e.tau - e.lam) * (e.indicators.s - e.indicators.c)
+        for e in reversed(ledger.entries)
+    )
     assert reverse == pytest.approx(spent[-1], rel=1e-12)
+
+
+def test_ledger_refuses_an_inverted_gap():
+    """lambda above tau makes the gap, and with it every spend term,
+    negative: a ledger that spends could then pass every checker."""
+    ledger = TrajectoryLedger()
+    e = LedgerEntry(index=1, level=0.3, tau=0.5, lam=0.6, indicators=Indicators(1, 0, 0))
+    with pytest.raises(InvalidConfig):
+        ledger.append(e)
+    assert len(ledger) == 0
+
+
+def _sequential_path(level, gap, s, c):
+    """sum_{j<=i} level_j / gap_j * (s_j - c_j), one Python float at a time."""
+    out, total = [], 0.0
+    for a, g, x, y in zip(level, gap, s, c):
+        total += float(a) / float(g) * (float(x) - float(y))
+        out.append(total)
+    return out
+
+
+def test_budget_path_is_the_sequential_sum():
+    rng = np.random.default_rng(7)
+    T, n = 4, 300
+    level = rng.uniform(0, 0.02, size=(T, n))
+    lam = rng.choice([0.0, 0.1, 0.16, 0.5], size=(T, n))
+    gap = rng.choice([0.8, 1.0], size=(T, n)) - lam
+    s = (rng.uniform(size=(T, n)) < 0.7).astype(np.float64)
+    c = s * (rng.uniform(size=(T, n)) < 0.4)
+    path = budget_path(level, gap, s, c)
+    for t in range(T):
+        assert path[t].tolist() == _sequential_path(level[t], gap[t], s[t], c[t])
+        assert budget_path(level[t], gap[t], s[t], c[t]).tolist() == path[t].tolist()
+    # the corr operands: S = 1 and gap = 1 - lambda_b
+    corr = budget_path(level[0], 1.0 - lam[0], 1.0, c[0])
+    assert corr.tolist() == _sequential_path(level[0], 1.0 - lam[0], np.ones(n), c[0])
 
 
 def test_fdr_allows_alpha_per_rejection():
@@ -241,3 +282,17 @@ def test_corr_checker_requires_alpha_c():
     ledger.append(e)
     with pytest.raises(MissingAlphaC):
         check_corr_condition(ledger, {1: 0.16}, alpha=0.2)
+
+
+@pytest.mark.parametrize("lambda_by_batch,message", [
+    ({1: 0.16}, "no lambda given for batch 3"),  # batch 3 absent
+    ({3: 1.0}, "need lambda in"),                # zero gap
+    ({3: 1.5}, "need lambda in"),                # negative gap
+])
+def test_corr_checker_refuses_bad_batch_lambdas(lambda_by_batch, message):
+    ledger = TrajectoryLedger()
+    e = LedgerEntry(index=1, level=0.1, tau=1.0, lam=0.16, batch=3, alpha_c=0.1)
+    e.indicators = compute_indicators(0.5, tau=1.0, lam=0.16, alpha=0.1)
+    ledger.append(e)
+    with pytest.raises(InvalidConfig, match=message):
+        check_corr_condition(ledger, lambda_by_batch, alpha=0.2)

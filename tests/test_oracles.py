@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from addisgraph.core import budget_path
 from addisgraph.engines import ClosedGraph, GraphConf, GraphConfU, SpendingLocal
 from addisgraph.errors import HorizonTooLarge
 from addisgraph.gammas import GammaSpec
@@ -87,7 +88,8 @@ def test_engine_spend_equals_budget_function():
         weights = renorm_table(BASEL, np.asarray(lags), n)[1:, 1:]
         bf = BudgetFunction(n=n, gamma=BASEL.values(n), weights=weights, alpha=0.2)
         f_real = bf.evaluate(u[None, :])[0]
-        assert e.ledger.budget_spent()[-1] == pytest.approx(f_real, rel=1e-12, abs=1e-15)
+        spent = budget_path(*e.ledger.rows()[:4])
+        assert spent[-1] == pytest.approx(f_real, rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

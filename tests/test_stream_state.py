@@ -33,6 +33,7 @@ from addisgraph.core import (
     ConflictStructure,
     LedgerEntry,
     TrajectoryLedger,
+    budget_path,
     check_fdr_condition,
     check_fwer_condition,
 )
@@ -365,8 +366,9 @@ def _copy(ledger) -> TrajectoryLedger:
 def _reports(ledger, alpha):
     """Both certificates of a ledger, or the message that refuses them."""
     try:
+        rows = ledger.rows()
         return (check_fwer_condition(ledger, alpha), check_fdr_condition(ledger, alpha),
-                ledger.budget_spent().tobytes(), ledger.rejection_counts().tobytes())
+                [row.tobytes() for row in rows], budget_path(*rows[:4]).tobytes())
     except IncompleteLedger as exc:
         return str(exc)
 
@@ -484,6 +486,18 @@ LATE_SESSION_SHA256 = {
 }
 
 
+# (passed, max_spend.hex(), worst_index) of check_fwer_condition and of
+# check_fdr_condition on the final ledger of that session, per kind
+LATE_SESSION_REPORTS = {
+    "closed-graph": ((True, "0x1.59e3645fcb71dp-6", 200), (True, "0x1.6774609dcad1ap-7", 12)),
+    "closed-spending": ((True, "0x1.205ab1e9e63a8p-3", 198), (True, "0x1.09e252f001827p-3", 7)),
+    "fdr-graph": ((False, "0x1.984f0eb833672p-2", 191), (True, "0x1.35212a6a904edp-8", 43)),
+    "graph-conf": ((True, "0x1.52b39c451ef01p-3", 193), (True, "0x1.e1587d500d6e8p-8", 7)),
+    "graph-conf-u": ((True, "0x1.8d46263bf5d12p-3", 200), (True, "0x1.57b2e11669d7dp-3", 6)),
+    "spending-local": ((True, "0x1.93ce2a104fa4ep-5", 198), (True, "0x1.f2038dc29bbc1p-6", 2)),
+}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_replies_of_a_delay_10_session_are_pinned(kind):
     config = SimConfig(n=PIN_N, e=PIN_DELAY, pi_a=0.3, mu_n=-0.5, trials=len(KINDS), seed=3)
@@ -496,3 +510,10 @@ def test_replies_of_a_delay_10_session_are_pinned(kind):
         hashlib.sha256(session.engine.snapshot_json().encode()).hexdigest(),
     )
     assert digests == LATE_SESSION_SHA256[kind]
+    engine = session.engine
+    reports = tuple(
+        (r.passed, r.max_spend.hex(), r.worst_index)
+        for r in (check_fwer_condition(engine.ledger, engine.alpha),
+                  check_fdr_condition(engine.ledger, engine.alpha))
+    )
+    assert reports == LATE_SESSION_REPORTS[kind]
