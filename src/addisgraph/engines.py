@@ -28,10 +28,11 @@ The input rules live in :mod:`.core`: a conflict set is checked by
 contiguous suffix ``{lo .. i-1}`` is held as ``range(lo, i)`` and checked
 in O(1), and the graph kinds pass that range on to the renormaliser, which
 zeroes the window as a slice; the engine adds only the refusal of non-suffix
-sets by the kinds that need lags.  ``engine.ledger`` is a read-only ledger
-view of these rows.  The versioned snapshot is the configuration plus the accepted calls
-in arrival order, rebuilt from the records; restore replays them, so
-behavior after a round-trip is bit-identical by construction.
+sets by the kinds that need lags, ``graph-conf-u`` and the closed kinds.
+``engine.ledger`` is a read-only ledger view of these rows.  The versioned
+snapshot is the configuration plus the accepted calls in arrival order,
+rebuilt from the records; restore replays them, so behavior after a
+round-trip is bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -115,8 +116,6 @@ class FwerEngine:
         # U_j alpha_j / (tau_j - lambda_j) (zero until observed); doubled on demand.
         self._state = np.zeros((6, 64))
         self._s, self._c, self._r, self._u, self._alpha_tilde, self._carry = self._state
-        # Running sum of S - C over the longest observed prefix (entry k: 1..k).
-        self._spent = [0]
 
     @property
     def ledger(self) -> "RowLedger":
@@ -168,25 +167,15 @@ class FwerEngine:
             raise DuplicateObservation(f"p-value for index {i} already reported")
         k = i - 1
         ind = compute_indicators(p, self._taus[k], self._lams[k], self._levels[k])
-        s, c = ind.s, ind.c
-        self._s[k] = s
-        self._c[k] = c
+        self._s[k] = ind.s
+        self._c[k] = ind.c
         self._r[k] = ind.r
-        self._u[k] = u = c - s + 1
+        self._u[k] = u = ind.c - ind.s + 1
         self._carry[k] = u * self._alpha_tilde[k]
         self._pending.remove(i)
         self._seen_index.append(i)
         self._seen_p.append(p)
         self._seen_issued.append(self.issued)
-        spent = self._spent
-        if len(spent) == i:  # i extends the observed prefix, and so may later indices
-            total = spent[-1] + s - c
-            spent.append(total)
-            for j in range(i, self.issued):
-                if j + 1 in self._pending:
-                    break
-                total += int(self._s[j]) - int(self._c[j])
-                spent.append(total)
         self._observed(i, ind)
         return ind, bool(ind.r)
 
@@ -380,20 +369,38 @@ class RowLedger(Sequence):
 
 
 class SpendingLocal(FwerEngine):
-    """Level spending with a locally shifted counter under lag conflicts.
+    """Level spending with a counter that skips any monotone conflict set.
 
-    alpha_i = alpha (tau_i - lambda_i) gamma_{t}, where
-    t = 1 + L_i + sum_{j <= i - L_i - 1} (S_j - C_j).
+    alpha_i = alpha (tau_i - lambda_i) gamma_t, where
+    t = 1 + |X_i| + sum_{j < i, j not in X_i} (S_j - C_j).  Every pending
+    index lies in X_i and U_j = 1 - (S_j - C_j) (zero while pending), so
+    t = 1 + net + |pending| + sum_{j in X_i} U_j, net summing S - C over
+    the observations.
     """
 
     kind = "spending-local"
-    needs_lag_form = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._net = 0
 
     def _compute_level(self, i, x, tau_i, lam_i):
-        lag = len(x)
-        self._require_observed(i - lag)
-        t = 1 + lag + self._spent[i - lag - 1]
+        self._require_observed(i, x)
+        if type(x) is range:
+            held = self._u[x.start - 1 : i - 1].sum()
+        else:
+            held = self._u[np.fromiter(x, np.intp, len(x)) - 1].sum()
+        t = 1 + self._net + len(self._pending) + int(held)
         return self.alpha * (tau_i - lam_i) * self.gamma.value(t)
+
+    def _observed(self, i, ind):
+        self._net += ind.s - ind.c
+
+    def future_level(self) -> float:
+        """alpha sum_{k > net} gamma_k, the level left for a conflict-free
+        continuation; ``MissingIndicator`` while any p-value is pending."""
+        self._require_observed(self.issued + 1)
+        return float(self.alpha * self.gamma.tail_sum(self._net))
 
 
 class GraphConf(FwerEngine):
@@ -437,6 +444,16 @@ class GraphConf(FwerEngine):
             self._renorm.pin(cleared)  # nothing below can fail
         carried = col @ self._carry[: i - 1]
         return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
+
+    def future_level(self) -> float:
+        """The seed tail past the last index plus each source's carried mass
+        beyond it, the level left for a conflict-free continuation;
+        ``MissingIndicator`` while any p-value is pending."""
+        self._require_observed(self.issued + 1)
+        n = self.issued
+        rule = self._renorm if self.adjust == "renormalize" else self.base_rule
+        carried = sum(self._carry[j - 1] * rule.tail_mass(j, n) for j in range(1, n + 1))
+        return float(self.alpha * self.gamma.tail_sum(n) + carried)
 
 
 class GraphConfU(FwerEngine):

@@ -1,6 +1,9 @@
 """Platform-study replay: conflict structure from entry/exit intervals,
 engine replay over recorded p-values, and remaining-future-level accounting.
 
+A replay drives the ``graph-conf`` or ``spending-local`` engine, which take
+any monotone conflict set, so arms may leave in any order.
+
 Study file format (line-oriented text, ``#`` comments):
 
     # optional defaults
@@ -22,8 +25,8 @@ mark structure-only files; replaying them raises ``MissingData``.
 
 Future-level accounting: after the recorded horizon the stream is assumed to
 continue conflict-free with full recycling disabled (tau = 1, lambda = 0),
-so the level still available to future hypotheses is the untouched seed tail
-plus every recorded source's carried mass beyond the horizon.
+so the level still available to future hypotheses is the engine's
+``future_level()``.
 """
 
 from __future__ import annotations
@@ -33,9 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConflictStructure, validate_conflicts
-from .engines import GraphConf
+from .engines import make_engine
 from .errors import InvalidConfig, MissingData
 from .gammas import GammaSpec
+
+# replay procedure -> engine kind
+_REPLAY_KINDS = {"graph": "graph-conf", "spending": "spending-local"}
 
 
 @dataclass
@@ -153,23 +159,6 @@ class ReplayReport:
         )
 
 
-def _generalized_spending_levels(sets, p, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
-    """Spending counter generalized to arbitrary monotone conflict sets.
-
-    t(i) = 1 + |X_i| + sum_{j < i, j not in X_i} (S_j - C_j); under
-    contiguous-suffix sets this is the usual locally shifted counter.
-    """
-    n = len(sets)
-    s = (p <= tau).astype(int)
-    c = (p <= lam).astype(int)
-    levels = np.empty(n)
-    for i in range(1, n + 1):
-        x = sets[i - 1]
-        t = 1 + len(x) + sum(s[j - 1] - c[j - 1] for j in range(1, i) if j not in x)
-        levels[i - 1] = alpha * (tau - lam) * spec.value(t)
-    return levels
-
-
 def replay_study(
     study: ReplayStudy,
     procedure: str = "graph",
@@ -181,7 +170,7 @@ def replay_study(
     """Replay a recorded study and report rejections plus future level.
 
     ``procedure`` is ``"graph"`` (conflict-renormalized recycling graph) or
-    ``"spending"`` (generalized locally shifted spending); the seed sequence
+    ``"spending"`` (locally shifted spending); the seed sequence
     is geometric with ratio ``q``.  ``q``, ``alpha``, ``tau`` and ``lam``
     fall back to the study file's defaults, then to 0.6, 0.05, 0.8 and 0.3.
     """
@@ -189,50 +178,30 @@ def replay_study(
     alpha = study.defaults.get("alpha", 0.05) if alpha is None else alpha
     tau = study.defaults.get("tau", 0.8) if tau is None else tau
     lam = study.defaults.get("lam", 0.3) if lam is None else lam
-    spec = GammaSpec(kind="geometric", q=q)
     p = study.p_values()
-    n = study.n
-    sets = study.conflict_sets
-    s = (p <= tau).astype(int)
-    c = (p <= lam).astype(int)
-
-    if procedure == "spending":
-        levels = _generalized_spending_levels(sets, p, alpha, tau, lam, spec)
-        decisions = p <= levels
-        # continuation counter: no conflicts past the horizon
-        t_next = 1 + int(np.sum(s - c))
-        future = alpha * spec.tail_sum(t_next - 1)
-    elif procedure == "graph":
-        engine = GraphConf(alpha=alpha, tau=tau, lam=lam, gamma=spec)
-        levels = np.empty(n)
-        observed: set[int] = set()
-        for i in range(1, n + 1):
-            for j in range(1, i):
-                if j not in sets[i - 1] and j not in observed:
-                    engine.observe(j, float(p[j - 1]))
-                    observed.add(j)
-            levels[i - 1] = engine.level(i, conflicts=sets[i - 1])
-        for j in range(1, n + 1):
-            if j not in observed:
-                engine.observe(j, float(p[j - 1]))
-        decisions = p <= levels
-        carried = sum(
-            engine._carry[j - 1] * engine._renorm.tail_mass(j, n) for j in range(1, n + 1)
-        )
-        future = alpha * spec.tail_sum(n) + carried
-    else:
+    if procedure not in _REPLAY_KINDS:
         raise InvalidConfig(f"unknown replay procedure {procedure!r}")
-
+    engine = make_engine(
+        _REPLAY_KINDS[procedure], alpha=alpha, tau=tau, lam=lam,
+        gamma=GammaSpec(kind="geometric", q=q),
+    )
+    levels = np.empty(study.n)
+    pending: list[int] = []
+    for i, x in enumerate(study.conflict_sets, start=1):
+        for j in pending:  # outside X_i, so outside every later set
+            if j not in x:
+                engine.observe(j, float(p[j - 1]))
+        pending = [j for j in pending if j in x] + [i]
+        levels[i - 1] = engine.level(i, conflicts=x)
+    for j in pending:
+        engine.observe(j, float(p[j - 1]))
+    decisions = p <= levels
     return ReplayReport(
         procedure=procedure,
         q=q,
         rejections=int(np.sum(decisions)),
-        future_level=float(future),
+        future_level=engine.future_level(),
         levels=levels,
         decisions=decisions,
     )
 
-
-def untested_future_level(spec: GammaSpec, alpha: float) -> float:
-    """Future level before anything is tested: the whole seed budget."""
-    return alpha * spec.tail_sum(0)

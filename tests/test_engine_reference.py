@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addisgraph.core import check_fwer_condition
 from addisgraph.engines import ClosedGraph, ClosedSpending, GraphConf, GraphConfU, SpendingLocal
 from addisgraph.errors import MissingIndicator
 from addisgraph.extensions import FdrGraph
@@ -89,7 +90,7 @@ class Reference:
         """Whether the level of i still lacks feedback it needs."""
         lag = len(x)
         unseen = [j for j in range(1, i) if self.ind[j - 1] is None]
-        if self.kind in ("spending-local", "graph-conf-u"):
+        if self.kind == "graph-conf-u":
             return any(j < i - lag for j in unseen)
         if self.kind.startswith("closed"):
             return bool(unseen)
@@ -110,7 +111,7 @@ class Reference:
         lag = len(x)
         ind = self.ind
         if self.kind == "spending-local":
-            t = 1 + lag + sum(ind[j - 1][0] - ind[j - 1][1] for j in range(1, i - lag))
+            t = 1 + lag + sum(ind[j - 1][0] - ind[j - 1][1] for j in range(1, i) if j not in x)
             a = self.alpha * gap * self.g(t)
             return a, a
         if self.kind == "closed-spending":
@@ -260,6 +261,16 @@ def test_lag_form_engines_match_reference(kind, cls, n, gamma, rnd):
 def test_graph_conf_matches_reference(n, gamma, rnd):
     sets = finish_time_sets(rnd, n)
     run_against_reference(GraphConf(gamma=gamma), Reference("graph-conf", 0.2, gamma), rnd, sets)
+
+
+@given(**streams)
+@settings(max_examples=80, deadline=None)
+def test_spending_local_matches_reference_on_finish_time_sets(n, gamma, rnd):
+    sets = finish_time_sets(rnd, n)
+    engine = SpendingLocal(gamma=gamma)
+    run_against_reference(engine, Reference("spending-local", 0.2, gamma), rnd, sets)
+    # the certificate reads every prefix of the finished ledger
+    assert check_fwer_condition(engine.ledger, 0.2).passed
 
 
 @given(**streams)

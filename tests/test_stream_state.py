@@ -241,15 +241,17 @@ def test_conflicts_field_parses_like_the_per_token_path():
 
 def test_gapped_and_non_monotone_conflicts_replies():
     prefix = ["H 1", "H 2 conflicts=1", "H 3 conflicts=1,2"]
-    assert _after("spending-local", prefix, "H 4 conflicts=1,3") == (
-        "ERR non-contiguous-suffix spending-local requires contiguous-suffix conflict "
+    assert _after("graph-conf-u", prefix, "H 4 conflicts=1,3") == (
+        "ERR non-contiguous-suffix graph-conf-u requires contiguous-suffix conflict "
         "sets; got [1, 3] at 4"
     )
-    # graph-conf accepts gapped sets, once the index left out is observed
-    assert _after("graph-conf", prefix, "H 4 conflicts=1,3") == (
-        "ERR missing-indicator levels need p-value feedback for indices [2]"
-    )
-    assert _after("graph-conf", prefix + ["P 2 0.5"], "H 4 conflicts=1,3").startswith("LEVEL 4 ")
+    # spending-local and graph-conf accept gapped sets, once the index left
+    # out is observed
+    for kind in ("spending-local", "graph-conf"):
+        assert _after(kind, prefix, "H 4 conflicts=1,3") == (
+            "ERR missing-indicator levels need p-value feedback for indices [2]"
+        )
+        assert _after(kind, prefix + ["P 2 0.5"], "H 4 conflicts=1,3").startswith("LEVEL 4 ")
     for kind in ("spending-local", "graph-conf"):
         assert _after(kind, ["H 1", "P 1 0.5", "H 2", "H 3 conflicts=2"],
                       "H 4 conflicts=1,2,3") == (
@@ -264,6 +266,19 @@ def test_gapped_and_non_monotone_conflicts_replies():
             "ERR non-monotone-conflicts conflict sets are not monotone: 8 conflicts "
             "with 10 but not with intermediate index 9"
         )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_the_lag_form_kinds_refuse_a_gapped_set(kind):
+    prefix = ["H 1", "P 1 0.5", "H 2 conflicts=1", "P 2 0.5", "H 3 conflicts=1,2", "P 3 0.5"]
+    reply = _after(kind, prefix, "H 4 conflicts=1,3")
+    if kind in ("graph-conf-u", *CLOSED):
+        assert reply == (
+            f"ERR non-contiguous-suffix {kind} requires contiguous-suffix conflict "
+            "sets; got [1, 3] at 4"
+        )
+    else:
+        assert reply.startswith("LEVEL 4 ")
 
 
 # ---------------------------------------------------------------------------

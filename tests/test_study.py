@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from addisgraph.errors import DomainError, InvalidConfig, MissingData
+from addisgraph.engines import make_engine
+from addisgraph.errors import DomainError, InvalidConfig, MissingData, MissingIndicator
 from addisgraph.gammas import GammaSpec
-from addisgraph.study import ReplayStudy, replay_study, untested_future_level
+from addisgraph.study import ReplayStudy, replay_study
 
 from pathlib import Path
 
@@ -110,7 +113,29 @@ def test_nonconsecutive_indices_rejected(tmp_path):
 
 def test_untested_future_level_is_alpha():
     spec = GammaSpec(kind="geometric", q=0.6)
-    assert untested_future_level(spec, 0.05) == pytest.approx(0.05, abs=1e-15)
+    for kind in ("graph-conf", "spending-local"):
+        engine = make_engine(kind, alpha=0.05, gamma=spec)
+        assert engine.future_level() == pytest.approx(0.05, abs=1e-15), kind
+
+
+@pytest.mark.parametrize("kind", ["graph-conf", "spending-local"])
+def test_future_level_waits_for_every_p_value(kind):
+    engine = make_engine(kind, alpha=0.05, gamma="geometric:0.6")
+    engine.level(1)
+    engine.level(2, conflicts={1})
+    engine.observe(2, 0.5)
+    with pytest.raises(MissingIndicator, match=r"\[1\]"):
+        engine.future_level()
+    engine.observe(1, 0.9)
+    assert engine.future_level() > 0.0
+
+
+@pytest.mark.parametrize("procedure", ["graph", "spending"])
+def test_replay_refuses_an_inverted_gap(tmp_path, procedure):
+    path = tmp_path / "gap.study"
+    path.write_text("T1 enter=1 exit=5 p=0.01\nT2 enter=2 exit=6 p=0.9\n")
+    with pytest.raises(InvalidConfig, match="lambda"):
+        replay_study(ReplayStudy.parse(path), procedure=procedure, tau=0.3, lam=0.5)
 
 
 @pytest.mark.parametrize("procedure", ["graph", "spending"])
@@ -164,3 +189,23 @@ def test_summary_formats():
     )
     assert "future-level=0.0256" in report.summary()
     assert "0.02561234" in report.summary(full_precision=True)
+
+
+# sha256 of the float.hex of every replay level and future level below,
+# recorded before the replay drove the public engines
+REPLAY_SHA256 = "5d69bd91646927b64e7c627e1ec091e9aa04b758b329c47d62e3405afe146023"
+
+
+def test_replay_bits_are_pinned(tmp_path):
+    """Five seeded fills of the structure file, both procedures, q in
+    {0.6, 0.7, 0.8}; the file's later arms have gapped conflict sets."""
+    digest = hashlib.sha256()
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        study = _with_p(tmp_path, np.round(rng.uniform(size=12) ** 2, 6))
+        for procedure in ("graph", "spending"):
+            for q in (0.6, 0.7, 0.8):
+                report = replay_study(study, procedure=procedure, q=q)
+                line = " ".join(float(v).hex() for v in report.levels)
+                digest.update(f"{seed} {procedure} {q} {report.future_level.hex()} {line}\n".encode())
+    assert digest.hexdigest() == REPLAY_SHA256
