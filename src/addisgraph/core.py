@@ -270,6 +270,12 @@ class TrajectoryLedger:
         ).reshape(-1, 5)
         return tuple(table.T)
 
+    def corr_rows(self) -> tuple[list, list, list]:
+        """Per entry, its joint-tail level and its batch (each None where
+        unset) and its lambda, as :func:`check_corr_condition` reads them."""
+        es = self.entries
+        return [e.alpha_c for e in es], [e.batch for e in es], [e.lam for e in es]
+
 
 def budget_path(level, gap, s, c) -> np.ndarray:
     """Prefix sums ``sum_{j<=i} level_j / gap_j * (s_j - c_j)`` along the last
@@ -330,21 +336,23 @@ def check_corr_condition(
     Each term uses the joint-tail level annotated on the ledger instead of the
     marginal level: sum_j alpha_j^c / (1 - lambda_{b_j}) * (1 - C_j) <= alpha,
     with lambda_{b_j} from ``lambda_by_batch`` (an entry with no batch uses
-    its own lambda).
+    its own lambda).  The first index with no alpha^c or with a batch whose
+    lambda is missing or out of range raises.
     """
     _, _, _, c, _ = ledger.rows()
-    alpha_c = np.empty(len(c))
-    lam = np.empty(len(c))
-    for k, e in enumerate(ledger.entries):
-        if e.alpha_c is None:
-            raise MissingAlphaC(f"no joint-tail level recorded for index {e.index}")
-        alpha_c[k] = e.alpha_c
-        if e.batch is None:
-            lam[k] = e.lam
-        elif e.batch in lambda_by_batch:
-            lam[k] = lambda_by_batch[e.batch]
-            check_gap(1.0, lam[k])
-        else:
-            raise InvalidConfig(f"no lambda given for batch {e.batch}")
-    spent = budget_path(alpha_c, 1.0 - lam, 1.0, c)
+    alpha_c, batch, own_lam = ledger.corr_rows()
+    missing = next((k for k, a in enumerate(alpha_c) if a is None), len(alpha_c))
+    for b in dict.fromkeys(batch[:missing]):  # in order of first index
+        if b is None:
+            continue
+        if b not in lambda_by_batch:
+            raise InvalidConfig(f"no lambda given for batch {b}")
+        check_gap(1.0, float(lambda_by_batch[b]))
+    if missing < len(alpha_c):
+        raise MissingAlphaC(f"no joint-tail level recorded for index {missing + 1}")
+    lam = np.array(
+        [own if b is None else lambda_by_batch[b] for b, own in zip(batch, own_lam)],
+        dtype=np.float64,
+    )
+    spent = budget_path(np.array(alpha_c, dtype=np.float64), 1.0 - lam, 1.0, c)
     return _report(spent, spent, alpha + tol)

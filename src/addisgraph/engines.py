@@ -214,6 +214,12 @@ class FwerEngine:
             indicators=indicators,
         )
 
+    def _corr_rows(self) -> tuple[list, list, list]:
+        """The ledger's joint-tail levels, batches and lambdas: no batch and
+        no joint tail here."""
+        none = [None] * self.issued
+        return none, none, self._lams
+
     def _reserve(self, n: int) -> None:
         cap = self._state.shape[1]
         if n > cap:
@@ -366,6 +372,12 @@ class RowLedger(Sequence):
         gap = np.array(e._taus, dtype=np.float64) - np.array(e._lams, dtype=np.float64)
         s, c, r = e._state[:3, : e.issued].copy()
         return np.array(e._levels, dtype=np.float64), gap, s, c, r
+
+    def corr_rows(self) -> tuple[list, list, list]:
+        """Per index, its joint-tail level and its batch (each None where the
+        engine has none) and its lambda, read from the engine's lists as
+        :meth:`.core.TrajectoryLedger.corr_rows` gives them."""
+        return self._engine._corr_rows()
 
 
 class SpendingLocal(FwerEngine):

@@ -173,6 +173,11 @@ class AdaptiveGraphCorr(GraphConf):
             entry.alpha_c = self._alpha_c[k]
         return entry
 
+    def _corr_rows(self):
+        n = self.issued
+        alpha_c = self._alpha_c + [None] * (n - len(self._alpha_c))
+        return alpha_c, self.structure.batch_of[:n], self._lams
+
     def level(self, i: int) -> float:
         n = self.structure.n
         if not 1 <= i <= n:

@@ -272,11 +272,12 @@ def levels_adaptive_corr(
 
     Each batch's joint tails come from :class:`JointTail` over all trials,
     on the ``corr_nodes(rho)`` rule unless ``nodes`` is given.  A later
-    level reads only the non-candidates' alpha^c, through their surplus
-    alpha_j - alpha^c_j; a candidate's coefficient is its level.  So with
-    ``candidates=False`` the candidates' alpha^c are not evaluated and come
-    back NaN, and the levels keep their bits; by default every member's
-    alpha^c is returned, as the joint-tail budget reads them.
+    level reads only the non-candidates' alpha^c of earlier batches, through
+    their surplus alpha_j - alpha^c_j; a candidate's coefficient is its
+    level.  So with ``candidates=False`` the candidates' alpha^c and the
+    whole last batch's are not evaluated and come back NaN, and the levels
+    keep their bits; by default every member's alpha^c is returned, as the
+    joint-tail budget reads them.
     """
     ttr, n = p.shape
     gam = spec.values(n)
@@ -286,13 +287,15 @@ def levels_adaptive_corr(
     tail = JointTail(rho, ttr, nodes)
 
     levels = np.empty((ttr, n))
-    alpha_c = np.empty((ttr, n))
+    alpha_c = np.full((ttr, n), np.nan)
     coef = np.zeros((ttr, n))
     for start in range(0, n, b):
         for i0 in range(start, start + b):
             levels[:, i0] = (1.0 - lam) * (
                 alpha * gam[i0] + coef[:, :start] @ w[1 : start + 1, i0 + 1]
             )
+        if start + b == n and not candidates:
+            break  # no later level reads the last batch's alpha^c
         batch = slice(start, start + b)
         alpha_c[:, batch] = tail.batch(levels[:, batch], keep[:, batch], candidates)
         coef[:, batch] = np.where(
@@ -304,7 +307,8 @@ def levels_adaptive_corr(
 def compute_levels(config: SimConfig, p: np.ndarray) -> np.ndarray:
     """Dispatch to the vectorized runner for the configured procedure.
     Only the levels are returned, so ``adaptive-graph-corr`` evaluates the
-    joint tails of its non-candidates alone (``candidates=False``).
+    joint tails of its non-candidates outside the last batch alone
+    (``candidates=False``).
     Known fault: ``fdr-graph`` takes its conflicts from ``e`` alone, so at
     b > 1 batch-mates do not conflict (pinned by the benchmark digests)."""
     spec = config.gamma_spec

@@ -498,18 +498,15 @@ class JointTail:
     engine is the case of one trial.
 
     A member's conditional tail ``cond`` is read only by its estimate, kept
-    where the trial has an earlier non-candidate (``n_prior > 0``), and by
+    where the trial has an earlier non-candidate (the estimate rows), and by
     the prefix update of a non-candidate (``keep``) with a later member to
-    come; so only those rows are evaluated, and a member with none is
-    skipped.  ``batch(..., candidates=False)`` drops the estimates of the
-    candidates (C = 1) too, for a caller that reads alpha^c only where a
-    level or a budget does: on the non-candidates, as a candidate's level
-    coefficient is its level and its budget term carries the factor
-    1 - C_j = 0.  Then a member's rows are its non-candidates with an
-    earlier non-candidate or a later member, and the candidates' entries
-    come back NaN, "not evaluated".  Every value read is that of a dense
-    evaluation; the reused buffer's other rows hold finite stale values that
-    the selections drop.
+    come (the carry rows); so only those rows are evaluated, and a member
+    with none is skipped.  ``batch(..., candidates=False)`` drops the
+    estimates of the candidates (C = 1) too, for a caller that reads alpha^c
+    only where a level or a budget does: on the non-candidates, as a
+    candidate's level coefficient is its level and its budget term carries
+    the factor 1 - C_j = 0.  Then the candidates' entries come back NaN,
+    "not evaluated".  Every value read is that of a dense evaluation.
 
     Two exact facts cut the ``ndtr`` calls of the evaluated rows further.
     The nodes ascend, and floating-point subtraction and division by a
@@ -517,58 +514,66 @@ class JointTail:
     s1`` is non-increasing along the nodes and the nodes where it is at
     least ``NDTR_ONE`` (``ndtr`` exactly 1.0) are a prefix.  The row of the
     least ``crit`` has the shortest such prefix, ``lead`` nodes, and every
-    row saturates there too; those columns are set to 1.0 and ``ndtr`` runs
-    on the rest.  And ``ndtr`` is a pure function of its argument, so rows
-    with equal ``crit`` have equal ``cond`` rows: it runs once per distinct
-    critical value, and the rows are gathered from those.  The product
-    with ``wq`` stays one product over all nodes and trials, as a product
-    over a subset of rows may sum in another order; the prefix update
-    multiplies only the kept rows past ``lead``, where the factor is not
-    exactly 1.0, and stops after the last member.
+    row saturates there too; ``ndtr`` runs on the rest.  And ``ndtr`` is a
+    pure function of its argument, so rows with equal ``crit`` have equal
+    ``cond`` rows: it runs once per distinct critical value, ``V``, and each
+    row gathers its values from there.
+
+    The member loop works on its rows alone, with no (T, nodes) ``cond``
+    buffer.  An estimate row ``e`` writes ``terms[e, :lead] = 0``, which is
+    ``(1 - 1.0) * prefix``, and ``terms[e, lead:] = (1 - V) * prefix[e,
+    lead:]``.  A carry row multiplies ``prefix[c, lead:]`` by ``V``; the
+    last member carries nothing.  A row's prefix is reset at its first carry
+    of the batch, to 1.0 before ``lead`` and to ``V`` past it, as 1.0 * x ==
+    x exactly; only an estimate row reads it, and it has had a carry.  The
+    product with ``wq`` stays one product over the whole (T, nodes)
+    ``terms`` buffer, whose other rows hold finite stale values, and the
+    estimate rows are read from it: BLAS may sum a row in another order when
+    it gets another row count, while each output row is its own dot product.
     """
 
     def __init__(self, rho: float, trials: int = 1, nodes: int | None = None):
         rule = corr_nodes(rho)  # refuses a rho out of range also when ``nodes`` is given
         z, self._wq = gauss_legendre(rule if nodes is None else nodes)
         self._srz, self._s1 = np.sqrt(rho) * z, np.sqrt(1.0 - rho)
-        self._cond = np.ones((trials, z.size))
         self._prefix = np.empty((trials, z.size))
-        self._terms = np.empty((trials, z.size))
+        self._terms = np.zeros((trials, z.size))
 
     def batch(self, levels: np.ndarray, keep: np.ndarray, candidates: bool = True) -> np.ndarray:
         """alpha^c of every member, from the (T, b) levels of one batch and
         its non-candidate flags ``keep`` (C = 0), members in order; NaN on
         the candidates unless ``candidates``."""
         ttr, b = levels.shape
-        cond, prefix, terms = self._cond, self._prefix, self._terms
+        prefix, terms = self._prefix, self._terms
         wq, srz, s1 = self._wq, self._srz, self._s1
-        alpha_c = np.empty((ttr, b))
+        # empty intersection set: the tail is the level itself, exactly
+        alpha_c = levels.copy()
         crit = ndtri(1.0 - levels)
-        prefix.fill(1.0)
-        n_prior = np.zeros(ttr)
+        seen = np.zeros(ttr, dtype=bool)  # an earlier non-candidate in the batch
         for j0 in range(b):
             kept, more = keep[:, j0], j0 < b - 1
-            prior = n_prior > 0
-            est_rows = prior if candidates else prior & kept
-            rows = np.flatnonzero(est_rows | kept if more else est_rows)
+            est = seen if candidates else seen & kept
+            rows = np.flatnonzero(est | kept if more else est)
             if rows.size:
                 vals, inv = np.unique(crit[rows, j0], return_inverse=True)
                 lead = np.count_nonzero((vals[0] - srz) / s1 >= NDTR_ONE)
-                cond[rows, :lead] = 1.0
                 arg = np.subtract(vals[:, None], srz[lead:])
                 arg /= s1
-                cond[rows, lead:] = ndtr(arg, out=arg)[inv]
-            est = levels[:, j0]
-            if est_rows.any():
-                np.subtract(1.0, cond, out=terms)
-                terms *= prefix
-                est = terms @ wq
-            # empty intersection set: the tail is the level itself, exactly
-            alpha_c[:, j0] = np.where(prior, est, levels[:, j0])
-            if more and rows.size:
-                past = prefix[:, lead:]
-                np.multiply(past, cond[:, lead:], out=past, where=kept[:, None])
-            n_prior += kept
+                v = ndtr(arg, out=arg)
+                on_e = est[rows]
+                if on_e.any():
+                    e = rows[on_e]
+                    terms[e, :lead] = 0.0
+                    terms[e, lead:] = (1.0 - v[inv[on_e]]) * prefix[e, lead:]
+                    alpha_c[e, j0] = (terms @ wq)[e]
+                if more:
+                    on_c = kept[rows]
+                    c, inv_c = rows[on_c], inv[on_c]
+                    first = ~seen[c]
+                    prefix[c[first], :lead] = 1.0
+                    prefix[c[first], lead:] = v[inv_c[first]]
+                    prefix[c[~first], lead:] *= v[inv_c[~first]]
+            seen |= kept
         if not candidates:
             alpha_c[~keep] = np.nan
         return alpha_c

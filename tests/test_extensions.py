@@ -12,13 +12,15 @@ from scipy.special import ndtr
 
 import addisgraph
 from addisgraph import gammas
-from addisgraph.core import ConflictStructure, check_corr_condition
+from addisgraph.core import ConflictStructure, TrajectoryLedger, check_corr_condition
 from addisgraph.engines import FwerEngine, GraphConf
 from addisgraph.errors import (
     BatchIncomplete,
     DomainError,
+    IncompleteLedger,
     InvalidConfig,
     InvalidW0,
+    MissingAlphaC,
     MissingIndicator,
     ModelUnavailable,
 )
@@ -317,6 +319,52 @@ def test_alpha_c_frozen_at_batch_completion():
     e.observe(3, 0.4)
     e.level(4)
     assert [e.ledger.entries[0].alpha_c, e.ledger.entries[1].alpha_c] == frozen
+
+
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    rho=st.floats(0.0, 0.9),
+    driven=st.integers(0, 48),
+    pending=st.booleans(),
+    fault=st.sampled_from(["none", "no-lambda", "zero-gap"]),
+    at=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_corr_checker_reads_engine_rows_as_its_entries(
+    sizes, rho, driven, pending, fault, at, seed
+):
+    """On an engine's ledger the corr checker reads the engine's alpha^c and
+    batch rows and builds no entry; its report, or the error it raises
+    (an index pending, a batch not yet frozen, a batch with no lambda or with
+    a lambda out of range), is the one of a ``TrajectoryLedger`` holding the
+    same entries."""
+    e = _corr_engine(sizes, rho=rho)
+    n = e.structure.n
+    p = np.random.default_rng(seed).uniform(size=n) ** 2
+    driven = min(driven, n)
+    for i in range(1, driven + 1):
+        e.level(i)
+        e.observe(i, float(p[i - 1]))
+    if pending and driven < n:
+        e.level(driven + 1)
+    copy = TrajectoryLedger()
+    for entry in e.ledger.entries:
+        copy.append(entry)
+    lambdas = e.model.lambda_by_batch()
+    b = min(at, len(sizes))
+    if fault == "no-lambda":
+        del lambdas[b]
+    elif fault == "zero-gap":
+        lambdas[b] = 1.0
+
+    def outcome(ledger):
+        try:
+            return check_corr_condition(ledger, lambdas, e.alpha)
+        except (IncompleteLedger, InvalidConfig, MissingAlphaC) as err:
+            return type(err), str(err)
+
+    assert outcome(e.ledger) == outcome(copy)
 
 
 def _corr_session_lines(model, alpha, gamma, seed):

@@ -531,15 +531,18 @@ def _adaptive_corr_dense(p, b, rho, alpha, lam, spec, nodes):
 
 def _check_levels_only(p, b, rho, alpha, lam, gamma, nodes, ref_levels, ref_alpha_c):
     """The levels-only path (``candidates=False``) gives the dense levels and
-    the dense alpha^c on the non-candidates, NaN on the candidates; on the
-    default node rule ``compute_levels`` takes it and gives the dense levels."""
+    the dense alpha^c on the non-candidates outside the last batch, NaN on
+    the candidates and on the whole last batch, which no later level reads;
+    on the default node rule ``compute_levels`` takes it and gives the dense
+    levels."""
     levels, alpha_c = levels_adaptive_corr(
         p, b, rho, alpha, lam, GammaSpec.parse(gamma), nodes=nodes, candidates=False
     )
-    keep = p > lam
+    read = p > lam
+    read[:, p.shape[1] - b :] = False
     assert np.array_equal(levels, ref_levels)
-    assert np.array_equal(alpha_c[keep], ref_alpha_c[keep])
-    assert np.isnan(alpha_c[~keep]).all()
+    assert np.array_equal(alpha_c[read], ref_alpha_c[read])
+    assert np.isnan(alpha_c[~read]).all()
     if nodes == corr_nodes(rho):
         trials, n = p.shape
         design = dict(gamma=gamma, n=n, b=b, rho=rho, alpha=alpha, lam=lam, trials=trials)
@@ -635,6 +638,50 @@ def test_compute_levels_skips_the_candidates_joint_tails(monkeypatch):
     default, evaluated[:] = sum(evaluated), []
     compute_levels(cfg, p)
     assert 0 < sum(evaluated) < default
+
+
+def _sweep_reroute_corr_point(b):
+    """The ``adaptive-graph-corr`` point of the benchmark's ``sweep-reroute``
+    grid at batch size ``b``, seed 3, and its p-values."""
+    cfg = SimConfig(
+        procedure="adaptive-graph-corr", gamma="basel", n=100, b=b, pi_a=0.5, trials=500, seed=3
+    )
+    return cfg, generate_data(cfg)[0]
+
+
+@pytest.mark.parametrize("b", [5, 20])
+def test_adaptive_corr_runner_is_bit_identical_to_dense_at_the_sweep_shape(b):
+    """The row-compacted joint tail changes no bit at the sweep's own shape,
+    T = 500, where BLAS sums a row in an order that depends on the row count
+    (the small hypothesis shapes cannot show that), on both paths."""
+    cfg, p = _sweep_reroute_corr_point(b)
+    ref_levels, ref_alpha_c = _adaptive_corr_dense(
+        p, b, cfg.rho, cfg.alpha, cfg.lam, BASEL, corr_nodes(cfg.rho)
+    )
+    levels, alpha_c = levels_adaptive_corr(p, b, cfg.rho, cfg.alpha, cfg.lam, BASEL)
+    assert np.array_equal(levels, ref_levels)
+    assert np.array_equal(alpha_c, ref_alpha_c)
+    _check_levels_only(
+        p, b, cfg.rho, cfg.alpha, cfg.lam, "basel", corr_nodes(cfg.rho), ref_levels, ref_alpha_c
+    )
+
+
+def test_sweep_reroute_corr_points_evaluate_few_ndtr_elements(monkeypatch):
+    """``compute_levels`` over the three ``adaptive-graph-corr`` points of
+    the ``sweep-reroute`` grid (seed 3) evaluates at most 12 015 326 ``ndtr``
+    elements: the non-candidates' rows outside the last batch (25 425 979
+    over every row, 14 075 068 with the last batch)."""
+    evaluated = []
+
+    def counting(x, out=None):
+        evaluated.append(x.size)
+        return ndtr(x, out=out)
+
+    monkeypatch.setattr(weights, "ndtr", counting)
+    for b in (1, 5, 20):
+        cfg, p = _sweep_reroute_corr_point(b)
+        compute_levels(cfg, p)
+    assert sum(evaluated) <= 12_015_326
 
 
 def test_quadrature_rule_is_cached_and_read_only():
