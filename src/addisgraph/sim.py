@@ -17,7 +17,11 @@ stream keyed by ``(seed, trial_index)``, so results are independent of
 execution order and thread count.  A data set builds one bit generator and
 re-keys it per trial, resetting it to the state a freshly built
 ``Philox(key=[seed, trial_index])`` has, so the streams are those of a new
-generator per trial, at a fraction of the cost.
+generator per trial, at a fraction of the cost.  The draws depend on the
+seed, the trials, n and b alone; rho, pi_A and mu_N enter only the
+p-value arithmetic.  So ``run_grid`` draws once per (seed, trials, n, b)
+and derives each data set of that key from the same draws by the same
+arithmetic, which changes no bit.
 """
 
 from __future__ import annotations
@@ -148,17 +152,52 @@ def generate_trial(config: SimConfig, trial_index: int) -> tuple[np.ndarray, np.
     return p[0], labels[0]
 
 
-def generate_data(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def generate_data(
+    config: SimConfig, *, _draws: _SharedDraws | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (trials, n) p-value and label matrices: the draws per trial,
-    the arithmetic once over the whole matrix (the rows of ``generate_trial``)."""
-    return _generate(config, range(config.trials))
+    the arithmetic once over the whole matrix (the rows of ``generate_trial``).
+
+    ``_draws`` is ``run_grid``'s: the draws of the config's (seed, trials,
+    n, b), made by the first data set that reads them."""
+    if _draws is None:
+        return _generate(config, range(config.trials))
+    return _pvalues(config, *_draws.take(config))
 
 
 def _generate(config: SimConfig, trials) -> tuple[np.ndarray, np.ndarray]:
+    return _pvalues(config, *_drawn(config, trials))
+
+
+def _drawn(config: SimConfig, trials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t, n = len(trials), config.n
     u, z0, eps = np.empty((t, n)), np.empty((t, n // config.b)), np.empty((t, n))
     _draw(config, trials, u, z0, eps)
-    return _pvalues(config, u, z0, eps)
+    return u, z0, eps
+
+
+class _SharedDraws:
+    """The draws ``u, z0, eps`` of one (seed, trials, n, b), read by ``uses``
+    data sets and drawn by the first.  ``_pvalues`` writes over ``eps``, so
+    each data set but the last works on a copy of it; the last takes ``eps``
+    itself and the draws are dropped, as ``generate_data`` alone does.  That
+    keeps the allocations of one draw per data set: copying for every data
+    set too and freeing the draws afterwards made several times the page
+    faults of a grid, and slowed the levels that followed."""
+
+    def __init__(self, uses: int):
+        self.uses = uses
+        self.arrays = None
+
+    def take(self, config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.arrays is None:
+            self.arrays = _drawn(config, range(config.trials))
+        u, z0, eps = self.arrays
+        self.uses -= 1
+        if self.uses:
+            return u, z0, eps.copy()
+        self.arrays = None
+        return u, z0, eps
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +563,12 @@ def run_grid(configs, csv_path=None, threads: int = 1) -> list[MetricsRow]:
     """Run every grid point; emit one CSV row per point in input order.
 
     Grid points sharing identical data settings reuse the same generated
-    trials, so procedures are compared on paired data.
+    trials, so procedures are compared on paired data.  The data sets of
+    one (seed, trials, n, b) share one draw, in any grid order: only the
+    p-value arithmetic differs between them.  Each but the last works on a
+    copy of the drawn noise, and the last writes over it in place, as a lone
+    ``generate_data`` does, so the grid allocates no more than one draw per
+    data set did (``_SharedDraws``).
     """
     configs = list(configs)
     data_cache: dict = {}
@@ -535,11 +579,14 @@ def run_grid(configs, csv_path=None, threads: int = 1) -> list[MetricsRow]:
     def run_one(c: SimConfig) -> MetricsRow:
         return run_config(c, data=data_cache[data_key(c)]).metrics()
 
-    # filled in grid order before any point runs, so workers only read it
+    groups: dict = {}  # (seed, trials, n, b) -> {data key: first config}
     for c in configs:
-        key = data_key(c)
-        if key not in data_cache:
-            data_cache[key] = generate_data(c)
+        groups.setdefault((c.seed, c.trials, c.n, c.b), {}).setdefault(data_key(c), c)
+    # filled before any point runs, so workers only read it
+    for group in groups.values():
+        draws = _SharedDraws(len(group))
+        for key, c in group.items():
+            data_cache[key] = generate_data(c, _draws=draws)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(run_one, configs))

@@ -41,6 +41,7 @@ from scipy.special import ndtr, ndtri
 from .errors import (
     DegenerateRenormalization,
     DomainError,
+    InvalidConfig,
     InvalidSpec,
     NonMonotoneConflicts,
     NonMonotoneGamma,
@@ -383,16 +384,23 @@ class Closure:
     refunds its level (closed spending, counter t_i) or forwards it (closed
     graph, at_i), inside the conflict window c_i = i - L_i .. i-1 too.
 
-    State per trial, grown on demand: at_j, R_j, up_j = max(R_j, C_j) - S_j + 1,
-    the prefix sums of R and of S - max(R, C), the forwarded mass of each
-    source and the watermark ``final`` of the last absorbed index.
-    ``counter`` and ``level`` for target i need 1 .. i-1 absorbed.  A live
-    engine is the case of one trial.
+    State per trial, grown on demand, and the watermark ``final`` of the
+    last absorbed index.  ``counter`` and ``level`` for target i need
+    1 .. i-1 absorbed.  A live engine is the case of one trial.
 
-    at, R, up and the prefix sums are index-major (one contiguous row of T
-    trials per index), so ``absorb`` and ``counter`` touch whole rows.  The
-    mass is trial-major, the operand of each level's product, and is
-    allocated by the first ``level``: closed spending never forms it.
+    Each kind keeps only the rows it reads, in one block: closed spending
+    the prefix sums of R and of S - max(R, C), closed graph at_j, R_j,
+    up_j = max(R_j, C_j) - S_j + 1 and the forwarded mass of each source.
+    The first ``counter`` or ``level`` call, which precedes any ``absorb``,
+    fixes the kind; a later call of the other method raises
+    ``InvalidConfig``.
+
+    The rows are index-major (one contiguous row of T trials per index), so
+    ``absorb`` and ``counter`` touch whole rows.  The mass is trial-major,
+    the operand of each level's product: the block's last row read as
+    (T, capacity).  One block, not rows and mass apart, also keeps a
+    sweep's largest freed allocation large enough that glibc does not trim
+    and fault back the heap between grid points.
 
     The mass of source j is what it forwards to the targets of one level:
     R_j at_j while j lies inside the window, up_j at_j once the window edge
@@ -400,37 +408,62 @@ class Closure:
     1 .. ``edge`` - 1 to up_j at_j, so each level is one product over a slice.
     """
 
+    # the rows each kind keeps, named by the method that reads them
+    _ROWS = {"counter": ("sum_r", "sum_smax"), "level": ("at", "r", "up")}
+
     def __init__(self, alpha: float, trials: int = 1, capacity: int = 64):
         self.alpha = alpha
         self.final = 0
         self.filled = 0  # mass of 1 .. filled is set
         self.edge = 1  # mass of 1 .. edge-1 is up_j at_j
-        self.state = np.zeros((5, 0, trials))
+        self.serves = None  # "counter" or "level", fixed by the first call
+        self.capacity = capacity
+        self.state = np.zeros((0, 0, trials))  # no rows until the kind is fixed
         self.mass = np.zeros((trials, 0))
-        self._reserve(capacity)
+
+    def _serve(self, method: str) -> None:
+        """Fix the kind at the first ``counter`` or ``level`` call."""
+        if self.serves is not None:
+            raise InvalidConfig(f"this closure serves {self.serves}, not {method}")
+        self.serves = method
+        rows = len(self._ROWS[method]) + (method == "level")  # closed graph: + the mass
+        self.state = np.zeros((rows, 0, self.state.shape[2]))
+        self._reserve(self.capacity)
 
     def _reserve(self, n: int) -> None:
-        old = self.state.shape[1]
+        rows, old, trials = self.state.shape
         if n < old:
             return
-        state = np.zeros((5, max(n + 1, 2 * old), self.state.shape[2]))
-        state[:, :old] = self.state
-        self.state = state
+        names = self._ROWS[self.serves]
+        state = np.zeros((rows, max(n + 1, 2 * old), trials))
+        state[: len(names), :old] = self.state[: len(names)]
         # at_j, R_j and up_j sit in row j - 1; the prefix sums over 1 .. k in row k
-        self.at, self.r, self.up, self.sum_r, self.sum_smax = state
+        for name, row in zip(names, state):
+            setattr(self, name, row)
+        if rows > len(names):  # the mass, trial-major, fills the block's last row
+            mass = state[-1].reshape(trials, -1)
+            mass[:, :old] = self.mass
+            self.mass = mass
+        self.state = state
 
     def absorb(self, j: int, s, c, r) -> None:
         """Record S_j, C_j and R_j (one value per trial); j = final + 1."""
+        if self.serves is None:
+            raise InvalidConfig("absorb before the first counter or level")
         self._reserve(j)
-        self.r[j - 1] = r
         top = np.maximum(r, c)
-        self.up[j - 1] = top - s + 1.0
-        self.sum_r[j] = self.sum_r[j - 1] + r
-        self.sum_smax[j] = self.sum_smax[j - 1] + s - top
+        if self.serves == "level":
+            self.r[j - 1] = r
+            self.up[j - 1] = top - s + 1.0
+        else:
+            self.sum_r[j] = self.sum_r[j - 1] + r
+            self.sum_smax[j] = self.sum_smax[j - 1] + s - top
         self.final = j
 
     def counter(self, i: int, lag: int) -> np.ndarray:
         """t_i = 1 + sum_{c_i <= j < i} (1 - R_j) + sum_{j < c_i} (S_j - max(R_j, C_j))."""
+        if self.serves != "counter":
+            self._serve("counter")
         r, k = self.sum_r, i - lag - 1
         return (1 + (lag - (r[i - 1] - r[k])) + self.sum_smax[k]).astype(np.int64)
 
@@ -441,14 +474,11 @@ class Closure:
         The window edge c may not move back (monotone conflict sets): a c
         below the previous level's raises ``NonMonotoneConflicts``.
         """
+        if self.serves != "level":
+            self._serve("level")
         if c < self.edge:
             raise NonMonotoneConflicts(c, self.filled + 1, i)
         self._reserve(i)
-        (trials, old), cap = self.mass.shape, self.state.shape[1]
-        if old < cap:  # the first level, or the rows have grown
-            mass = np.zeros((trials, cap))
-            mass[:, :old] = self.mass
-            self.mass = mass
         crossed, fresh = slice(self.edge - 1, c - 1), slice(max(self.filled, c - 1), i - 1)
         self.mass[:, crossed] = (self.up[crossed] * self.at[crossed]).T
         self.mass[:, fresh] = (self.r[fresh] * self.at[fresh]).T

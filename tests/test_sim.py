@@ -24,7 +24,7 @@ from addisgraph.errors import (
     InvalidW0,
 )
 from addisgraph.extensions import AdaptiveGraphCorr, CorrModel, FdrGraph
-from addisgraph import weights
+from addisgraph import sim, weights
 from addisgraph.core import ConflictStructure
 from addisgraph.gammas import GammaSpec
 from addisgraph.oracles import _push_table
@@ -819,6 +819,43 @@ def test_run_grid_deterministic_and_paired(tmp_path):
     assert buf1.getvalue().splitlines()[0] == CSV_HEADER
     # b=1: the two procedures coincide on paired data
     assert rows1[0].fwer == rows1[1].fwer and rows1[0].power == rows1[1].power
+
+
+def _counted_draws(monkeypatch) -> list:
+    """Patch a call counter onto ``sim._draw``; the list gets one entry a draw."""
+    calls, draw = [], sim._draw
+    monkeypatch.setattr(sim, "_draw", lambda config, *rest: (calls.append(config), draw(config, *rest)))
+    return calls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pi_a_first", [True, False])
+def test_run_grid_draws_once_per_draw_key(monkeypatch, pi_a_first, threads):
+    """24 data sets over two (seed, trials, n, b) keys are drawn twice, in
+    either grid order, and each row is the one its point's own fresh data
+    gives."""
+    keys = {"b": [1, 5], "mu_n": [-0.5, 0.0], "rho": [0.3, 0.6]}
+    pi_a = [0.1, 0.5, 0.9]
+    keys = {"pi_a": pi_a, **keys} if pi_a_first else {**keys, "pi_a": pi_a}
+    configs = expand_grid(SimConfig(procedure="graph-conf", n=20, trials=30, seed=5), **keys)
+    fresh = [run_config(c).metrics().to_csv() for c in configs]
+    draws = _counted_draws(monkeypatch)
+    rows = run_grid(configs, threads=threads)
+    assert len(draws) == 2
+    assert [row.to_csv() for row in rows] == fresh
+
+
+def test_run_grid_empty_and_repeated_points(monkeypatch):
+    buf = io.StringIO()
+    assert run_grid([], csv_path=buf) == []
+    assert buf.getvalue() == CSV_HEADER + "\n"
+    a = SimConfig(procedure="closed-spending", n=20, trials=30, seed=5)
+    b = replace(a, pi_a=0.9)
+    fresh = [run_config(c).metrics().to_csv() for c in (a, b)]
+    draws = _counted_draws(monkeypatch)
+    rows = run_grid([a, b, a])
+    assert len(draws) == 1
+    assert [row.to_csv() for row in rows] == [fresh[0], fresh[1], fresh[0]]
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

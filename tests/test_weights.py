@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from addisgraph.core import ConflictStructure, validate_conflicts
-from addisgraph.errors import DegenerateRenormalization, NonMonotoneConflicts
+from addisgraph.errors import DegenerateRenormalization, InvalidConfig, NonMonotoneConflicts
 from addisgraph import weights
 from addisgraph.gammas import GammaSpec
 from addisgraph.weights import (
@@ -307,6 +307,50 @@ def test_closure_level_refuses_a_window_edge_moving_back():
     assert err.value.triple == (2, 4, 5)
     ats = [k.level(5, 3, gam[4], gam[:4][::-1]) for k in kernels]
     assert np.array_equal(ats[0], ats[1])
+
+
+def test_closure_keeps_the_rows_of_its_first_method():
+    """The first ``counter`` or ``level`` fixes the kind: closed spending keeps
+    the two prefix sums, closed graph at, R, up and the mass.  The other
+    method then raises rather than read rows that were not kept, and
+    ``absorb`` may not come first."""
+    gam = BASEL.values(2)
+    spending, graph, unset = Closure(0.2), Closure(0.2), Closure(0.2)
+    spending.counter(1, 0)
+    graph.level(1, 1, gam[0], gam[:0])
+    assert spending.state.shape[0] == 2 and graph.state.shape[0] == 4
+    for closure in (spending, graph):
+        closure.absorb(1, 1.0, 0.0, 1.0)
+    with pytest.raises(InvalidConfig, match="serves counter, not level"):
+        spending.level(2, 2, gam[1], gam[:1])
+    with pytest.raises(InvalidConfig, match="serves level, not counter"):
+        graph.counter(2, 0)
+    with pytest.raises(InvalidConfig, match="absorb before"):
+        unset.absorb(1, 1.0, 0.0, 1.0)
+    assert spending.counter(2, 0)[0] == 1 and graph.level(2, 2, gam[1], gam[:1])[0] > 0
+
+
+def test_closure_grown_on_demand_matches_one_sized_up_front():
+    """Growing the block keeps the index-major rows and the trial-major mass:
+    at T > 1 a kernel grown from capacity 2 gives the levels and counters of
+    one sized for the whole stream."""
+    rng = np.random.default_rng(4)
+    trials, n = 7, 150
+    gam = BASEL.values(2 * n + 2)
+    s, c, r = ((rng.random((n, trials)) < q).astype(float) for q in (0.8, 0.2, 0.3))
+    runs = []
+    for capacity in (2, n):
+        graph = Closure(0.2, trials=trials, capacity=capacity)
+        spending = Closure(0.2, trials=trials, capacity=capacity)
+        out = []
+        for i in range(1, n + 1):
+            lag = min(i - 1, 5)
+            out.append(graph.level(i, i - lag, gam[i - 1], gam[: i - 1][::-1]))
+            out.append(spending.counter(i, lag))
+            for closure in (graph, spending):
+                closure.absorb(i, s[i - 1], c[i - 1], r[i - 1])
+        runs.append(np.array(out))
+    assert np.array_equal(runs[0], runs[1])
 
 
 # ---------------------------------------------------------------------------
