@@ -64,13 +64,20 @@ def _add_replay(sub) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run the verification oracles")
     p.add_argument(
         "--suite", choices=("budget", "closure", "improvement", "all"), default="all"
     )
-    p.add_argument("--n", type=int, default=None, help="horizon (default per suite)")
-    p.add_argument("--seeds", type=int, default=20, help="number of random instances")
+    p.add_argument("--n", type=_positive_int, default=None, help="horizon (default per suite)")
+    p.add_argument("--seeds", type=_positive_int, default=20, help="number of random instances")
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--tau", type=float, default=0.8)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.16)

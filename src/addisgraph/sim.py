@@ -379,9 +379,7 @@ def max_budget_spend(p, levels, tau: float, lam: float) -> np.ndarray:
     alpha_j/(tau-lam) (S_j - C_j); error control requires this to stay at or
     below the overall alpha.
     """
-    p = np.atleast_2d(p)
-    s = (p <= tau).astype(np.float64)
-    c = (p <= lam).astype(np.float64)
+    s, c, _ = _indicator_arrays(np.atleast_2d(p), tau, lam)
     return np.max(budget_path(np.atleast_2d(levels), tau - lam, s, c), axis=1)
 
 
@@ -552,6 +550,8 @@ def parse_grid_file(path) -> list[SimConfig]:
                 raise InvalidConfig(f"{path}:{lineno}: {exc}") from None
             if not values:
                 raise InvalidConfig(f"{path}:{lineno}: no values for {key!r}")
+            if key in single or key in multi:
+                raise InvalidConfig(f"{path}:{lineno}: duplicate key {key!r}")
             if len(values) == 1:
                 single[key] = values[0]
             else:

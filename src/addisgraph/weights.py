@@ -14,14 +14,14 @@ rules additionally guarantee ``g*[j, i] = 0`` whenever ``j`` conflicts with
 
 The renormalization rule lives here alone.  Source ``j`` is blocked for the
 targets ``j+1 .. d_j - 1``, ``d_j`` its first clear target; its surviving
-weights are ``g[j, i] / D_j`` for ``i >= d_j``, with ``D_j`` the unblocked
-tail ``sum_{k >= d_j} g[j, k]`` itself, never ``1 - blocked``, which cancels
-on steep rows.  A row with ``D_j <= MASS_TOL`` is degenerate and gets zero
-weights; a rule whose rows hold less than one is scaled to total one.
-:class:`IncrementalRenormalizer` applies the rule online, to any base rule,
-with ``D_j = 1`` on an empty blocked prefix; :func:`renorm_table` tabulates
-it for shifted gamma and lag-form conflicts, with ``spec.tail_sum(0)``
-there, one only up to rounding (1 + 4.4e-16 for ``power:1.6``).
+weights are ``g[j, i] / D_j`` for ``i >= d_j``.  :func:`denominator` gives
+``D_j``: one on an empty blocked prefix, else the unblocked tail
+``sum_{k >= d_j} g[j, k]`` itself, never ``1 - blocked``, which cancels on
+steep rows, so a rule whose rows hold less than one is scaled to total one;
+a row with ``D_j <= MASS_TOL`` is degenerate and gets zero weights.  Both
+:class:`IncrementalRenormalizer` (the engines, online, any base rule) and
+:func:`renorm_table` (the runners, shifted gamma and lag-form conflicts)
+call it, so their weights agree bit for bit.
 
 Each shared kernel keeps the trial axis first, and a live engine drives it
 with one trial: :class:`HeldMass` (``graph-conf-u``), :class:`Closure` (the
@@ -106,16 +106,24 @@ def blocked_mask(i: int, x: range | frozenset[int]) -> np.ndarray:
     return blocked
 
 
+def denominator(base: WeightRule, j: int, d: int) -> float:
+    """D_j of source ``j`` whose first clear target is ``d``: 1.0 on an empty
+    blocked prefix (``d == j + 1``), else ``base.tail_mass(j, d - 1)``, and
+    0.0, a degenerate row, at or below ``MASS_TOL``."""
+    if d == j + 1:  # empty blocked prefix: keep base weights exactly
+        return 1.0
+    denom = base.tail_mass(j, d - 1)
+    return denom if denom > MASS_TOL else 0.0
+
+
 class IncrementalRenormalizer:
     """Per-source renormalization discovered on the fly by a live engine.
 
     Engines request weights in target order, so the first non-conflicting
     target ``i`` of a source ``j`` pins down its blocked prefix
-    ``j+1 .. i-1`` and hence the denominator D_j = ``base.tail_mass(j, i-1)``,
-    without a predeclared horizon.  D_j is the unblocked tail of the base
-    row, so the surviving row totals one even where the base row holds less;
-    an empty prefix keeps D_j = 1, and D_j <= ``MASS_TOL`` marks the row
-    degenerate (zero weights, a ``DegenerateRenormalization`` warning).
+    ``j+1 .. i-1`` and hence its :func:`denominator` ``D_j``, without a
+    predeclared horizon.  A degenerate row (``D_j = 0``) gets zero weights
+    and a ``DegenerateRenormalization`` warning.
 
     Conflict sets are monotone, so a source that has cleared never conflicts
     again, and only the open sources, those not pinned yet, can clear at a
@@ -137,13 +145,6 @@ class IncrementalRenormalizer:
         if j > self._den.size or isnan(self._den[j - 1]):
             return None
         return float(self._den[j - 1])
-
-    def _denominator(self, j: int, i: int) -> float:
-        """Denominator of source ``j`` whose first clear target is ``i``."""
-        if i == j + 1:  # empty blocked prefix: keep base weights exactly
-            return 1.0
-        denom = self.base.tail_mass(j, i - 1)
-        return denom if denom > MASS_TOL else 0.0
 
     def _reserve(self, n: int) -> None:
         """Room for sources 1..n; the new ones are unpinned, so this is no trace."""
@@ -176,7 +177,7 @@ class IncrementalRenormalizer:
             return 0.0
         denom = self._pinned(j)
         if denom is None:
-            denom = self._denominator(j, i)
+            denom = denominator(self.base, j, i)
             self.pin({j: denom})
         return self.base.weight(j, i) / denom if denom else 0.0
 
@@ -206,7 +207,7 @@ class IncrementalRenormalizer:
             zero = blocked_mask(i, x)
             fresh = [j for j in sorted(self._open) if j < i and not zero[j - 1]]
         heads = [col[j - 1] for j in fresh]
-        cleared = {j: self._denominator(j, i) for j in fresh}
+        cleared = {j: denominator(self.base, j, i) for j in fresh}
         np.divide(col, self._divisor[:n], out=col)
         col[zero] = 0.0
         for j, g in zip(fresh, heads):
@@ -223,9 +224,11 @@ class IncrementalRenormalizer:
 
 def renorm_table(spec: GammaSpec, lags, n: int) -> np.ndarray:
     """Static conflict-renormalized shifted-gamma weights W[j, i] (1-based),
-    for the runners: D_j = ``spec.tail_sum(d_j - 1 - j)``, also for an empty
-    blocked prefix, where it is one up to rounding."""
+    for the runners: each source's surviving weights over its
+    :func:`denominator`, so ``W[1:, 1:]`` holds the columns that
+    :class:`IncrementalRenormalizer` gives the engines, bit for bit."""
     gam = spec.values(n + 1)
+    base = ShiftedGamma(spec)
     w = np.zeros((n + 1, n + 1))
     # d[j-1]: first non-conflicting target of j, one past the last i whose
     # window starts at or before j (i = j itself qualifies, as L_i >= 0)
@@ -233,13 +236,8 @@ def renorm_table(spec: GammaSpec, lags, n: int) -> np.ndarray:
     last = np.zeros(n + 1, dtype=np.int64)
     np.maximum.at(last, i - np.asarray(lags), i)
     d = np.maximum.accumulate(last)[1:] + 1
-    # one tail sum per distinct offset dj - 1 - j, not per source row
-    live = np.flatnonzero(d <= n) + 1
-    offsets, which = np.unique(d[live - 1] - 1 - live, return_inverse=True)
-    tails = [spec.tail_sum(int(k)) for k in offsets]
-    for j, k in zip(live.tolist(), which.tolist()):
-        dj, denom = int(d[j - 1]), tails[k]
-        if denom > MASS_TOL:
+    for j, dj in enumerate(d.tolist(), start=1):
+        if dj <= n and (denom := denominator(base, j, dj)):
             w[j, dj:] = gam[dj - j - 1 : n - j] / denom
     return w
 

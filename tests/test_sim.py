@@ -807,6 +807,22 @@ def test_parse_grid_file_reports_line(tmp_path):
         parse_grid_file(cfg_file)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("n = 10\nn = 10, 20\n", "n"),
+        ("n = 10, 20\nn = 10\n", "n"),
+        ("n = 10\nn = 20\n", "n"),
+        ("lam = 0.1\nlambda = 0.2\n", "lam"),
+    ],
+)
+def test_parse_grid_file_refuses_a_duplicate_key(tmp_path, text, key):
+    cfg_file = tmp_path / "dup.cfg"
+    cfg_file.write_text("trials = 5\n" + text)
+    with pytest.raises(InvalidConfig, match=f"dup.cfg:3: duplicate key '{key}'"):
+        parse_grid_file(cfg_file)
+
+
 def test_run_grid_deterministic_and_paired(tmp_path):
     base = SimConfig(n=20, trials=20, seed=11)
     configs = expand_grid(base, procedure=["spending-local", "graph-conf-u"], b=[1])

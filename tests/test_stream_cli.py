@@ -304,6 +304,35 @@ def test_cli_verify_all(capsys):
     assert "improvement: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--suite", "budget", "--seeds", "0"],
+        ["--suite", "closure", "--seeds", "0"],
+        ["--seeds", "-1"],
+        ["--n", "-3"],
+        ["--suite", "budget", "--n", "0"],
+    ],
+)
+def test_cli_verify_refuses_a_count_below_one(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be a positive integer" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("text", ["n = 10\nn = 10, 20\n", "n = 10, 20\nn = 10\n"])
+def test_cli_simulate_refuses_a_duplicate_grid_key(tmp_path, capsys, text):
+    grid = tmp_path / "g.cfg"
+    grid.write_text("procedure = spending-local\ntrials = 5\n" + text)
+    assert main(["simulate", "--grid", str(grid), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {grid}:4: duplicate key 'n'\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cli_stream_subprocess(tmp_path):
     """End-to-end: the installed console script speaks the protocol."""
     proc = subprocess.run(

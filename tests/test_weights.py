@@ -104,8 +104,7 @@ def test_incremental_matches_static():
     for i in range(1, n + 1):
         x = structure.conflict_set(i)
         for j in range(1, i):
-            got = inc.weight(j, i, conflicting=j in x)
-            assert got == pytest.approx(static[j, i], rel=1e-13)
+            assert inc.weight(j, i, conflicting=j in x) == static[j, i]
     for j in range(1, n + 1):
         want = 1.0 - float(np.sum(static[j, j + 1 :]))
         assert inc.tail_mass(j, n) == pytest.approx(want, rel=1e-13)
@@ -247,6 +246,7 @@ def _drawn_lags(seed, n, top):
 N_RENORM = 122
 RENORM_LAGS = {
     "worked": [0, 1, 1, 2, 0],
+    "b1": [0] * N_RENORM,
     "b20": [(i - 1) % 20 for i in range(1, N_RENORM + 1)],
     "b40": [(i - 1) % 40 for i in range(1, N_RENORM + 1)],
     "e60": [min(60, i - 1) for i in range(1, N_RENORM + 1)],
@@ -261,8 +261,8 @@ RENORM_CASES = [
 
 def test_renormalized_helper_matches_rule():
     """The runners' static table ``weights.renorm_table`` against the online
-    renormaliser the engines drive: rel 1e-12 where weight flows, exact zeros
-    on blocked pairs and on degenerate rows (geometric:0.6 at e60 blocks all
+    renormaliser the engines drive: equal bit for bit, with exact zeros on
+    blocked pairs and on degenerate rows (geometric:0.6 at e60 blocks all
     but 0.6^60 of each row; at b40 the tails fall to 0.6^39, steep but live)."""
     for gamma, name in RENORM_CASES:
         spec = GammaSpec.parse(gamma)
@@ -273,7 +273,7 @@ def test_renormalized_helper_matches_rule():
             warnings.simplefilter("ignore", DegenerateRenormalization)
             inc, want = _online(spec, structure, n)
         got = renorm_table(spec, np.array(lags), n)[1:, 1:]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"{gamma} {name}")
+        assert np.array_equal(got, want), f"{gamma} {name}"
         blocked = np.zeros((n, n), dtype=bool)
         for i in range(1, n + 1):
             for j in structure.conflict_sets[i - 1]:
