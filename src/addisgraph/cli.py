@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import oracles, sim, study
+from . import core, oracles, sim, study
 from .engines import ENGINE_KINDS, ClosedGraph, make_engine
 from .errors import AddisGraphError
 from .gammas import GammaSpec
@@ -71,6 +71,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _unit_open(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run the verification oracles")
     p.add_argument(
@@ -78,7 +85,7 @@ def _add_verify(sub) -> None:
     )
     p.add_argument("--n", type=_positive_int, default=None, help="horizon (default per suite)")
     p.add_argument("--seeds", type=_positive_int, default=20, help="number of random instances")
-    p.add_argument("--alpha", type=float, default=0.2)
+    p.add_argument("--alpha", type=_unit_open, default=0.2)
     p.add_argument("--tau", type=float, default=0.8)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.16)
 
@@ -225,6 +232,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    core.check_gap(args.tau, args.lam)
     out = sys.stdout
     ok = True
     if args.suite in ("budget", "all"):

@@ -66,6 +66,7 @@ from .errors import (
 from .gammas import GammaSpec
 from .weights import (
     Closure,
+    ClosureCounter,
     HeldMass,
     IncrementalRenormalizer,
     ShiftedGamma,
@@ -503,17 +504,13 @@ class GraphConfU(FwerEngine):
 
 
 class ClosedEngine(FwerEngine):
-    """The kernel :class:`.weights.Closure` with one trial (the closed runners
-    drive it with many).  Levels need feedback for every predecessor, even
-    conflicting ones: the closure argument, not measurability, carries them."""
+    """A closed kind's kernel with one trial (the closed runners drive it with
+    many).  Levels need feedback for every predecessor, even conflicting
+    ones: the closure argument, not measurability, carries them."""
 
     needs_lag_form = True
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._closure = Closure(self.alpha)
-
-    def _absorbed(self, i: int) -> Closure:
+    def _absorbed(self, i: int) -> ClosureCounter | Closure:
         """The kernel with every index before i absorbed."""
         self._require_observed(i)
         closure = self._closure
@@ -530,6 +527,10 @@ class ClosedSpending(ClosedEngine):
     """
 
     kind = "closed-spending"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._closure = ClosureCounter()
 
     def _compute_level(self, i, x, tau_i, lam_i):
         t = int(self._absorbed(i).counter(i, len(x))[0])
@@ -550,6 +551,7 @@ class ClosedGraph(ClosedEngine):
 
     def __init__(self, *args, rule: WeightRule | None = None, **kwargs):
         super().__init__(*args, **kwargs)
+        self._closure = Closure(self.alpha)
         self.base_rule = rule if rule is not None else ShiftedGamma(self.gamma)
         self._custom_rule = rule is not None
 

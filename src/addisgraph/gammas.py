@@ -25,15 +25,13 @@ _PARTIAL_SUM_TERMS = 10**6
 @lru_cache(maxsize=None)
 def _logq_norm() -> float:
     """1 / sum_{i>=1} 1/((i+1) ln^2(i+1)), partial sum + midpoint tail integral."""
-    i = np.arange(1, _PARTIAL_SUM_TERMS + 1, dtype=np.float64)
-    partial = math.fsum(1.0 / ((i + 1.0) * np.log(i + 1.0) ** 2))
     tail = 1.0 / math.log(_PARTIAL_SUM_TERMS + 1.5)
-    return 1.0 / (partial + tail)
+    return 1.0 / (_logq_prefix(_PARTIAL_SUM_TERMS) + tail)
 
 
-@lru_cache(maxsize=None)
 def _logq_prefix(m: int) -> float:
-    """Unnormalized partial sum of the logq sequence up to index m."""
+    """Unnormalized partial sum of the logq sequence up to index m; not cached,
+    as ``_logq_norm`` and ``_TAILS`` keep what is made of it."""
     i = np.arange(1, m + 1, dtype=np.float64)
     return math.fsum(1.0 / ((i + 1.0) * np.log(i + 1.0) ** 2))
 
@@ -66,8 +64,8 @@ class GammaSpec:
             if not self.table:
                 raise InvalidSpec("custom spec needs a nonempty table")
             vals = np.asarray(self.table, dtype=np.float64)
-            if np.any(vals < 0.0):
-                raise InvalidSpec("custom gamma values must be nonnegative")
+            if not np.all((vals >= 0.0) & (vals < np.inf)):  # NaN fails too
+                raise InvalidSpec("custom gamma values must be finite and nonnegative")
             if vals.sum() > 1.0 + 1e-12:
                 raise InvalidSpec("custom gamma table sums beyond 1")
         elif self.kind not in ("logq", "basel"):

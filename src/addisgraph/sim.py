@@ -36,7 +36,7 @@ from scipy.special import ndtr
 from .core import budget_path, check_gap
 from .errors import EmptyOutcomeSet, InvalidConfig, InvalidW0
 from .gammas import GammaSpec
-from .weights import Closure, HeldMass, JointTail, corr_nodes, renorm_table
+from .weights import Closure, ClosureCounter, HeldMass, JointTail, corr_nodes, renorm_table
 
 CSV_HEADER = (
     "procedure,gamma_id,n,b,rho,pi_A,mu_N,e,trials,"
@@ -250,14 +250,14 @@ def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
 
 
 def levels_closed_spending(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
-    """Closure-principle spending levels by the kernel :class:`.weights.Closure`,
+    """Closure-principle spending levels by :class:`.weights.ClosureCounter`,
     fed index-major rows (one contiguous row of trials per index)."""
     ttr, n = p.shape
     gam = spec.values(2 * n + 2)
     pt = np.ascontiguousarray(p.T)
     s, c = _indicator_arrays(pt, tau, lam)[:2]
-    closure = Closure(alpha, trials=ttr, capacity=n)
     levels = np.empty((n, ttr))
+    closure = ClosureCounter(trials=ttr, capacity=n)
     for i in range(1, n + 1):
         t = closure.counter(i, int(lags[i - 1]))
         levels[i - 1] = alpha * (tau - lam) * gam[t - 1]

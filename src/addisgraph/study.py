@@ -18,6 +18,9 @@ Study file format (line-oriented text, ``#`` comments):
     # optional explicit conflict overrides
     conflicts T10 = 5, 7, 8, 9
 
+Each default is set at most once; a ``T`` line takes ``enter``, ``exit`` and
+``p`` at most once each and no other field.
+
 Conflicts are derived from interval overlap — an earlier hypothesis whose
 exit time is at or after a later one's entry time shares concurrent control
 data with it — unless overridden explicitly.  Placeholder p-values (``NA``)
@@ -100,7 +103,13 @@ class ReplayStudy:
                     elif line.startswith("T"):
                         parts = line.split()
                         idx = int(parts[0].lstrip("T"))
-                        fields = dict(kv.split("=", 1) for kv in parts[1:])
+                        fields = {}
+                        for key, value in (kv.split("=", 1) for kv in parts[1:]):
+                            if key not in ("enter", "exit", "p"):
+                                raise ValueError(f"unknown field {key!r}")
+                            if key in fields:
+                                raise ValueError(f"duplicate field {key!r}")
+                            fields[key] = value
                         p_raw = fields.get("p", "NA")
                         p = None if p_raw.upper() in ("NA", "?", "NONE") else float(p_raw)
                         if p is not None and not 0.0 <= p <= 1.0:
@@ -121,6 +130,8 @@ class ReplayStudy:
                             key = "lam"
                         if key not in ("alpha", "tau", "lam", "q"):
                             raise ValueError(f"unknown key {key!r}")
+                        if key in defaults:
+                            raise ValueError(f"duplicate key {key!r}")
                         defaults[key] = float(rhs.strip())
                 except (ValueError, KeyError, IndexError) as exc:
                     raise InvalidConfig(f"{path}:{lineno}: {exc}") from None

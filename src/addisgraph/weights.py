@@ -24,15 +24,16 @@ a row with ``D_j <= MASS_TOL`` is degenerate and gets zero weights.  Both
 call it, so their weights agree bit for bit.
 
 Each shared kernel keeps the trial axis first, and a live engine drives it
-with one trial: :class:`HeldMass` (``graph-conf-u``), :class:`Closure` (the
-closed kinds) and :class:`JointTail` (``adaptive-graph-corr``).
+with one trial: :class:`HeldMass` (``graph-conf-u``), :class:`ClosureCounter`
+(``closed-spending``), :class:`Closure` (``closed-graph``) and
+:class:`JointTail` (``adaptive-graph-corr``).
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from math import isnan
+from math import inf, isnan
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -41,7 +42,6 @@ from scipy.special import ndtr, ndtri
 from .errors import (
     DegenerateRenormalization,
     DomainError,
-    InvalidConfig,
     InvalidSpec,
     NonMonotoneConflicts,
     NonMonotoneGamma,
@@ -246,8 +246,8 @@ class CustomTable(WeightRule):
     """Explicit finite weight table, loadable from a text format.
 
     File format: a header line ``# weight-table v1`` followed by one line per
-    entry: ``j i weight`` (whitespace separated).  Rows whose mass exceeds one
-    are rejected.
+    entry: ``j i weight`` (whitespace separated).  Non-finite or negative
+    weights and rows whose mass exceeds one are rejected.
     """
 
     HEADER = "# weight-table v1"
@@ -258,7 +258,7 @@ class CustomTable(WeightRule):
         # sums add the terms a scan of the whole table would, in its order
         self._rows: dict[int, list[tuple[int, float]]] = {}
         for (j, i), w in self.entries.items():
-            if w < 0.0 or i <= j:
+            if not 0.0 <= w < inf or i <= j:
                 raise InvalidSpec(f"invalid table entry ({j}, {i}) -> {w}")
             self._rows.setdefault(j, []).append((i, w))
         for j in self._rows:
@@ -279,12 +279,15 @@ class CustomTable(WeightRule):
             header = fh.readline().strip()
             if header != cls.HEADER:
                 raise InvalidSpec(f"unexpected weight-table header {header!r}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                j_s, i_s, w_s = line.split()
-                entries[(int(j_s), int(i_s))] = float(w_s)
+                try:
+                    j_s, i_s, w_s = line.split()
+                    entries[(int(j_s), int(i_s))] = float(w_s)
+                except ValueError:
+                    raise InvalidSpec(f"{path}:{lineno}: not 'j i weight': {line!r}") from None
         return cls(entries)
 
     def dump(self, path) -> None:
@@ -377,28 +380,57 @@ class HeldMass:
         self.final = m
 
 
+class ClosureCounter:
+    """Closed spending's counter, trial axis first: a rejected predecessor
+    refunds its level, inside the conflict window c_i = i - L_i .. i-1 too.
+
+    One block, grown on demand, holds the prefix sums of R and of
+    S - max(R, C) over 1 .. k in row k, a contiguous row of T trials, so
+    ``absorb`` and ``counter`` touch whole rows.  ``counter`` for target i
+    needs 1 .. i-1 absorbed; ``final`` is the last absorbed index.  A live
+    engine is the case of one trial.
+    """
+
+    def __init__(self, trials: int = 1, capacity: int = 64):
+        self.final = 0
+        self.state = np.zeros((2, 0, trials))
+        self._reserve(capacity)
+
+    def _reserve(self, n: int) -> None:
+        _, old, trials = self.state.shape
+        if n < old:
+            return
+        state = np.zeros((2, max(n + 1, 2 * old), trials))
+        state[:, :old] = self.state
+        self.state = state
+        self.sum_r, self.sum_smax = state
+
+    def absorb(self, j: int, s, c, r) -> None:
+        """Record S_j, C_j and R_j (one value per trial); j = final + 1."""
+        self._reserve(j)
+        self.sum_r[j] = self.sum_r[j - 1] + r
+        self.sum_smax[j] = self.sum_smax[j - 1] + s - np.maximum(r, c)
+        self.final = j
+
+    def counter(self, i: int, lag: int) -> np.ndarray:
+        """t_i = 1 + sum_{c_i <= j < i} (1 - R_j) + sum_{j < c_i} (S_j - max(R_j, C_j))."""
+        r, k = self.sum_r, i - lag - 1
+        return (1 + (lag - (r[i - 1] - r[k])) + self.sum_smax[k]).astype(np.int64)
+
+
 class Closure:
-    """Closure-principle feedback, trial axis first: a rejected predecessor
-    refunds its level (closed spending, counter t_i) or forwards it (closed
-    graph, at_i), inside the conflict window c_i = i - L_i .. i-1 too.
+    """Closed graph's levels, trial axis first: a rejected predecessor
+    forwards its level at_i, inside the conflict window c_i = i - L_i .. i-1
+    too.  ``level`` for target i needs 1 .. i-1 absorbed; ``final`` is the
+    last absorbed index.  A live engine is the case of one trial.
 
-    State per trial, grown on demand, and the watermark ``final`` of the
-    last absorbed index.  ``counter`` and ``level`` for target i need
-    1 .. i-1 absorbed.  A live engine is the case of one trial.
-
-    Each kind keeps only the rows it reads, in one block: closed spending
-    the prefix sums of R and of S - max(R, C), closed graph at_j, R_j,
-    up_j = max(R_j, C_j) - S_j + 1 and the forwarded mass of each source.
-    The first ``counter`` or ``level`` call, which precedes any ``absorb``,
-    fixes the kind; a later call of the other method raises
-    ``InvalidConfig``.
-
-    The rows are index-major (one contiguous row of T trials per index), so
-    ``absorb`` and ``counter`` touch whole rows.  The mass is trial-major,
-    the operand of each level's product: the block's last row read as
-    (T, capacity).  One block, not rows and mass apart, also keeps a
-    sweep's largest freed allocation large enough that glibc does not trim
-    and fault back the heap between grid points.
+    One block, grown on demand, holds at_j, R_j and up_j = max(R_j, C_j) -
+    S_j + 1 index-major (j's contiguous row of T trials at j - 1), so
+    ``absorb`` touches whole rows, and as its last row, read as (T,
+    capacity), the trial-major mass, the operand of each level's product.
+    One block, not rows and mass apart, also keeps a sweep's largest freed
+    allocation large enough that glibc does not trim and fault back the heap
+    between grid points.
 
     The mass of source j is what it forwards to the targets of one level:
     R_j at_j while j lies inside the window, up_j at_j once the window edge
@@ -406,64 +438,32 @@ class Closure:
     1 .. ``edge`` - 1 to up_j at_j, so each level is one product over a slice.
     """
 
-    # the rows each kind keeps, named by the method that reads them
-    _ROWS = {"counter": ("sum_r", "sum_smax"), "level": ("at", "r", "up")}
-
     def __init__(self, alpha: float, trials: int = 1, capacity: int = 64):
         self.alpha = alpha
         self.final = 0
         self.filled = 0  # mass of 1 .. filled is set
         self.edge = 1  # mass of 1 .. edge-1 is up_j at_j
-        self.serves = None  # "counter" or "level", fixed by the first call
-        self.capacity = capacity
-        self.state = np.zeros((0, 0, trials))  # no rows until the kind is fixed
+        self.state = np.zeros((4, 0, trials))
         self.mass = np.zeros((trials, 0))
-
-    def _serve(self, method: str) -> None:
-        """Fix the kind at the first ``counter`` or ``level`` call."""
-        if self.serves is not None:
-            raise InvalidConfig(f"this closure serves {self.serves}, not {method}")
-        self.serves = method
-        rows = len(self._ROWS[method]) + (method == "level")  # closed graph: + the mass
-        self.state = np.zeros((rows, 0, self.state.shape[2]))
-        self._reserve(self.capacity)
+        self._reserve(capacity)
 
     def _reserve(self, n: int) -> None:
-        rows, old, trials = self.state.shape
+        _, old, trials = self.state.shape
         if n < old:
             return
-        names = self._ROWS[self.serves]
-        state = np.zeros((rows, max(n + 1, 2 * old), trials))
-        state[: len(names), :old] = self.state[: len(names)]
-        # at_j, R_j and up_j sit in row j - 1; the prefix sums over 1 .. k in row k
-        for name, row in zip(names, state):
-            setattr(self, name, row)
-        if rows > len(names):  # the mass, trial-major, fills the block's last row
-            mass = state[-1].reshape(trials, -1)
-            mass[:, :old] = self.mass
-            self.mass = mass
-        self.state = state
+        state = np.zeros((4, max(n + 1, 2 * old), trials))
+        state[:3, :old] = self.state[:3]
+        mass = state[3].reshape(trials, -1)
+        mass[:, :old] = self.mass
+        self.state, self.mass = state, mass
+        self.at, self.r, self.up = state[:3]
 
     def absorb(self, j: int, s, c, r) -> None:
         """Record S_j, C_j and R_j (one value per trial); j = final + 1."""
-        if self.serves is None:
-            raise InvalidConfig("absorb before the first counter or level")
         self._reserve(j)
-        top = np.maximum(r, c)
-        if self.serves == "level":
-            self.r[j - 1] = r
-            self.up[j - 1] = top - s + 1.0
-        else:
-            self.sum_r[j] = self.sum_r[j - 1] + r
-            self.sum_smax[j] = self.sum_smax[j - 1] + s - top
+        self.r[j - 1] = r
+        self.up[j - 1] = np.maximum(r, c) - s + 1.0
         self.final = j
-
-    def counter(self, i: int, lag: int) -> np.ndarray:
-        """t_i = 1 + sum_{c_i <= j < i} (1 - R_j) + sum_{j < c_i} (S_j - max(R_j, C_j))."""
-        if self.serves != "counter":
-            self._serve("counter")
-        r, k = self.sum_r, i - lag - 1
-        return (1 + (lag - (r[i - 1] - r[k])) + self.sum_smax[k]).astype(np.int64)
 
     def level(self, i: int, c: int, gamma_i: float, col: np.ndarray) -> np.ndarray:
         """at_i = alpha gamma_i + sum_j g[j, i] at_j (up_j for j < c, R_j for
@@ -472,8 +472,6 @@ class Closure:
         The window edge c may not move back (monotone conflict sets): a c
         below the previous level's raises ``NonMonotoneConflicts``.
         """
-        if self.serves != "level":
-            self._serve("level")
         if c < self.edge:
             raise NonMonotoneConflicts(c, self.filled + 1, i)
         self._reserve(i)

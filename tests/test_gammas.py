@@ -81,6 +81,12 @@ def test_parse_refuses_malformed_specs(text):
         GammaSpec.parse(text)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_custom_spec_refuses_a_value_that_is_not_finite_and_nonnegative(bad):
+    with pytest.raises(InvalidSpec, match="finite and nonnegative"):
+        GammaSpec(kind="custom", table=(0.5, bad))
+
+
 def test_custom_table_must_be_nonincreasing_when_required():
     spec = GammaSpec(kind="custom", table=(0.1, 0.5, 0.2))
     assert not spec.is_nonincreasing()

@@ -1,6 +1,8 @@
 """The README's Python examples run against the package as documented."""
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -26,3 +28,15 @@ def test_readme_imports_only_public_names():
         for alias in node.names
     }
     assert imported and imported <= set(addisgraph.__all__)
+
+
+def test_readme_module_names_resolve():
+    """Every backticked ``module.name`` the README gives for a package module
+    names something that module has."""
+    modules = {m.name for m in pkgutil.iter_modules(addisgraph.__path__)}
+    refs = re.findall(r"`([a-z_]+)\.([A-Za-z_][A-Za-z_0-9]*)`", README.read_text())
+    named = [(mod, name) for mod, name in refs if mod in modules]
+    assert named
+    for mod, name in named:
+        module = importlib.import_module(f"addisgraph.{mod}")
+        assert hasattr(module, name), f"{mod}.{name}"

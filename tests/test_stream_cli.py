@@ -323,6 +323,25 @@ def test_cli_verify_refuses_a_count_below_one(capsys, args):
     assert "Traceback" not in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("alpha", ["nan", "-0.2", "0", "1", "1.5", "inf"])
+def test_cli_verify_refuses_an_alpha_outside_the_unit_interval(capsys, alpha):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "budget", "--seeds", "1", "--alpha", alpha])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must lie in (0, 1)" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+@pytest.mark.parametrize(
+    "args", [["--tau", "1.5"], ["--tau", "nan"], ["--lam", "0.9"], ["--lam", "-0.1"]]
+)
+def test_cli_verify_checks_the_gap_before_any_suite(capsys, args):
+    assert main(["verify", "--seeds", "1", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+
+
 @pytest.mark.parametrize("text", ["n = 10\nn = 10, 20\n", "n = 10, 20\nn = 10\n"])
 def test_cli_simulate_refuses_a_duplicate_grid_key(tmp_path, capsys, text):
     grid = tmp_path / "g.cfg"

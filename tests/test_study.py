@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ def test_bad_study_file_reports_line(tmp_path):
     path = tmp_path / "bad.study"
     path.write_text("T1 enter=1 exit=2 p=0.5\nT2 enter=x exit=3 p=0.5\n")
     with pytest.raises(InvalidConfig, match="2"):
+        ReplayStudy.parse(path)
+
+
+@pytest.mark.parametrize(
+    "text, lineno, what",
+    [
+        ("alpha = 0.05\nalpha = 0.5\n", 2, "duplicate key 'alpha'"),
+        ("lambda = 0.3\nlam = 0.2\n", 2, "duplicate key 'lam'"),
+        ("T1 enter=1 exit=2 p=0.01 p=0.5\n", 1, "duplicate field 'p'"),
+        ("T1 enter=1 exit=2 p=0.5\nT2 enter=2 exit=3 p=0.5 foo=1\n", 2, "unknown field 'foo'"),
+    ],
+)
+def test_study_file_refuses_a_repeated_or_unknown_entry(tmp_path, text, lineno, what):
+    """A default set twice, a field repeated on a ``T`` line or an unknown
+    field is refused with its line, not resolved by the last value."""
+    path = tmp_path / "bad.study"
+    path.write_text(text)
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(f'{path}:{lineno}: {what}')}$"):
         ReplayStudy.parse(path)
 
 

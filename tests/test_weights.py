@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from addisgraph.core import ConflictStructure, validate_conflicts
-from addisgraph.errors import DegenerateRenormalization, InvalidConfig, NonMonotoneConflicts
+from addisgraph.errors import DegenerateRenormalization, InvalidSpec, NonMonotoneConflicts
 from addisgraph import weights
 from addisgraph.gammas import GammaSpec
 from addisgraph.weights import (
@@ -16,6 +17,7 @@ from addisgraph.weights import (
     CORR_QUAD_NODES,
     NDTR_ONE,
     Closure,
+    ClosureCounter,
     CustomTable,
     HeldMass,
     IncrementalRenormalizer,
@@ -216,6 +218,25 @@ def test_custom_table_rejects_overweight_row():
         CustomTable({(1, 2): 0.8, (1, 3): 0.4})
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), -0.1])
+def test_custom_table_refuses_a_weight_that_is_not_finite_and_nonnegative(w):
+    """A NaN weight would pass the row-mass check and make every later
+    level NaN."""
+    with pytest.raises(InvalidSpec, match="invalid table entry"):
+        CustomTable({(1, 2): w})
+
+
+@pytest.mark.parametrize("line", ["1 2", "1 2 0.5 7", "1 x 0.5", "1 2 half"])
+def test_custom_table_load_names_the_line_it_cannot_read(tmp_path, line):
+    """A wrong field count or a non-numeric field is an ``InvalidSpec``
+    naming the file and the line."""
+    path = tmp_path / "w.table"
+    path.write_text(f"{CustomTable.HEADER}\n1 3 0.25\n\n{line}\n")
+    where = re.escape(f"{path}:4: not 'j i weight'")
+    with pytest.raises(InvalidSpec, match=f"^{where}"):
+        CustomTable.load(path)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_custom_table_tail_mass_keeps_the_bits_of_a_full_scan(seed):
@@ -309,31 +330,11 @@ def test_closure_level_refuses_a_window_edge_moving_back():
     assert np.array_equal(ats[0], ats[1])
 
 
-def test_closure_keeps_the_rows_of_its_first_method():
-    """The first ``counter`` or ``level`` fixes the kind: closed spending keeps
-    the two prefix sums, closed graph at, R, up and the mass.  The other
-    method then raises rather than read rows that were not kept, and
-    ``absorb`` may not come first."""
-    gam = BASEL.values(2)
-    spending, graph, unset = Closure(0.2), Closure(0.2), Closure(0.2)
-    spending.counter(1, 0)
-    graph.level(1, 1, gam[0], gam[:0])
-    assert spending.state.shape[0] == 2 and graph.state.shape[0] == 4
-    for closure in (spending, graph):
-        closure.absorb(1, 1.0, 0.0, 1.0)
-    with pytest.raises(InvalidConfig, match="serves counter, not level"):
-        spending.level(2, 2, gam[1], gam[:1])
-    with pytest.raises(InvalidConfig, match="serves level, not counter"):
-        graph.counter(2, 0)
-    with pytest.raises(InvalidConfig, match="absorb before"):
-        unset.absorb(1, 1.0, 0.0, 1.0)
-    assert spending.counter(2, 0)[0] == 1 and graph.level(2, 2, gam[1], gam[:1])[0] > 0
-
-
 def test_closure_grown_on_demand_matches_one_sized_up_front():
     """Growing the block keeps the index-major rows and the trial-major mass:
     at T > 1 a kernel grown from capacity 2 gives the levels and counters of
-    one sized for the whole stream."""
+    one sized for the whole stream.  Closed spending keeps the two prefix
+    sums, closed graph at, R, up and the mass, each in one block."""
     rng = np.random.default_rng(4)
     trials, n = 7, 150
     gam = BASEL.values(2 * n + 2)
@@ -341,7 +342,9 @@ def test_closure_grown_on_demand_matches_one_sized_up_front():
     runs = []
     for capacity in (2, n):
         graph = Closure(0.2, trials=trials, capacity=capacity)
-        spending = Closure(0.2, trials=trials, capacity=capacity)
+        spending = ClosureCounter(trials=trials, capacity=capacity)
+        assert spending.state.shape == (2, capacity + 1, trials)
+        assert graph.state.shape == (4, capacity + 1, trials)
         out = []
         for i in range(1, n + 1):
             lag = min(i - 1, 5)
