@@ -29,7 +29,9 @@ def _add_simulate(sub) -> None:
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--trials", type=int, default=None, help="override trials per grid point")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads across grid points")
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, help="worker threads across grid points"
+    )
 
 
 def _add_stream(sub) -> None:

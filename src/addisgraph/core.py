@@ -71,14 +71,13 @@ def compute_indicators(p: float, tau: float, lam: float, alpha: float) -> Indica
 
 
 class ConflictStructure:
-    """A family of monotone conflict sets with optional lag/batch/finish-time views."""
+    """A family of monotone conflict sets with optional lag/batch views."""
 
-    def __init__(self, conflict_sets, finish_times=None, batch_of=None):
+    def __init__(self, conflict_sets, batch_of=None):
         self.conflict_sets: tuple[frozenset[int], ...] = tuple(
             frozenset(s) for s in conflict_sets
         )
         self.n = len(self.conflict_sets)
-        self.finish_times = tuple(finish_times) if finish_times is not None else None
         self.batch_of = tuple(batch_of) if batch_of is not None else None
         self.lags: tuple[int, ...] | None = None
         self.batches: tuple[tuple[int, ...], ...] | None = None
@@ -110,7 +109,7 @@ class ConflictStructure:
                 raise DomainError(f"finish time {fin} at index {idx} precedes its start")
         n = len(e)
         sets = [frozenset(j for j in range(1, i) if e[j - 1] >= i) for i in range(1, n + 1)]
-        return validate_conflicts(cls(sets, finish_times=e))
+        return validate_conflicts(cls(sets))
 
     @classmethod
     def from_batches(cls, batch_sizes) -> "ConflictStructure":

@@ -19,6 +19,7 @@ from .errors import DomainError, InvalidSpec, NonMonotoneGamma
 
 _BASEL = 6.0 / math.pi**2
 _NONE = np.empty(0)  # a spec's gamma array before its first read
+_MIN_CACHED = 64  # shortest gamma array a spec caches
 _PARTIAL_SUM_TERMS = 10**6
 
 
@@ -31,7 +32,7 @@ def _logq_norm() -> float:
 
 def _logq_prefix(m: int) -> float:
     """Unnormalized partial sum of the logq sequence up to index m; not cached,
-    as ``_logq_norm`` and ``_TAILS`` keep what is made of it."""
+    as ``_logq_norm`` and each spec's tail sums keep what is made of it."""
     i = np.arange(1, m + 1, dtype=np.float64)
     return math.fsum(1.0 / ((i + 1.0) * np.log(i + 1.0) ** 2))
 
@@ -70,9 +71,9 @@ class GammaSpec:
                 raise InvalidSpec("custom gamma table sums beyond 1")
         elif self.kind not in ("logq", "basel"):
             raise InvalidSpec(f"unknown gamma kind {self.kind!r}")
-        # This instance's views of the shared caches below, read without
-        # hashing the spec.  They are not fields: ==, hash and repr ignore
-        # them, and __reduce__ leaves them out of copies and pickles.
+        # This instance's caches of gamma values and tail sums.  They are not
+        # fields: ==, hash and repr ignore them, and __reduce__ leaves them
+        # out of copies and pickles.
         object.__setattr__(self, "_values", _NONE)
         object.__setattr__(self, "_tails", {})
 
@@ -108,7 +109,11 @@ class GammaSpec:
         return arr[:n]
 
     def _grow(self, n: int) -> np.ndarray:
-        arr = _cached(self, n)
+        # Doubled whenever a longer prefix is asked for.  Each element is
+        # computed on its own, so a prefix equals a fresh evaluation of that
+        # length bit for bit (tests/test_gammas.py checks this).
+        arr = _evaluate(self, max(n, _MIN_CACHED, 2 * self._values.size))
+        arr.setflags(write=False)
         object.__setattr__(self, "_values", arr)
         return arr
 
@@ -116,8 +121,6 @@ class GammaSpec:
         """sum_{i<=m} gamma_i (exact for geometric, high precision otherwise)."""
         if m <= 0:
             return 0.0
-        if self.kind == "geometric":
-            return 1.0 - self.q**m
         return 1.0 - self.tail_sum(m)
 
     def tail_sum(self, m: int) -> float:
@@ -126,11 +129,7 @@ class GammaSpec:
             m = 0
         tail = self._tails.get(m)
         if tail is None:
-            key = (self, m)
-            tail = _TAILS.get(key)
-            if tail is None:
-                tail = _TAILS[key] = _tail_sum(self, m)
-            self._tails[m] = tail
+            tail = self._tails[m] = _tail_sum(self, m)
         return tail
 
     def is_nonincreasing(self, n: int = 1000) -> bool:
@@ -156,28 +155,6 @@ class GammaSpec:
         except ValueError:
             raise InvalidSpec(f"gamma spec {text!r}: {params[0]!r} is not a number") from None
         return cls(kind=kind, **{name: value})
-
-
-# Tail sums by (spec, m), each the value _tail_sum gives afresh; a stream
-# asks for the same few offsets at every level.  Each spec instance also
-# keeps the entries it has read, by m alone.
-_TAILS: dict[tuple[GammaSpec, int], float] = {}
-
-# One read-only array per spec, doubled whenever a longer prefix is asked for.
-# Each element is computed on its own, so a prefix equals a fresh evaluation
-# of that length bit for bit (tests/test_gammas.py checks this).  Each spec
-# instance also keeps the longest array it has read.
-_ARRAYS: dict[GammaSpec, np.ndarray] = {}
-_MIN_CACHED = 64
-
-
-def _cached(spec: GammaSpec, n: int) -> np.ndarray:
-    arr = _ARRAYS.get(spec)
-    if arr is None or arr.size < n:
-        arr = _evaluate(spec, max(n, _MIN_CACHED, 2 * arr.size if arr is not None else 0))
-        arr.setflags(write=False)
-        _ARRAYS[spec] = arr
-    return arr
 
 
 def _evaluate(spec: GammaSpec, n: int) -> np.ndarray:

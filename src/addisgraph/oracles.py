@@ -38,22 +38,17 @@ IMPROVEMENT_CAP = 200
 class BudgetFunction:
     """Inputs of the realized-budget evaluation F_n(U).
 
-    ``weights[j-1, i-1]`` is g[j, i]; ``gaps`` are tau_i - lambda_i (they
-    cancel inside F but reconstruct the actual levels alpha_i = gap_i *
-    alpha_tilde_i).
+    ``weights[j-1, i-1]`` is g[j, i].
     """
 
     n: int
     gamma: np.ndarray
     weights: np.ndarray
     alpha: float
-    gaps: np.ndarray | None = None
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.gaps is None:
-            self.gaps = np.ones(self.n)
 
     def evaluate(self, u_patterns: np.ndarray) -> np.ndarray:
         """F_n(U) for each row of a (patterns, n) bit matrix.

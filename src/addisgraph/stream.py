@@ -111,12 +111,14 @@ class StreamSession:
                 raise ProtocolError("bad-command", f"expected key=value, got {kv!r}")
             key = key.lower()
             try:
-                if key == "tau":
+                if key == "tau" and tau is None:
                     tau = float(val)
-                elif key == "lambda":
+                elif key == "lambda" and lam is None:
                     lam = float(val)
-                elif key == "conflicts":
+                elif key == "conflicts" and conflicts is None:
                     conflicts = self._indices(val)
+                elif key in ("tau", "lambda", "conflicts"):
+                    raise ProtocolError("bad-command", f"field {key!r} given twice")
                 else:
                     raise ProtocolError("bad-command", f"unknown field {key!r}")
             except ValueError:

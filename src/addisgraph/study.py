@@ -99,6 +99,8 @@ class ReplayStudy:
                         members = frozenset(
                             int(v.strip().lstrip("T")) for v in rhs.split(",") if v.strip()
                         )
+                        if idx in overrides:
+                            raise ValueError(f"duplicate conflicts for T{idx}")
                         overrides[idx] = members
                     elif line.startswith("T"):
                         parts = line.split()

@@ -285,9 +285,12 @@ class CustomTable(WeightRule):
                     continue
                 try:
                     j_s, i_s, w_s = line.split()
-                    entries[(int(j_s), int(i_s))] = float(w_s)
+                    key, w = (int(j_s), int(i_s)), float(w_s)
                 except ValueError:
                     raise InvalidSpec(f"{path}:{lineno}: not 'j i weight': {line!r}") from None
+                if key in entries:
+                    raise InvalidSpec(f"{path}:{lineno}: duplicate entry {key}")
+                entries[key] = w
         return cls(entries)
 
     def dump(self, path) -> None:

@@ -127,23 +127,23 @@ def test_cached_prefix_equals_fresh_evaluation(name):
     assert [spec.value(i) for i in range(1, LONG + 1)] == long.tolist()
 
 
-TAIL_SPECS = [
-    *(GammaSpec.parse(name) for name in
-      ["basel", "logq", "power:1.6", "power:1.7", "geometric:0.5", "geometric:0.6"]),
-    GammaSpec(kind="custom", table=(0.3, 0.2, 0.2, 0.1, 0.05)),
-]
-
-
-def test_tail_sum_cache_serves_fresh_evaluations(monkeypatch):
-    """``tail_sum`` is cached per (spec, m): every call, the one that fills an
-    entry and the ones that read it, gives the bits of a fresh evaluation, and
-    specs of one kind with other parameters never read each other's entries."""
-    monkeypatch.setattr(gammas, "_TAILS", {})
+def test_tail_sum_cache_serves_fresh_evaluations():
+    """``tail_sum`` is cached per spec instance and m: every call, the one that
+    fills an entry and the ones that read it, gives the bits of a fresh
+    evaluation, and specs of one kind with other parameters never read each
+    other's entries."""
+    specs = [
+        *(GammaSpec.parse(name) for name in
+          ["basel", "logq", "power:1.6", "power:1.7", "geometric:0.5", "geometric:0.6"]),
+        GammaSpec(kind="custom", table=(0.3, 0.2, 0.2, 0.1, 0.05)),
+    ]
     big = gammas._PARTIAL_SUM_TERMS  # logq switches to its integral tail here
     ms = [*range(2001), big - 1, big, big + 1, 2 * big]
-    for spec in TAIL_SPECS:
+    for spec in specs:
+        assert not spec._tails  # a new instance starts empty
         fresh = [gammas._tail_sum(spec, m).hex() for m in ms]
         assert [spec.tail_sum(m).hex() for m in ms] == fresh, spec.name
+        assert sorted(spec._tails) == ms  # the first pass filled every entry
         assert [spec.tail_sum(m).hex() for m in ms] == fresh, spec.name
         assert spec.tail_sum(-3) == spec.tail_sum(0)
     for a, b in [("power:1.6", "power:1.7"), ("geometric:0.5", "geometric:0.6")]:
@@ -162,8 +162,8 @@ SPEC_COPIES = {
 @pytest.mark.parametrize("name", [*FAMILIES, "custom"])
 def test_spec_copies_hash_and_compare_equal(name, how):
     """A copy of a spec that has read values and tails is equal to a fresh
-    spec of the same text, hashes alike, finds the fresh spec's cache
-    entries, and gives the same bits."""
+    spec of the same text, hashes alike, finds the fresh spec as a dict key,
+    and gives the same bits."""
     fresh = (
         GammaSpec(kind="custom", table=(0.3, 0.2, 0.1)) if name == "custom"
         else GammaSpec.parse(name)

@@ -62,6 +62,23 @@ def test_errors_do_not_corrupt_state():
     assert session.handle("H 2").startswith("LEVEL 2 ")
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        "tau=0.5 tau=0.9",
+        "lambda=0.1 LAMBDA=0.1",
+        "conflicts= Conflicts=",
+        "tau=0.5 lambda=0.1 Tau=x",
+    ],
+)
+def test_repeated_registration_field_is_refused(fields):
+    """A field given twice on one ``H`` line is an error that changes no
+    state: the next ``H 1`` answers the fresh session's level."""
+    session = StreamSession(GraphConf(), full_precision=True)
+    assert session.handle(f"H 1 {fields}").startswith("ERR bad-command")
+    assert session.handle("H 1") == StreamSession(GraphConf(), full_precision=True).handle("H 1")
+
+
 def test_duplicate_observation_error():
     session = StreamSession(GraphConf())
     session.handle("H 1")
@@ -321,6 +338,20 @@ def test_cli_verify_refuses_a_count_below_one(capsys, args):
     captured = capsys.readouterr()
     assert "must be a positive integer" in captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_simulate_refuses_a_thread_count_below_one(tmp_path, capsys, threads):
+    grid = tmp_path / "g.cfg"
+    grid.write_text("procedure = spending-local\ntrials = 5\nn = 10\n")
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--grid", str(grid), "--out", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be a positive integer" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["nan", "-0.2", "0", "1", "1.5", "inf"])

@@ -112,11 +112,18 @@ def test_bad_study_file_reports_line(tmp_path):
         ("lambda = 0.3\nlam = 0.2\n", 2, "duplicate key 'lam'"),
         ("T1 enter=1 exit=2 p=0.01 p=0.5\n", 1, "duplicate field 'p'"),
         ("T1 enter=1 exit=2 p=0.5\nT2 enter=2 exit=3 p=0.5 foo=1\n", 2, "unknown field 'foo'"),
+        (
+            "T1 enter=1 exit=4 p=0.5\nT2 enter=2 exit=5 p=0.5\nT3 enter=3 exit=6 p=0.5\n"
+            "conflicts T3 = 1, 2\nconflicts T3 = 2\n",
+            5,
+            "duplicate conflicts for T3",
+        ),
     ],
 )
 def test_study_file_refuses_a_repeated_or_unknown_entry(tmp_path, text, lineno, what):
-    """A default set twice, a field repeated on a ``T`` line or an unknown
-    field is refused with its line, not resolved by the last value."""
+    """A default set twice, a field repeated on a ``T`` line, an unknown
+    field or a second ``conflicts`` line for one arm is refused with its
+    line, not resolved by the last value."""
     path = tmp_path / "bad.study"
     path.write_text(text)
     with pytest.raises(InvalidConfig, match=f"^{re.escape(f'{path}:{lineno}: {what}')}$"):

@@ -237,6 +237,15 @@ def test_custom_table_load_names_the_line_it_cannot_read(tmp_path, line):
         CustomTable.load(path)
 
 
+def test_custom_table_load_refuses_a_repeated_entry(tmp_path):
+    """A second line for one (j, i) is refused with its line, not resolved
+    by the last value."""
+    path = tmp_path / "w.table"
+    path.write_text(f"{CustomTable.HEADER}\n1 2 0.9\n1 3 0.05\n1 2 0.1\n")
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(f'{path}:4: duplicate entry (1, 2)')}$"):
+        CustomTable.load(path)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_custom_table_tail_mass_keeps_the_bits_of_a_full_scan(seed):
