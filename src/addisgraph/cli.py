@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except AddisGraphError as exc:
+    except (AddisGraphError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

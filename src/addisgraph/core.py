@@ -20,7 +20,6 @@ from .errors import (
     IncompleteLedger,
     InvalidConfig,
     MissingAlphaC,
-    NonContiguousSuffix,
     NonMonotoneConflicts,
 )
 
@@ -71,15 +70,35 @@ def compute_indicators(p: float, tau: float, lam: float, alpha: float) -> Indica
 
 
 class ConflictStructure:
-    """A family of monotone conflict sets with optional lag/batch views."""
+    """A monotone family of conflict sets, checked when built, with a lag
+    view and an optional batch view.
+
+    Every member of ``X_i`` must be an earlier index in ``[1, i-1]``; the
+    first set holding another index raises ``DomainError`` before the
+    monotonicity pass.  That pass declares the sets in order through
+    :func:`declare_conflicts`, the check an engine runs on each level
+    request, in O(sum |X_i|).  ``lags`` holds ``|X_i|`` per index when every
+    set is a contiguous suffix ``{i-L_i, ..., i-1}``, else None.
+    """
 
     def __init__(self, conflict_sets, batch_of=None):
         self.conflict_sets: tuple[frozenset[int], ...] = tuple(
             frozenset(s) for s in conflict_sets
         )
         self.n = len(self.conflict_sets)
-        self.batch_of = tuple(batch_of) if batch_of is not None else None
+        for i, x in enumerate(self.conflict_sets, start=1):
+            bad = [j for j in x if not 1 <= j < i]
+            if bad:
+                raise DomainError(
+                    f"conflict set of {i} contains index {min(bad)} outside [1, {i - 1}]"
+                )
+        held: list[range | frozenset[int]] = []
+        for i, x in enumerate(self.conflict_sets, start=1):
+            held.append(declare_conflicts(held, i, x))
         self.lags: tuple[int, ...] | None = None
+        if all(type(x) is range for x in held):
+            self.lags = tuple(len(x) for x in held)
+        self.batch_of = tuple(batch_of) if batch_of is not None else None
         self.batches: tuple[tuple[int, ...], ...] | None = None
         if self.batch_of is not None:
             groups: dict[int, list[int]] = {}
@@ -99,7 +118,7 @@ class ConflictStructure:
             if lag > idx - 1:
                 raise DomainError(f"lag {lag} at index {idx} reaches before the stream start")
             sets.append(frozenset(range(idx - lag, idx)))
-        return validate_conflicts(cls(sets), lag_form=True)
+        return cls(sets)
 
     @classmethod
     def from_finish_times(cls, finish_times) -> "ConflictStructure":
@@ -109,7 +128,7 @@ class ConflictStructure:
                 raise DomainError(f"finish time {fin} at index {idx} precedes its start")
         n = len(e)
         sets = [frozenset(j for j in range(1, i) if e[j - 1] >= i) for i in range(1, n + 1)]
-        return validate_conflicts(cls(sets))
+        return cls(sets)
 
     @classmethod
     def from_batches(cls, batch_sizes) -> "ConflictStructure":
@@ -122,7 +141,7 @@ class ConflictStructure:
             for k in range(size):
                 sets.append(frozenset(range(start, start + k)))
             start += size
-        return validate_conflicts(cls(sets, batch_of=batch_of), lag_form=True)
+        return cls(sets, batch_of=batch_of)
 
 
 def check_monotone_step(sets, i: int, x) -> None:
@@ -189,37 +208,6 @@ def declare_conflicts(sets, i: int, conflicts) -> range | frozenset[int]:
     if x and x != frozenset(suffix):
         return x
     return suffix
-
-
-def validate_conflicts(structure: ConflictStructure, lag_form: bool = False) -> ConflictStructure:
-    """Check monotonicity and derive lags where the sets are contiguous suffixes.
-
-    Monotonicity: ``j in X_i`` implies ``j in X_k`` for every ``k`` strictly
-    between ``j`` and ``i``.  When every set is a contiguous suffix
-    ``{i-L_i, ..., i-1}`` the lag view is attached; requesting ``lag_form``
-    for a non-suffix structure raises ``NonContiguousSuffix``.
-
-    Every member of ``X_i`` must be an earlier index in ``[1, i-1]``; the
-    first set holding another index raises ``DomainError`` before the
-    monotonicity pass.  That pass declares the sets in order through
-    :func:`declare_conflicts`, the check an engine runs on each level
-    request, in O(sum |X_i|).
-    """
-    sets = structure.conflict_sets
-    for i in range(1, structure.n + 1):
-        bad = [j for j in sets[i - 1] if not 1 <= j < i]
-        if bad:
-            raise DomainError(
-                f"conflict set of {i} contains index {min(bad)} outside [1, {i - 1}]"
-            )
-    held: list[range | frozenset[int]] = []
-    for i, x in enumerate(sets, start=1):
-        held.append(declare_conflicts(held, i, x))
-    if all(type(x) is range for x in held):
-        structure.lags = tuple(len(x) for x in held)
-    elif lag_form:
-        raise NonContiguousSuffix("conflict sets are not contiguous suffixes")
-    return structure
 
 
 @dataclass

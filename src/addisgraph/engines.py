@@ -2,8 +2,10 @@
 
 Each engine is a single-owner state machine over a 1-based hypothesis stream:
 
-* ``level(i, ...)`` issues the significance level for index ``i`` (strictly in
-  index order; conflicts may be declared inline for live streams);
+* ``level(i, ..., conflicts=X_i)`` issues the significance level for index
+  ``i`` (strictly in index order), its conflict set given inline (none when
+  omitted); a :class:`.core.ConflictStructure` hands one over as
+  ``structure.conflict_set(i)``;
 * ``observe(i, p)`` reports the p-value for any already-levelled index and
   returns the threshold indicators plus the reject/accept decision.
 
@@ -22,9 +24,9 @@ observation (index, p-value, and how many levels had been issued when it
 arrived); no ledger entry, indicator object or event list is built per
 request.
 The input rules live in :mod:`.core`: a conflict set is checked by
-:func:`.core.declare_conflicts`, the rule that
-:func:`.core.validate_conflicts` folds over a whole structure, and each
-(tau, lambda) pair by :func:`.core.check_gap`.  A conflict set that is a
+:func:`.core.declare_conflicts`, the rule a ``ConflictStructure`` folds over
+its sets once, when it is built, and each (tau, lambda) pair by
+:func:`.core.check_gap`.  A conflict set that is a
 contiguous suffix ``{lo .. i-1}`` is held as ``range(lo, i)`` and checked
 in O(1), and the graph kinds pass that range on to the renormaliser, which
 zeroes the window as a slice; the engine adds only the refusal of non-suffix
@@ -46,7 +48,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (
-    ConflictStructure,
     Indicators,
     LedgerEntry,
     check_gap,
@@ -79,7 +80,7 @@ class FwerEngine:
     """Shared stream bookkeeping for the concrete procedures below."""
 
     kind = "abstract"
-    needs_lag_form = False
+    needs_lags = False
 
     def __init__(
         self,
@@ -87,7 +88,6 @@ class FwerEngine:
         tau: float = 0.8,
         lam: float = 0.16,
         gamma: GammaSpec | str = "basel",
-        structure: ConflictStructure | None = None,
     ):
         if not 0.0 < alpha < 1.0:
             raise InvalidConfig(f"alpha must lie in (0,1), got {alpha}")
@@ -96,7 +96,6 @@ class FwerEngine:
         self.lam = lam
         check_gap(tau, lam)
         self.gamma = GammaSpec.parse(gamma) if isinstance(gamma, str) else gamma
-        self.structure = structure
         self.issued = 0
         self._warned_lambda = False
         self._pending: set[int] = set()  # issued, not yet observed
@@ -186,18 +185,10 @@ class FwerEngine:
     # -- conflict bookkeeping ----------------------------------------------
 
     def _declare_conflicts(self, i: int, conflicts) -> range | frozenset[int]:
-        """The conflict set of i, inline or from the structure, checked by
+        """The conflict set of i as given (none when None), checked by
         :func:`.core.declare_conflicts`; mutates nothing."""
-        if conflicts is None:
-            structure = self.structure
-            if structure is None or i > structure.n:
-                conflicts = range(i, i)
-            elif structure.lags is not None:
-                conflicts = range(i - structure.lags[i - 1], i)
-            else:
-                conflicts = structure.conflict_set(i)
-        x = declare_conflicts(self._sets, i, conflicts)
-        if type(x) is not range and self.needs_lag_form:
+        x = declare_conflicts(self._sets, i, range(i, i) if conflicts is None else conflicts)
+        if type(x) is not range and self.needs_lags:
             raise NonContiguousSuffix(
                 f"{self.kind} requires contiguous-suffix conflict sets; got {sorted(x)} at {i}"
             )
@@ -301,23 +292,42 @@ class FwerEngine:
 
     @staticmethod
     def restore(snap: dict | str) -> "FwerEngine":
+        """Rebuild an engine from :meth:`snapshot` output (or its JSON); a
+        snapshot of the wrong shape raises ``InvalidConfig``."""
         if isinstance(snap, str):
-            snap = json.loads(snap)
+            try:
+                snap = json.loads(snap)
+            except ValueError as exc:
+                raise InvalidConfig(f"snapshot is not JSON: {exc}") from None
+        if not isinstance(snap, dict):
+            raise InvalidConfig("snapshot must be a JSON object")
         if snap.get("version") != 1:
             raise InvalidConfig(f"unsupported snapshot version {snap.get('version')!r}")
         cfg = dict(snap)
-        events = cfg.pop("events")
-        kind = cfg.pop("kind")
         cfg.pop("version")
-        cfg["lam"] = cfg.pop("lambda")
-        engine = make_engine(kind, **cfg)
+        try:
+            events = cfg.pop("events")
+            kind = cfg.pop("kind")
+            cfg["lam"] = cfg.pop("lambda")
+        except KeyError as exc:
+            raise InvalidConfig(f"snapshot lacks {exc}") from None
+        if not isinstance(events, list):
+            raise InvalidConfig("snapshot events must be a list")
+        try:
+            engine = make_engine(kind, **cfg)
+        except TypeError as exc:  # an unknown key, or a value of the wrong type
+            raise InvalidConfig(f"snapshot configuration: {exc}") from None
         for ev in events:
-            if ev[0] == "L":
-                _, i, tau_i, lam_i, conf = ev
-                engine.level(i, tau=tau_i, lam=lam_i, conflicts=conf)
-            else:
-                _, i, p = ev
-                engine.observe(i, p)
+            try:
+                match ev:
+                    case ["L", i, tau_i, lam_i, conf]:
+                        engine.level(i, tau=tau_i, lam=lam_i, conflicts=conf)
+                    case ["P", i, p]:
+                        engine.observe(i, p)
+                    case _:
+                        raise InvalidConfig(f"malformed snapshot event {ev!r}")
+            except TypeError as exc:  # a field of the wrong type
+                raise InvalidConfig(f"malformed snapshot event {ev!r}: {exc}") from None
         return engine
 
 
@@ -481,7 +491,7 @@ class GraphConfU(FwerEngine):
     """
 
     kind = "graph-conf-u"
-    needs_lag_form = True
+    needs_lags = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -508,7 +518,7 @@ class ClosedEngine(FwerEngine):
     many).  Levels need feedback for every predecessor, even conflicting
     ones: the closure argument, not measurability, carries them."""
 
-    needs_lag_form = True
+    needs_lags = True
 
     def _absorbed(self, i: int) -> ClosureCounter | Closure:
         """The kernel with every index before i absorbed."""

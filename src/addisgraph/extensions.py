@@ -156,7 +156,8 @@ class AdaptiveGraphCorr(GraphConf):
     kind = "adaptive-graph-corr"
 
     def __init__(self, model: CorrModel, alpha: float = 0.2, gamma: GammaSpec | str = "basel"):
-        super().__init__(alpha=alpha, tau=1.0, gamma=gamma, structure=model.structure)
+        super().__init__(alpha=alpha, tau=1.0, gamma=gamma)
+        self.structure = model.structure
         self.lam = model.lam  # each level passes the lambda of its batch
         self.model = model
         self.alpha_c_se: dict[int, float] = {}
@@ -182,7 +183,8 @@ class AdaptiveGraphCorr(GraphConf):
         n = self.structure.n
         if not 1 <= i <= n:
             raise DomainError(f"index {i} lies outside the model's hypotheses 1..{n}")
-        return super().level(i, lam=self.model.lambda_for(self.structure.batch_of[i - 1]))
+        lam = self.model.lambda_for(self.structure.batch_of[i - 1])
+        return super().level(i, lam=lam, conflicts=range(i - self.structure.lags[i - 1], i))
 
     def _compute_level(self, i, x, tau_i, lam_i):
         b = self.structure.batch_of[i - 1]
@@ -250,10 +252,9 @@ class FdrGraph(FwerEngine):
         tau: float = 0.5,
         lam: float = 0.25,
         gamma: GammaSpec | str = "basel",
-        structure: ConflictStructure | None = None,
         w0: float | None = None,
     ):
-        super().__init__(alpha=alpha, tau=tau, lam=lam, gamma=gamma, structure=structure)
+        super().__init__(alpha=alpha, tau=tau, lam=lam, gamma=gamma)
         w0 = alpha if w0 is None else w0
         if not 0.0 < w0 <= alpha:
             raise InvalidW0(f"starting wealth must lie in (0, alpha], got {w0}")

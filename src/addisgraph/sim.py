@@ -82,7 +82,7 @@ class SimConfig:
             raise InvalidConfig(f"correlation must lie in (0,1), got {self.rho}")
         if not 0.0 < self.pi_a < 1.0:
             raise InvalidConfig(f"alternative probability must lie in (0,1), got {self.pi_a}")
-        if self.mu_n > 0.0:
+        if not self.mu_n <= 0.0:
             raise InvalidConfig(f"null mean must be <= 0, got {self.mu_n}")
         if self.trials < 1:
             raise InvalidConfig("need at least one trial")

@@ -18,8 +18,10 @@ Study file format (line-oriented text, ``#`` comments):
     # optional explicit conflict overrides
     conflicts T10 = 5, 7, 8, 9
 
-Each default is set at most once; a ``T`` line takes ``enter``, ``exit`` and
-``p`` at most once each and no other field.
+Each default is set at most once and each ``T<k>`` line appears once; a
+``T`` line takes ``enter``, ``exit`` and ``p`` at most once each and no other
+field.  ``enter`` must be finite and ``exit`` at or after it (``inf`` for an
+arm still running).
 
 Conflicts are derived from interval overlap — an earlier hypothesis whose
 exit time is at or after a later one's entry time shares concurrent control
@@ -34,11 +36,12 @@ so the level still available to future hypotheses is the engine's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConflictStructure, validate_conflicts
+from .core import ConflictStructure
 from .engines import make_engine
 from .errors import InvalidConfig, MissingData
 from .gammas import GammaSpec
@@ -83,7 +86,7 @@ class ReplayStudy:
 
     @classmethod
     def parse(cls, path) -> "ReplayStudy":
-        hyps: list[StudyHypothesis] = []
+        arms: dict[int, StudyHypothesis] = {}
         overrides: dict[int, frozenset[int]] = {}
         defaults: dict = {}
         with open(path) as fh:
@@ -105,6 +108,8 @@ class ReplayStudy:
                     elif line.startswith("T"):
                         parts = line.split()
                         idx = int(parts[0].lstrip("T"))
+                        if idx in arms:
+                            raise ValueError(f"duplicate T{idx}")
                         fields = {}
                         for key, value in (kv.split("=", 1) for kv in parts[1:]):
                             if key not in ("enter", "exit", "p"):
@@ -116,14 +121,13 @@ class ReplayStudy:
                         p = None if p_raw.upper() in ("NA", "?", "NONE") else float(p_raw)
                         if p is not None and not 0.0 <= p <= 1.0:
                             raise ValueError(f"p-value {p} outside [0, 1]")
-                        hyps.append(
-                            StudyHypothesis(
-                                index=idx,
-                                name=parts[0],
-                                enter=float(fields["enter"]),
-                                exit=float(fields["exit"]),
-                                p=p,
-                            )
+                        enter, exit_ = float(fields["enter"]), float(fields["exit"])
+                        if not math.isfinite(enter):
+                            raise ValueError(f"enter time {enter} is not finite")
+                        if not exit_ >= enter:
+                            raise ValueError(f"exit time {exit_} is before enter time {enter}")
+                        arms[idx] = StudyHypothesis(
+                            index=idx, name=parts[0], enter=enter, exit=exit_, p=p
                         )
                     else:
                         key, _, rhs = line.partition("=")
@@ -137,9 +141,9 @@ class ReplayStudy:
                         defaults[key] = float(rhs.strip())
                 except (ValueError, KeyError, IndexError) as exc:
                     raise InvalidConfig(f"{path}:{lineno}: {exc}") from None
-        hyps.sort(key=lambda h: h.index)
-        if [h.index for h in hyps] != list(range(1, len(hyps) + 1)):
+        if sorted(arms) != list(range(1, len(arms) + 1)):
             raise InvalidConfig("hypothesis indices must be consecutive from T1")
+        hyps = [arms[k] for k in range(1, len(arms) + 1)]
         for idx in sorted(overrides):
             if not 1 <= idx <= len(hyps):
                 raise InvalidConfig(f"conflicts override for T{idx}: the study has no such arm")
@@ -151,7 +155,7 @@ class ReplayStudy:
                 sets.append(
                     frozenset(j for j in range(1, i) if hyps[j - 1].exit >= h.enter)
                 )
-        validate_conflicts(ConflictStructure(sets))
+        ConflictStructure(sets)  # refuses a non-monotone family
         return cls(hypotheses=hyps, conflict_sets=sets, defaults=defaults)
 
 

@@ -247,7 +247,8 @@ class CustomTable(WeightRule):
 
     File format: a header line ``# weight-table v1`` followed by one line per
     entry: ``j i weight`` (whitespace separated).  Non-finite or negative
-    weights and rows whose mass exceeds one are rejected.
+    weights, a source ``j`` below 1 or a target ``i`` not after it, and rows
+    whose mass exceeds one are rejected.
     """
 
     HEADER = "# weight-table v1"
@@ -258,7 +259,7 @@ class CustomTable(WeightRule):
         # sums add the terms a scan of the whole table would, in its order
         self._rows: dict[int, list[tuple[int, float]]] = {}
         for (j, i), w in self.entries.items():
-            if not 0.0 <= w < inf or i <= j:
+            if not 0.0 <= w < inf or not 1 <= j < i:
                 raise InvalidSpec(f"invalid table entry ({j}, {i}) -> {w}")
             self._rows.setdefault(j, []).append((i, w))
         for j in self._rows:

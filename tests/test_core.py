@@ -13,14 +13,12 @@ from addisgraph.core import (
     check_fdr_condition,
     check_fwer_condition,
     compute_indicators,
-    validate_conflicts,
 )
 from addisgraph.errors import (
     DomainError,
     IncompleteLedger,
     InvalidConfig,
     MissingAlphaC,
-    NonContiguousSuffix,
     NonMonotoneConflicts,
 )
 
@@ -73,16 +71,13 @@ def test_indicator_ordering_property(p, tau, lam, alpha):
 
 
 def test_chain_of_lag_one_conflicts():
-    s = validate_conflicts(ConflictStructure([frozenset(), frozenset({1}), frozenset({2})]))
+    s = ConflictStructure([frozenset(), frozenset({1}), frozenset({2})])
     assert s.lags == (0, 1, 1)
 
 
 def test_non_monotone_triple_is_named():
-    structure = ConflictStructure(
-        [frozenset(), frozenset({1}), frozenset(), frozenset({1})]
-    )
     with pytest.raises(NonMonotoneConflicts) as exc:
-        validate_conflicts(structure)
+        ConflictStructure([frozenset(), frozenset({1}), frozenset(), frozenset({1})])
     assert exc.value.triple == (1, 3, 4)
 
 
@@ -97,13 +92,25 @@ def test_non_monotone_triple_is_named():
 def test_conflict_indices_must_be_earlier(sets, i, bad):
     """Indices outside [1, i-1] are a domain error, named before monotonicity."""
     with pytest.raises(DomainError, match=f"conflict set of {i} contains index {bad} "):
-        validate_conflicts(ConflictStructure(sets))
+        ConflictStructure(sets)
+
+
+def test_a_structure_is_checked_when_built():
+    """A family an engine would refuse part-way through a stream is refused
+    whole, when the structure is built; lags are held exactly when every
+    set is a suffix, with or without batches."""
+    with pytest.raises(DomainError, match="conflict set of 5 contains index 7 "):
+        ConflictStructure([set(), set(), {1, 2}, set(), {7}])
+    with pytest.raises(NonMonotoneConflicts) as exc:
+        ConflictStructure([set(), set(), {1, 2}, set()])
+    assert exc.value.triple == (1, 2, 3)
+    assert ConflictStructure([(), (1,), (1, 2), ()], batch_of=[1, 1, 1, 2]).lags == (0, 1, 2, 0)
+    assert ConflictStructure([(), (1,), (1,)], batch_of=[1, 1, 1]).lags is None
 
 
 def test_finish_time_form():
     # every test finishes two steps after entry
     s = ConflictStructure.from_finish_times([i + 2 for i in range(1, 6)])
-    s = validate_conflicts(s)
     assert s.conflict_set(3) == frozenset({1, 2})
     assert s.conflict_set(5) == frozenset({3, 4})
     assert s.lags == (0, 1, 2, 2, 2)
@@ -120,8 +127,7 @@ def test_lag_form_request_on_gapped_sets():
     structure = ConflictStructure(
         [frozenset(), frozenset({1}), frozenset({1})]  # X_3 skips 2: monotone, not a suffix
     )
-    with pytest.raises(NonContiguousSuffix):
-        validate_conflicts(structure, lag_form=True)
+    assert structure.lags is None
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
@@ -130,14 +136,15 @@ def test_every_lag_form_structure_validates(raw):
     lags = [min(raw[i], i) for i in range(len(raw))]
     for i in range(1, len(lags)):  # monotone sets: lag grows by at most one
         lags[i] = min(lags[i], lags[i - 1] + 1)
-    s = validate_conflicts(ConflictStructure.from_lags(lags), lag_form=True)
+    s = ConflictStructure.from_lags(lags)
     assert s.lags == tuple(lags)
 
 
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=10))
 @settings(max_examples=100, deadline=None)
 def test_every_batch_form_structure_validates(sizes):
-    validate_conflicts(ConflictStructure.from_batches(sizes))
+    s = ConflictStructure.from_batches(sizes)
+    assert s.lags == tuple(k for size in sizes for k in range(size))
 
 
 # ---------------------------------------------------------------------------

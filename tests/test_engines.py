@@ -10,7 +10,6 @@ from addisgraph.core import (
     ConflictStructure,
     check_fdr_condition,
     check_fwer_condition,
-    validate_conflicts,
 )
 from addisgraph.engines import (
     ENGINE_KINDS,
@@ -225,10 +224,10 @@ CONFLICT_FAMILIES = st.one_of(
 @given(CONFLICT_FAMILIES)
 @settings(max_examples=300, deadline=None)
 def test_structure_and_engine_share_the_conflict_rule(sets):
-    """validate_conflicts and an engine fed the same sets inline agree: lags
+    """A structure built on the sets and an engine fed them inline agree: lags
     exactly when every held set is a range, and the same non-monotone triple."""
     try:
-        structure = validate_conflicts(ConflictStructure(sets))
+        structure = ConflictStructure(sets)
         expected = None
     except NonMonotoneConflicts as exc:
         expected = exc.triple

@@ -148,7 +148,7 @@ def test_corr_model_refuses_what_it_cannot_evaluate():
             id="conflicts-not-batch-mates",
         ),
         pytest.param(
-            0.16, ConflictStructure([(), (), (1,), (2,)], batch_of=[1, 2, 1, 2]),
+            0.16, ConflictStructure([frozenset()] * 4, batch_of=[1, 2, 1, 2]),
             id="batch-not-consecutive",
         ),
         pytest.param(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from addisgraph.oracles import (
     closure_oracle,
     improvement_weight_oracle,
 )
-from addisgraph.weights import lemma1_row, renorm_table
+from addisgraph.weights import CustomTable, lemma1_row, renorm_table
 
 BASEL = GammaSpec.parse("basel")
 
@@ -107,7 +109,6 @@ def test_closure_matches_online_graph_without_lags():
     p = rng.uniform(size=5) ** 3
     levels = closure_oracle(5, [0] * 5, p, alpha=0.2, tau=1.0, lam=0.0)
     eng = ClosedGraph(alpha=0.2, tau=1.0, lam=0.0)
-    import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -136,6 +137,35 @@ def test_closure_equivalence_lag_one(seed):
                 eng.observe(j, float(p[j - 1]))
         got[i - 1] = eng.level(i, conflicts=range(lo, i))
     np.testing.assert_allclose(got, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closed_graph_with_a_custom_table_matches_the_closure(seed):
+    """ClosedGraph(rule=CustomTable) issues the levels of the closure
+    recursion under the same table: sparse rows of mass below one, random
+    lag-form windows."""
+    n = 7
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for j in range(1, n):
+        row = rng.dirichlet(np.ones(n - j + 1))[:-1]  # mass below one
+        for i, w in zip(range(j + 1, n + 1), row):
+            if rng.uniform() < 0.8:
+                entries[(j, i)] = float(w)
+    table = CustomTable(entries)
+    lags = [0]
+    for i in range(2, n + 1):
+        lags.append(int(rng.integers(0, lags[-1] + 2)))
+    p = rng.uniform(size=n) ** 2
+    expected = closure_oracle(n, lags, p, rule=table)
+    eng = ClosedGraph(rule=table)
+    got = np.empty(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a level above lambda
+        for i in range(1, n + 1):
+            got[i - 1] = eng.level(i, conflicts=range(i - lags[i - 1], i))
+            eng.observe(i, float(p[i - 1]))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_closure_cap():

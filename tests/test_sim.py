@@ -111,6 +111,18 @@ def test_config_refuses_what_the_engines_refuse(tmp_path, inputs, error):
         parse_grid_file(grid)
 
 
+@pytest.mark.parametrize("mu_n", ["0.5", "nan"])
+def test_config_refuses_a_null_mean_above_zero_or_nan(tmp_path, mu_n):
+    """A NaN null mean makes NaN p-values, which never reject, so the point
+    would report an FWER of 0."""
+    with pytest.raises(InvalidConfig, match="null mean"):
+        SimConfig(procedure="graph-conf", mu_n=float(mu_n))
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"procedure = graph-conf\nmu_n = {mu_n}\n")
+    with pytest.raises(InvalidConfig, match="null mean"):
+        parse_grid_file(grid)
+
+
 def test_config_checks_thresholds_at_the_procedure_tau(tmp_path):
     # the correlation runner tests at tau = 1, whatever tau the grid gives
     SimConfig(procedure="adaptive-graph-corr", lam=0.9)

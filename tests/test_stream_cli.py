@@ -1,4 +1,6 @@
 import io
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 
 from addisgraph.cli import main
 from addisgraph.engines import ENGINE_KINDS, FwerEngine, GraphConf, make_engine
+from addisgraph.errors import InvalidConfig
 from addisgraph.extensions import FdrGraph
 from addisgraph.stream import StreamSession, run_session
 
@@ -105,6 +108,60 @@ def test_snapshot_resume_equivalence(tmp_path):
     resumed = StreamSession.from_snapshot(snap)
     part2 = [resumed.handle(x) for x in lines[3:]]
     assert part1 + part2 == full_out
+
+
+# a graph-conf snapshot after one level and its observation
+SNAP = {
+    "version": 1, "kind": "graph-conf", "alpha": 0.2, "tau": 0.8, "lambda": 0.16,
+    "gamma": "basel", "events": [["L", 1, 0.8, 0.16, []], ["P", 1, 0.5]], "adjust": "renormalize",
+}
+BAD_SNAPSHOTS = {
+    "not-json": ("{not json", "snapshot is not JSON"),
+    "a-list": (json.dumps([SNAP]), "snapshot must be a JSON object"),
+    "no-events": (json.dumps({k: v for k, v in SNAP.items() if k != "events"}),
+                  "snapshot lacks 'events'"),
+    "events-not-a-list": (json.dumps({**SNAP, "events": 5}), "snapshot events must be a list"),
+    "unknown-key": (json.dumps({**SNAP, "foo": 1}), "snapshot configuration: "),
+    "short-event": (json.dumps({**SNAP, "events": [["L", 1]]}),
+                    "malformed snapshot event ['L', 1]"),
+    "string-p-value": (json.dumps({**SNAP, "events": [SNAP["events"][0], ["P", 1, "0.5"]]}),
+                       "malformed snapshot event ['P', 1, '0.5']: "),
+    "number-for-conflicts": (json.dumps({**SNAP, "events": [["L", 1, 0.8, 0.16, 5]]}),
+                             "malformed snapshot event ['L', 1, 0.8, 0.16, 5]: "),
+}
+
+
+def test_snapshot_fixture_restores():
+    assert FwerEngine.restore(json.dumps(SNAP)).snapshot() == SNAP
+
+
+@pytest.mark.parametrize("text, what", BAD_SNAPSHOTS.values(), ids=BAD_SNAPSHOTS.keys())
+def test_restore_refuses_a_malformed_snapshot(text, what):
+    with pytest.raises(InvalidConfig, match=re.escape(what)):
+        FwerEngine.restore(text)
+
+
+@pytest.mark.parametrize("text, what", BAD_SNAPSHOTS.values(), ids=BAD_SNAPSHOTS.keys())
+def test_cli_resume_refuses_a_malformed_snapshot(tmp_path, capsys, text, what):
+    snap = tmp_path / "snap.json"
+    snap.write_text(text)
+    assert main(["stream", "--resume", str(snap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {what}") and captured.err.count("\n") == 1
+    assert not captured.out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["stream", "--resume"], ["simulate", "--grid"], ["replay", "--study"]],
+    ids=["stream", "simulate", "replay"],
+)
+def test_cli_reports_a_missing_file(tmp_path, capsys, args):
+    missing = tmp_path / "missing"
+    assert main([*args, str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(missing) in captured.err
+    assert captured.err.count("\n") == 1 and not captured.out
 
 
 def _conflict_script(n, seed):

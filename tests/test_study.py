@@ -118,16 +118,48 @@ def test_bad_study_file_reports_line(tmp_path):
             5,
             "duplicate conflicts for T3",
         ),
+        (
+            "T1 enter=1 exit=4 p=0.5\nT2 enter=2 exit=5 p=0.5\nT2 enter=3 exit=6 p=0.5\n",
+            3,
+            "duplicate T2",
+        ),
     ],
 )
 def test_study_file_refuses_a_repeated_or_unknown_entry(tmp_path, text, lineno, what):
     """A default set twice, a field repeated on a ``T`` line, an unknown
-    field or a second ``conflicts`` line for one arm is refused with its
-    line, not resolved by the last value."""
+    field, a second ``conflicts`` line for one arm or a second line for one
+    arm is refused with its line, not resolved by the last value."""
     path = tmp_path / "bad.study"
     path.write_text(text)
     with pytest.raises(InvalidConfig, match=f"^{re.escape(f'{path}:{lineno}: {what}')}$"):
         ReplayStudy.parse(path)
+
+
+@pytest.mark.parametrize(
+    "times, what",
+    [
+        ("enter=5 exit=2", "exit time 2.0 is before enter time 5.0"),
+        ("enter=1 exit=nan", "exit time nan is before enter time 1.0"),
+        ("enter=nan exit=2", "enter time nan is not finite"),
+        ("enter=nan exit=nan", "enter time nan is not finite"),
+        ("enter=-inf exit=2", "enter time -inf is not finite"),
+        ("enter=inf exit=inf", "enter time inf is not finite"),
+    ],
+)
+def test_study_file_refuses_bad_entry_and_exit_times(tmp_path, times, what):
+    """An arm enters at a finite time and leaves at or after it; a NaN
+    fails both, where it used to conflict with no later arm."""
+    path = tmp_path / "bad.study"
+    path.write_text(f"T1 enter=0 exit=9 p=0.5\nT2 {times} p=0.5\nT3 enter=6 exit=9 p=0.5\n")
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(f'{path}:2: {what}')}$"):
+        ReplayStudy.parse(path)
+
+
+def test_an_arm_still_running_conflicts_with_every_later_arm(tmp_path):
+    path = tmp_path / "open.study"
+    path.write_text("T1 enter=1 exit=inf p=0.5\nT2 enter=2 exit=3 p=0.5\nT3 enter=9 exit=9 p=0.5\n")
+    study = ReplayStudy.parse(path)
+    assert study.conflict_sets == [frozenset(), frozenset({1}), frozenset({1})]
 
 
 def test_nonconsecutive_indices_rejected(tmp_path):

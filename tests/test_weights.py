@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from addisgraph.core import ConflictStructure, validate_conflicts
+from addisgraph.core import ConflictStructure
 from addisgraph.errors import DegenerateRenormalization, InvalidSpec, NonMonotoneConflicts
 from addisgraph import weights
 from addisgraph.gammas import GammaSpec
@@ -33,7 +33,7 @@ BASEL = GammaSpec.parse("basel")
 
 
 def _lag_structure(lags):
-    return validate_conflicts(ConflictStructure.from_lags(lags), lag_form=True)
+    return ConflictStructure.from_lags(lags)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,7 @@ def test_incremental_matches_static():
 
 def test_renormalization_handles_non_suffix_monotone_sets():
     # X_3 = {1}: index 2 is clear while 1 is still conflicting
-    structure = validate_conflicts(
-        ConflictStructure([frozenset(), frozenset({1}), frozenset({1})])
-    )
+    structure = ConflictStructure([frozenset(), frozenset({1}), frozenset({1})])
     inc, w = _online(BASEL, structure, 3)
     assert w[0, 1] == 0.0
     assert w[0, 2] == 0.0
@@ -224,6 +222,13 @@ def test_custom_table_refuses_a_weight_that_is_not_finite_and_nonnegative(w):
     level NaN."""
     with pytest.raises(InvalidSpec, match="invalid table entry"):
         CustomTable({(1, 2): w})
+
+
+@pytest.mark.parametrize("entries", [{(0, 2): 0.5}, {(-3, 1): 0.2}, {(1, 2): 0.5, (0, 2): 0.5}])
+def test_custom_table_refuses_a_source_below_one(entries):
+    """No engine reads a row below source 1, so its weight would go nowhere."""
+    with pytest.raises(InvalidSpec, match="invalid table entry"):
+        CustomTable(entries)
 
 
 @pytest.mark.parametrize("line", ["1 2", "1 2 0.5 7", "1 x 0.5", "1 2 half"])
