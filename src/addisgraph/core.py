@@ -11,6 +11,7 @@ every budget path, theirs and the simulation runner's, is one call of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,15 @@ def check_gap(tau: float, lam: float) -> None:
         raise InvalidConfig(f"tau must lie in (0,1], got {tau}")
     if not 0.0 <= lam < tau or tau - lam < MIN_GAP:
         raise InvalidConfig(f"need lambda in [0, tau) with gap >= {MIN_GAP}")
+
+
+def check_level(level) -> float:
+    """``level`` as a plain float, or ``DomainError`` unless it is finite and
+    at least 0: an engine checks a level before it stores anything of it."""
+    level = float(level)
+    if not 0.0 <= level < math.inf:
+        raise DomainError(f"computed level {level!r} is not finite and >= 0; none was issued")
+    return level
 
 
 def compute_indicators(p: float, tau: float, lam: float, alpha: float) -> Indicators:

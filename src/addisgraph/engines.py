@@ -51,6 +51,7 @@ from .core import (
     Indicators,
     LedgerEntry,
     check_gap,
+    check_level,
     compute_indicators,
     declare_conflicts,
 )
@@ -139,8 +140,8 @@ class FwerEngine:
         if tau is not None or lam is not None:  # the configured pair was checked in __init__
             check_gap(tau_i, lam_i)
         x = self._declare_conflicts(i, conflicts)
-        # plain floats, so that the stream's full-precision repr is a number
-        propagated = float(self._compute_level(i, x, tau_i, lam_i))
+        # a plain float, so that the stream's full-precision repr is a number
+        propagated = check_level(self._compute_level(i, x, tau_i, lam_i))
         alpha_i = self._testing_level(propagated, lam_i)
         self._reserve(i)
         self._alpha_tilde[i - 1] = propagated / (tau_i - lam_i)
@@ -241,7 +242,8 @@ class FwerEngine:
 
     def _compute_level(self, i, x, tau_i, lam_i) -> float:
         """The level of i that later levels build on; must change no state
-        before its last check has passed."""
+        before its last check has passed, :func:`.core.check_level` of the
+        level among them."""
         raise NotImplementedError
 
     def _testing_level(self, propagated: float, lam_i: float) -> float:
@@ -455,7 +457,7 @@ class GraphConf(FwerEngine):
     def _compute_level(self, i, x, tau_i, lam_i):
         self._require_observed(i, x)
         if self.adjust == "none":
-            col = self.base_rule.column(i)
+            col, cleared = self.base_rule.column(i), {}
             bad = np.flatnonzero(blocked_mask(i, x) & (col != 0.0))
             if bad.size:
                 j = int(bad[0]) + 1
@@ -464,9 +466,10 @@ class GraphConf(FwerEngine):
                 )
         else:
             col, cleared = self._renorm.column(i, x)
-            self._renorm.pin(cleared)  # nothing below can fail
         carried = col @ self._carry[: i - 1]
-        return (tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried)
+        level = check_level((tau_i - lam_i) * (self.alpha * self.gamma.value(i) + carried))
+        self._renorm.pin(cleared)  # nothing below can fail
+        return level
 
     def future_level(self) -> float:
         """The seed tail past the last index plus each source's carried mass

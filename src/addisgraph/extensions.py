@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConflictStructure, Indicators, check_gap
+from .core import ConflictStructure, Indicators, check_gap, check_level
 from .engines import ENGINE_KINDS, FwerEngine, GraphConf
 from .errors import (
     BatchIncomplete,
@@ -49,7 +49,8 @@ def alpha_c_gaussian(level_j: float, prior_levels, rho: float) -> float:
 def alpha_c_monte_carlo(
     level_j: float, prior_levels, draws_prior: np.ndarray, draws_j: np.ndarray
 ) -> tuple[float, float]:
-    """Monte Carlo joint tail from joint null p-value draws, with its SE."""
+    """Monte Carlo joint tail from joint null p-value draws, with its SE: the
+    check the tests hold the quadrature of :func:`alpha_c_gaussian` to."""
     prior = np.asarray(list(prior_levels), dtype=np.float64)
     draws_prior = np.atleast_2d(np.asarray(draws_prior, dtype=np.float64))
     draws_j = np.asarray(draws_j, dtype=np.float64)
@@ -69,18 +70,17 @@ def alpha_c_monte_carlo(
 class CorrModel:
     """Joint null model for batch-dependent streams with tau = 1.
 
-    Either an equicorrelated Gaussian correlation ``rho`` (analytic, by
-    quadrature) or a matrix of joint null p-value draws (``samples``, one row
-    per draw, one column per within-batch position; Monte Carlo with SE).
-    ``lam`` is the candidate threshold, constant within each batch: one value,
-    or a dict with one per batch.  The structure's batches are 1, 2, ... in
-    index order, and each index conflicts with its earlier batch-mates only.
+    An equicorrelated Gaussian correlation ``rho``, whose joint tails come
+    by quadrature (:class:`.weights.JointTail`), so alpha^c stays within
+    [0, alpha_j] up to rounding.  ``lam`` is the candidate threshold,
+    constant within each batch: one value, or a dict with one per batch.
+    The structure's batches are 1, 2, ... in index order, and each index
+    conflicts with its earlier batch-mates only.
     """
 
     structure: ConflictStructure
     lam: float | dict[int, float] = 0.16
     rho: float | None = None
-    samples: np.ndarray | None = None
 
     def __post_init__(self):
         batch_of = self.structure.batch_of
@@ -97,19 +97,9 @@ class CorrModel:
             if isinstance(self.lam, dict) and b not in self.lam:
                 raise InvalidConfig(f"no lambda given for batch {b}")
             check_gap(1.0, self.lambda_for(b))  # tau = 1
-        if self.rho is not None:
-            corr_nodes(self.rho)  # refuses a correlation the quadrature cannot resolve
-        elif self.samples is None:
-            raise InvalidConfig("correlation model needs a correlation or joint null samples")
-        else:
-            self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
-            if self.samples.shape[1] < max(map(len, self.structure.batches)):
-                raise InvalidConfig("joint null samples need a column per member of every batch")
-
-    @classmethod
-    def from_sample_file(cls, structure, path, lam=0.16) -> "CorrModel":
-        samples = np.loadtxt(path, ndmin=2)
-        return cls(structure=structure, lam=lam, samples=samples)
+        if self.rho is None:
+            raise InvalidConfig("correlation model needs a correlation")
+        corr_nodes(self.rho)  # refuses a correlation the quadrature cannot resolve
 
     def lambda_for(self, batch: int) -> float:
         if isinstance(self.lam, dict):
@@ -120,19 +110,10 @@ class CorrModel:
         batches = sorted(set(self.structure.batch_of))
         return {b: self.lambda_for(b) for b in batches}
 
-    def batch_alpha_c(self, levels: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Joint tails of one batch's members, in order, and their SEs (zero
-        for ``rho``), from the members' levels and non-candidate flags."""
-        if self.rho is not None:
-            return JointTail(self.rho).batch(levels[None], keep[None])[0], np.zeros(levels.size)
-        val, se = levels.copy(), np.zeros(levels.size)
-        for j in range(1, levels.size):
-            prior = np.flatnonzero(keep[:j])
-            if prior.size:
-                val[j], se[j] = alpha_c_monte_carlo(
-                    levels[j], levels[prior], self.samples[:, prior], self.samples[:, j]
-                )
-        return val, se
+    def batch_alpha_c(self, levels: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Joint tails of one batch's members, in order, from the members'
+        levels and non-candidate flags."""
+        return JointTail(self.rho).batch(levels[None], keep[None])[0]
 
 
 class AdaptiveGraphCorr(GraphConf):
@@ -160,7 +141,6 @@ class AdaptiveGraphCorr(GraphConf):
         self.structure = model.structure
         self.lam = model.lam  # each level passes the lambda of its batch
         self.model = model
-        self.alpha_c_se: dict[int, float] = {}
         self._alpha_c: list[float] = []  # per index, once its batch is frozen
         self._frozen_batches = 0
 
@@ -204,11 +184,9 @@ class AdaptiveGraphCorr(GraphConf):
                 break
             lo, hi = members[0] - 1, members[-1]
             keep = self._c[lo:hi] == 0.0
-            vals, ses = self.model.batch_alpha_c(np.array(self._levels[lo:hi]), keep)
-            for j, val, se, k in zip(members, vals, ses, keep):
+            vals = self.model.batch_alpha_c(np.array(self._levels[lo:hi]), keep)
+            for j, val, k in zip(members, vals, keep):
                 self._alpha_c.append(float(val))
-                if se:
-                    self.alpha_c_se[j] = float(se)
                 if k:
                     self._carry[j - 1] = (self._levels[j - 1] - val) / (1.0 - self._lams[j - 1])
             self._frozen_batches += 1
@@ -287,8 +265,9 @@ class FdrGraph(FwerEngine):
                 )
         carried = col @ self._carry[:n]
         reward = col @ self._reward[:n]
+        level = check_level((tau_i - lam_i) * (self.w0 * self.gamma.value(i) + carried + reward))
         self._renorm.pin(cleared)
-        return (tau_i - lam_i) * (self.w0 * self.gamma.value(i) + carried + reward)
+        return level
 
     def _reserve(self, n):
         super()._reserve(n)

@@ -27,8 +27,9 @@ arithmetic, which changes no bit.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -178,12 +179,17 @@ def _drawn(config: SimConfig, trials) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 class _SharedDraws:
     """The draws ``u, z0, eps`` of one (seed, trials, n, b), read by ``uses``
-    data sets and drawn by the first.  ``_pvalues`` writes over ``eps``, so
-    each data set but the last works on a copy of it; the last takes ``eps``
-    itself and the draws are dropped, as ``generate_data`` alone does.  That
-    keeps the allocations of one draw per data set: copying for every data
-    set too and freeing the draws afterwards made several times the page
-    faults of a grid, and slowed the levels that followed."""
+    data sets and drawn by the first; ``run_grid`` makes one per draw group,
+    when the group starts.  ``_pvalues`` writes over ``eps``, so each data
+    set but the last works on a copy of it; the last takes ``eps`` itself
+    and the draws are dropped, as ``generate_data`` alone does.  That keeps
+    the allocations of one draw per data set: copying for every data set too
+    and freeing the draws afterwards made several times the page faults of a
+    grid, and slowed the levels that followed.  Dropping each group's data
+    sets before the next group is built costs faults of its own, as glibc
+    returns the pages and the next group faults them back: on the
+    benchmark's ``sweep-many`` grid, ~6 400-7 000 minor faults a run
+    against ~4 200 with every data set held to the end, at the same speed."""
 
     def __init__(self, uses: int):
         self.uses = uses
@@ -205,15 +211,20 @@ class _SharedDraws:
 
 
 def _indicator_arrays(p, tau, lam):
-    s = (p <= tau).astype(np.float64)
-    c = (p <= lam).astype(np.float64)
-    return s, c, c - s + 1.0
+    """S and C as floats."""
+    return (p <= tau).astype(np.float64), (p <= lam).astype(np.float64)
+
+
+def _indicator_u(p, tau, lam):
+    """U = C - S + 1 as floats; S and C are dropped on return."""
+    s, c = _indicator_arrays(p, tau, lam)
+    return c - s + 1.0
 
 
 def levels_spending_local(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
     n = p.shape[1]
     gam = spec.values(2 * n + 2)
-    s, c, _ = _indicator_arrays(p, tau, lam)
+    s, c = _indicator_arrays(p, tau, lam)
     cs = np.zeros((p.shape[0], n + 1))  # cs[:, k]: sum of S - C over 1 .. k
     np.cumsum(s - c, axis=1, out=cs[:, 1:])
     i = np.arange(1, n + 1)
@@ -227,7 +238,7 @@ def levels_graph_conf(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
     n = p.shape[1]
     gam = spec.values(n)
     w = renorm_table(spec, lags, n)
-    _, _, u = _indicator_arrays(p, tau, lam)
+    u = _indicator_u(p, tau, lam)
     at = np.empty((p.shape[0], n))
     ua = np.empty_like(at)
     for i0 in range(n):
@@ -240,7 +251,7 @@ def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
     """Reroute-adjusted levels by the held-mass recursion of
     :class:`.weights.HeldMass`, O(T n^2) time; no reroute table is formed."""
     ttr, n = p.shape
-    _, _, u = _indicator_arrays(p, tau, lam)
+    u = _indicator_u(p, tau, lam)
     held = HeldMass(spec, alpha, trials=ttr, capacity=n)
     for i in range(1, n + 1):
         c = i - int(lags[i - 1])
@@ -255,7 +266,7 @@ def levels_closed_spending(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndar
     ttr, n = p.shape
     gam = spec.values(2 * n + 2)
     pt = np.ascontiguousarray(p.T)
-    s, c = _indicator_arrays(pt, tau, lam)[:2]
+    s, c = _indicator_arrays(pt, tau, lam)
     levels = np.empty((n, ttr))
     closure = ClosureCounter(trials=ttr, capacity=n)
     for i in range(1, n + 1):
@@ -272,7 +283,7 @@ def levels_closed_graph(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
     gam = spec.values(n)
     rev = gam[::-1].copy()  # rev[n-i+1:] = gamma_{i-1} .. gamma_1 = g[1 .. i-1, i]
     pt = np.ascontiguousarray(p.T)
-    s, c = _indicator_arrays(pt, tau, lam)[:2]
+    s, c = _indicator_arrays(pt, tau, lam)
     closure = Closure(alpha, trials=ttr, capacity=n)
     for i in range(1, n + 1):
         at = closure.level(i, i - int(lags[i - 1]), gam[i - 1], rev[n - i + 1 :])
@@ -286,7 +297,7 @@ def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:
     ttr, n = p.shape
     gam = spec.values(n)
     w = renorm_table(spec, np.minimum(e, np.arange(n)), n)
-    _, _, u = _indicator_arrays(p, tau, lam)
+    u = _indicator_u(p, tau, lam)
     levels = np.empty((ttr, n))
     ua = np.empty((ttr, n))
     rr = np.empty((ttr, n))
@@ -379,7 +390,7 @@ def max_budget_spend(p, levels, tau: float, lam: float) -> np.ndarray:
     alpha_j/(tau-lam) (S_j - C_j); error control requires this to stay at or
     below the overall alpha.
     """
-    s, c, _ = _indicator_arrays(np.atleast_2d(p), tau, lam)
+    s, c = _indicator_arrays(np.atleast_2d(p), tau, lam)
     return np.max(budget_path(np.atleast_2d(levels), tau - lam, s, c), axis=1)
 
 
@@ -559,39 +570,63 @@ def parse_grid_file(path) -> list[SimConfig]:
     return [SimConfig(**single, **pt) for pt in _points(multi)]
 
 
+def _data_key(c: SimConfig) -> tuple:
+    """The settings a point's data set depends on: grid points that share
+    them read the same trials, so procedures are compared on paired data."""
+    return (c.n, c.b, c.rho, c.pi_a, c.mu_n, c.trials, c.seed)
+
+
 def run_grid(configs, csv_path=None, threads: int = 1) -> list[MetricsRow]:
     """Run every grid point; emit one CSV row per point in input order.
 
-    Grid points sharing identical data settings reuse the same generated
-    trials, so procedures are compared on paired data.  The data sets of
-    one (seed, trials, n, b) share one draw, in any grid order: only the
-    p-value arithmetic differs between them.  Each but the last works on a
-    copy of the drawn noise, and the last writes over it in place, as a lone
-    ``generate_data`` does, so the grid allocates no more than one draw per
-    data set did (``_SharedDraws``).
+    The grid runs one draw group at a time: a group is the points of one
+    (seed, trials, n, b), whose data sets share one draw and differ only in
+    the p-value arithmetic (``_SharedDraws``).  A group's data sets are
+    built when it starts, its points run in input order, and the data sets
+    are dropped before the next group is built, so the grid holds one
+    group's data, not all of it.  With ``threads > 1`` the points run on a
+    pool and at most ``threads`` groups are held: the next group is built
+    only once the oldest one's points have all finished.  Each point is a
+    pure function of its config and its data, so no output bit depends on
+    the order or the thread count.
     """
     configs = list(configs)
-    data_cache: dict = {}
+    groups: dict = {}  # (seed, trials, n, b) -> its (position, config) pairs, in input order
+    for k, c in enumerate(configs):
+        groups.setdefault((c.seed, c.trials, c.n, c.b), []).append((k, c))
+    rows: list = [None] * len(configs)
 
-    def data_key(c: SimConfig):
-        return (c.n, c.b, c.rho, c.pi_a, c.mu_n, c.trials, c.seed)
+    def build(points) -> list[tuple]:
+        """(position, config, data set) of each point of one group."""
+        first = {}
+        for _, c in points:
+            first.setdefault(_data_key(c), c)
+        draws = _SharedDraws(len(first))
+        data = {key: generate_data(c, _draws=draws) for key, c in first.items()}
+        return [(k, c, data[_data_key(c)]) for k, c in points]
 
-    def run_one(c: SimConfig) -> MetricsRow:
-        return run_config(c, data=data_cache[data_key(c)]).metrics()
+    def run_one(c: SimConfig, data) -> MetricsRow:
+        return run_config(c, data=data).metrics()
 
-    groups: dict = {}  # (seed, trials, n, b) -> {data key: first config}
-    for c in configs:
-        groups.setdefault((c.seed, c.trials, c.n, c.b), {}).setdefault(data_key(c), c)
-    # filled before any point runs, so workers only read it
-    for group in groups.values():
-        draws = _SharedDraws(len(group))
-        for key, c in group.items():
-            data_cache[key] = generate_data(c, _draws=draws)
+    def run_group(points) -> None:
+        # a function, so no loop variable holds a data set while the next group is built
+        for k, c, data in build(points):
+            rows[k] = run_one(c, data)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, configs))
+            live: deque = deque()  # per held group, its (position, future) pairs
+            for points in groups.values():
+                if len(live) == threads:
+                    for k, future in live.popleft():
+                        rows[k] = future.result()
+                live.append([(k, pool.submit(run_one, c, data)) for k, c, data in build(points)])
+            for group in live:
+                for k, future in group:
+                    rows[k] = future.result()
     else:
-        rows = list(map(run_one, configs))
+        for points in groups.values():
+            run_group(points)
 
     if csv_path is not None:
         write_csv(rows, csv_path)

@@ -474,12 +474,16 @@ class Closure:
         j >= c), with ``col`` = g[1 .. i-1, i]; stored and returned per trial.
 
         The window edge c may not move back (monotone conflict sets): a c
-        below the previous level's raises ``NonMonotoneConflicts``.
+        below the previous target's raises ``NonMonotoneConflicts``.  A
+        repeated target, whose first level an engine refused, may take a
+        lower c: its sources c .. i-1 are set to R_j at_j afresh.
         """
-        if c < self.edge:
+        repeat = self.filled == i - 1
+        if c < self.edge and not repeat:
             raise NonMonotoneConflicts(c, self.filled + 1, i)
         self._reserve(i)
-        crossed, fresh = slice(self.edge - 1, c - 1), slice(max(self.filled, c - 1), i - 1)
+        start = c - 1 if repeat else max(self.filled, c - 1)
+        crossed, fresh = slice(self.edge - 1, c - 1), slice(start, i - 1)
         self.mass[:, crossed] = (self.up[crossed] * self.at[crossed]).T
         self.mass[:, fresh] = (self.r[fresh] * self.at[fresh]).T
         self.edge, self.filled = c, i - 1

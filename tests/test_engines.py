@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from addisgraph.engines import (
     make_engine,
 )
 from addisgraph.errors import (
+    DomainError,
     DuplicateObservation,
     InvalidConfig,
     MissingIndicator,
@@ -174,6 +176,43 @@ def test_levels_issued_in_order(kind):
     e.level(1)
     with pytest.raises(Exception):
         e.level(3)
+
+
+@pytest.mark.parametrize("bad", [-10.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+def test_a_level_below_zero_or_not_finite_is_refused_without_a_trace(kind, bad):
+    """A computed level that is negative, NaN or infinite raises DomainError,
+    and the engine is as if never asked: its snapshot bytes are unchanged,
+    and the levels after it equal those of a restored copy.  gamma_i (the
+    held-mass kernel's level for graph-conf-u) reads ``bad`` for the refused
+    request only.  That request declares no conflicts and its retry
+    conflicts with index 3: a graph kind that had pinned its denominators,
+    or a closure kernel that had kept the refused window edge, would give
+    other levels from there on."""
+    p = [0.01, 0.5, 0.9, 0.3, 0.05, 0.7]
+    e = make_engine(kind, alpha=0.2, tau=0.8, lam=0.16)
+    for i in (1, 2, 3):
+        e.level(i)
+        e.observe(i, p[i - 1])
+    before = e.snapshot_json()
+    gamma = e.gamma
+    if kind == "graph-conf-u":
+        e._held.level = lambda i, c: np.array([bad])
+    else:
+        e.gamma = SimpleNamespace(value=lambda i: bad)
+    with pytest.raises(DomainError, match="none was issued"):
+        e.level(4)
+    if kind == "graph-conf-u":
+        del e._held.level
+    else:
+        e.gamma = gamma
+    assert e.snapshot_json() == before
+    twin = FwerEngine.restore(before)
+    for i, conflicts in ((4, [3]), (5, None), (6, [5])):
+        levels = [eng.level(i, conflicts=conflicts) for eng in (e, twin)]
+        assert levels[0] == levels[1] >= 0.0
+        for eng in (e, twin):
+            eng.observe(i, p[i - 1])
 
 
 @pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))

@@ -37,7 +37,7 @@ from addisgraph.weights import MASS_TOL
 
 BASEL = GammaSpec.parse("basel")
 G1, G2, G3 = BASEL.value(1), BASEL.value(2), BASEL.value(3)
-CORR_ENGINE_DIGEST = "8da4dcc2d0a42cf9daa0226fdf9edab44d65d640a73b6616fc953d6cddf7ab84"
+CORR_ENGINE_DIGEST = "289590b9ccaf81e1cdd1dc7a925ead120fffb86910018f57b8f0045c0f7f2ffe"
 
 
 def _mc_draws(rng, rho, k, n):
@@ -129,11 +129,8 @@ def test_corr_model_refuses_what_it_cannot_evaluate():
     structure = ConflictStructure.from_batches([2, 3])
     with pytest.raises(InvalidConfig):
         CorrModel(structure=structure)
-    with pytest.raises(InvalidConfig):
-        CorrModel(structure=structure, samples=np.full((10, 2), 0.5))
     with pytest.raises(DomainError):
         CorrModel(structure=structure, rho=0.9999)
-    CorrModel(structure=structure, samples=np.full((10, 3), 0.5))
 
 
 @pytest.mark.parametrize(
@@ -393,7 +390,6 @@ def _corr_session_lines(model, alpha, gamma, seed):
             lines.append(f"P {j} {ind.c} {int(reject)}")
     for entry in e.ledger.entries:
         lines.append(f"E {entry.index} {entry.batch} {entry.level.hex()} {entry.alpha_c.hex()}")
-    lines.extend(f"SE {j} {se.hex()}" for j, se in sorted(e.alpha_c_se.items()))
     report = check_corr_condition(e.ledger, model.lambda_by_batch(), alpha)
     lines.append(f"R {report.passed} {report.max_spend.hex()} {report.worst_index}")
     return lines
@@ -401,25 +397,24 @@ def _corr_session_lines(model, alpha, gamma, seed):
 
 @pytest.mark.filterwarnings("ignore:issued level:RuntimeWarning")
 def test_engine_bits_are_pinned():
-    """Levels, joint tails, their SEs and the certificate of the batch
-    correlation engine, hashed as ``float.hex`` over fixed seeds: the rho model
-    from independence to rho = 0.999, a lambda per batch, another gamma and a
-    model of joint null draws, with observations out of order and refused
-    levels.  The digest was recorded before the engine moved onto the shell."""
+    """Levels, joint tails and the certificate of the batch correlation
+    engine, hashed as ``float.hex`` over fixed seeds: the rho model from
+    independence to rho = 0.999, a lambda per batch and another gamma, with
+    observations out of order and refused levels.  The digest was recorded
+    on the engine as it stood before its joint-null samples model was
+    removed."""
     rng = np.random.default_rng(2024)
     lines = []
     for seed in range(8):
         sizes = rng.integers(1, 6, size=5).tolist()
         structure = ConflictStructure.from_batches(sizes)
         lam_by_batch = {b: float(rng.uniform(0.02, 0.5)) for b in range(1, 6)}
-        draws = _mc_draws(rng, 0.5, max(sizes), 2000)
         models = [
             (CorrModel(structure=structure, rho=rho), 0.2, "basel")
             for rho in (0.0, 0.3, 0.95, 0.999)
         ] + [
             (CorrModel(structure=structure, lam=lam_by_batch, rho=0.6), 0.3, "basel"),
             (CorrModel(structure=structure, lam=0.1, rho=0.4), 0.2, "geometric:0.6"),
-            (CorrModel(structure=structure, lam=lam_by_batch, samples=draws), 0.2, "basel"),
         ]
         for k, (model, alpha, gamma) in enumerate(models):
             lines.append(f"# seed {seed} model {k}")
@@ -429,17 +424,28 @@ def test_engine_bits_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == CORR_ENGINE_DIGEST
 
 
-def test_corr_model_from_sample_file(tmp_path):
-    rng = np.random.default_rng(4)
-    draws = _mc_draws(rng, 0.5, 3, 200_000)
-    path = tmp_path / "draws.txt"
-    np.savetxt(path, draws)
-    structure = ConflictStructure.from_batches([3])
-    model = CorrModel.from_sample_file(structure, path, lam=0.16)
-    val, se = model.batch_alpha_c(np.array([0.05, 0.05, 0.05]), np.array([True, False, True]))
-    assert se[0] == 0 and val[0] == 0.05 and se[1] > 0 and se[2] > 0
-    assert abs(val[1] - alpha_c_gaussian(0.05, [0.05], 0.5)) <= 4 * se[1] + 1e-3
-    assert abs(val[2] - alpha_c_gaussian(0.05, [0.05], 0.5)) <= 4 * se[2] + 1e-3
+def test_a_joint_tail_above_its_level_issues_no_negative_level(monkeypatch):
+    """The joint-null samples model, now removed, estimated alpha^c by Monte
+    Carlo with nothing bounding it by the level: on batches [2, 1], lambda
+    0.16, alpha 0.2 and ten sample rows [0.9, 0.0] it gave alpha^c_2 = 1.0
+    against alpha_2 = 0.0255, a negative carry, and level(3) = -0.581.  A
+    model no longer takes samples, and a joint tail that large, fed in here
+    as that model's estimate, gets a refusal that changes nothing."""
+    structure = ConflictStructure.from_batches([2, 1])
+    with pytest.raises(TypeError):
+        CorrModel(structure=structure, samples=np.tile([0.9, 0.0], (10, 1)))
+    model = CorrModel(structure=structure, lam=0.16, rho=0.5)
+    monkeypatch.setattr(model, "batch_alpha_c", lambda levels, keep: np.array([levels[0], 1.0]))
+    e = AdaptiveGraphCorr(model, alpha=0.2)
+    for i in (1, 2):
+        e.level(i)
+    for i in (1, 2):
+        e.observe(i, 0.5)  # both non-candidates: the batch's joint tails are frozen
+    assert e.ledger.entries[1].level == pytest.approx(0.0255, abs=5e-5)
+    entries = list(e.ledger)
+    with pytest.raises(DomainError, match=r"-0\.581"):
+        e.level(3)
+    assert e.issued == 2 and list(e.ledger) == entries
 
 
 # ---------------------------------------------------------------------------

@@ -886,6 +886,50 @@ def test_run_grid_empty_and_repeated_points(monkeypatch):
     assert [row.to_csv() for row in rows] == [fresh[0], fresh[1], fresh[0]]
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_run_grid_runs_interleaved_draw_groups_to_fresh_rows(monkeypatch, threads):
+    """A procedure-major grid over b, the order of the benchmark's
+    ``sweep-many``, interleaves its four draw groups in input order.  Run
+    one group at a time (at most ``threads`` held at once), each group
+    draws once, and each row is its point's own fresh ``run_config`` row,
+    in input order."""
+    procedures = ["spending-local", "graph-conf", "closed-graph", "fdr-graph"]
+    configs = expand_grid(
+        SimConfig(n=20, trials=30, seed=9), procedure=procedures, b=[1, 2, 5, 10], pi_a=[0.1, 0.9]
+    )
+    fresh = [run_config(c).metrics().to_csv() for c in configs]
+    draws = _counted_draws(monkeypatch)
+    rows = run_grid(configs, threads=threads)
+    assert len(draws) == 4
+    assert [row.to_csv() for row in rows] == fresh
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_grid_holds_at_most_threads_draw_groups(threads):
+    """16 data sets in 4 draw groups, interleaved in input order: the grid's
+    traced peak exceeds that of its first group run alone by less than
+    ``threads - 1/2`` groups' data (p-values and labels).  A grid that built
+    every data set before the first point ran would exceed it by 3."""
+    trials, n = 2000, 20
+    configs = expand_grid(
+        SimConfig(procedure="graph-conf", n=n, trials=trials, seed=7),
+        pi_a=[0.1, 0.3, 0.6, 0.9],
+        b=[1, 2, 4, 5],
+    )
+    group_bytes = 4 * trials * n * (8 + 1)  # four data sets of float p-values and bool labels
+
+    def traced_peak(grid) -> int:
+        tracemalloc.start()
+        try:
+            run_grid(grid, threads=threads)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_group = traced_peak([c for c in configs if c.b == 1])
+    assert traced_peak(configs) - one_group < (threads - 0.5) * group_bytes
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
