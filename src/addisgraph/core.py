@@ -70,6 +70,24 @@ def check_level(level) -> float:
     return level
 
 
+def _input_lines(path, error: type[Exception], header: str | None = None):
+    """``(line number, text)`` of each line of the input file at ``path``
+    that is more than a ``#`` comment, comment and blanks stripped.  A byte
+    that is not UTF-8, or a line 1 other than ``header`` when one is given,
+    raises ``error`` naming ``path:line``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        # an empty file reads as one blank line, so a missing header is refused
+        for lineno, raw in enumerate(fh.readlines() or [""], start=1):
+            try:
+                raw.encode("utf-8")  # an undecodable byte was read as a lone surrogate
+            except UnicodeEncodeError:
+                raise error(f"{path}:{lineno}: not UTF-8") from None
+            if lineno == 1 and header is not None and raw.strip() != header:
+                raise error(f"{path}:1: expected the header {header!r}, got {raw.strip()!r}")
+            if line := raw.split("#", 1)[0].strip():
+                yield lineno, line
+
+
 def compute_indicators(p: float, tau: float, lam: float, alpha: float) -> Indicators:
     """Evaluate the three threshold indicators with closed intervals (ties hit)."""
     if not 0.0 <= p <= 1.0:

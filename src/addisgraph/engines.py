@@ -293,10 +293,10 @@ class FwerEngine:
         return json.dumps(self.snapshot())
 
     @staticmethod
-    def restore(snap: dict | str) -> "FwerEngine":
-        """Rebuild an engine from :meth:`snapshot` output (or its JSON); a
-        snapshot of the wrong shape raises ``InvalidConfig``."""
-        if isinstance(snap, str):
+    def restore(snap: dict | str | bytes) -> "FwerEngine":
+        """Rebuild an engine from :meth:`snapshot` output (or its JSON, str or
+        bytes); a snapshot of the wrong shape raises ``InvalidConfig``."""
+        if isinstance(snap, (str, bytes)):
             try:
                 snap = json.loads(snap)
             except ValueError as exc:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .core import budget_path, check_gap
+from .core import _input_lines, budget_path, check_gap
 from .errors import EmptyOutcomeSet, InvalidConfig, InvalidW0
 from .gammas import GammaSpec
 from .weights import Closure, ClosureCounter, HeldMass, JointTail, corr_nodes, renorm_table
@@ -537,36 +537,32 @@ def parse_grid_file(path) -> list[SimConfig]:
     """Flat ``key = value[, value...]`` grid file -> cross-product of configs.
 
     Keys mirror :class:`SimConfig`; list-valued keys expand to a grid in the
-    order they appear.  ``#`` starts a comment.
+    order they appear.  The file is read by :func:`.core._input_lines`.
     """
     single: dict = {}
     multi: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidConfig(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, rhs = line.partition("=")
-            key = key.strip().replace("-", "_").lower()
-            if key == "lambda":
-                key = "lam"
-            if key not in _GRID_KEYS:
-                raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
-            conv = _GRID_KEYS[key]
-            try:
-                values = [conv(v.strip()) for v in rhs.split(",") if v.strip()]
-            except ValueError as exc:
-                raise InvalidConfig(f"{path}:{lineno}: {exc}") from None
-            if not values:
-                raise InvalidConfig(f"{path}:{lineno}: no values for {key!r}")
-            if key in single or key in multi:
-                raise InvalidConfig(f"{path}:{lineno}: duplicate key {key!r}")
-            if len(values) == 1:
-                single[key] = values[0]
-            else:
-                multi[key] = values
+    for lineno, line in _input_lines(path, InvalidConfig):
+        if "=" not in line:
+            raise InvalidConfig(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, rhs = line.partition("=")
+        key = key.strip().replace("-", "_").lower()
+        if key == "lambda":
+            key = "lam"
+        if key not in _GRID_KEYS:
+            raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
+        conv = _GRID_KEYS[key]
+        try:
+            values = [conv(v.strip()) for v in rhs.split(",") if v.strip()]
+        except ValueError as exc:
+            raise InvalidConfig(f"{path}:{lineno}: {exc}") from None
+        if not values:
+            raise InvalidConfig(f"{path}:{lineno}: no values for {key!r}")
+        if key in single or key in multi:
+            raise InvalidConfig(f"{path}:{lineno}: duplicate key {key!r}")
+        if len(values) == 1:
+            single[key] = values[0]
+        else:
+            multi[key] = values
     return [SimConfig(**single, **pt) for pt in _points(multi)]
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import re
+from pathlib import Path
 
 from .engines import FwerEngine
 from .errors import AddisGraphError, ProtocolError
@@ -146,8 +147,7 @@ class StreamSession:
 
     @classmethod
     def from_snapshot(cls, path, full_precision: bool = False) -> "StreamSession":
-        with open(path) as fh:
-            engine = FwerEngine.restore(fh.read())
+        engine = FwerEngine.restore(Path(path).read_bytes())  # decoded, or refused, by restore
         return cls(engine, full_precision=full_precision)
 
 

@@ -4,7 +4,7 @@ engine replay over recorded p-values, and remaining-future-level accounting.
 A replay drives the ``graph-conf`` or ``spending-local`` engine, which take
 any monotone conflict set, so arms may leave in any order.
 
-Study file format (line-oriented text, ``#`` comments):
+Study file format (line-oriented text, read by :func:`.core._input_lines`):
 
     # optional defaults
     alpha = 0.05
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConflictStructure
+from .core import ConflictStructure, _input_lines
 from .engines import make_engine
 from .errors import InvalidConfig, MissingData
 from .gammas import GammaSpec
@@ -89,58 +89,54 @@ class ReplayStudy:
         arms: dict[int, StudyHypothesis] = {}
         overrides: dict[int, frozenset[int]] = {}
         defaults: dict = {}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    if line.lower().startswith("conflicts"):
-                        head, _, rhs = line.partition("=")
-                        name = head.split()[1].strip()
-                        idx = int(name.lstrip("T"))
-                        members = frozenset(
-                            int(v.strip().lstrip("T")) for v in rhs.split(",") if v.strip()
-                        )
-                        if idx in overrides:
-                            raise ValueError(f"duplicate conflicts for T{idx}")
-                        overrides[idx] = members
-                    elif line.startswith("T"):
-                        parts = line.split()
-                        idx = int(parts[0].lstrip("T"))
-                        if idx in arms:
-                            raise ValueError(f"duplicate T{idx}")
-                        fields = {}
-                        for key, value in (kv.split("=", 1) for kv in parts[1:]):
-                            if key not in ("enter", "exit", "p"):
-                                raise ValueError(f"unknown field {key!r}")
-                            if key in fields:
-                                raise ValueError(f"duplicate field {key!r}")
-                            fields[key] = value
-                        p_raw = fields.get("p", "NA")
-                        p = None if p_raw.upper() in ("NA", "?", "NONE") else float(p_raw)
-                        if p is not None and not 0.0 <= p <= 1.0:
-                            raise ValueError(f"p-value {p} outside [0, 1]")
-                        enter, exit_ = float(fields["enter"]), float(fields["exit"])
-                        if not math.isfinite(enter):
-                            raise ValueError(f"enter time {enter} is not finite")
-                        if not exit_ >= enter:
-                            raise ValueError(f"exit time {exit_} is before enter time {enter}")
-                        arms[idx] = StudyHypothesis(
-                            index=idx, name=parts[0], enter=enter, exit=exit_, p=p
-                        )
-                    else:
-                        key, _, rhs = line.partition("=")
-                        key = key.strip().lower()
-                        if key == "lambda":
-                            key = "lam"
-                        if key not in ("alpha", "tau", "lam", "q"):
-                            raise ValueError(f"unknown key {key!r}")
-                        if key in defaults:
-                            raise ValueError(f"duplicate key {key!r}")
-                        defaults[key] = float(rhs.strip())
-                except (ValueError, KeyError, IndexError) as exc:
-                    raise InvalidConfig(f"{path}:{lineno}: {exc}") from None
+        for lineno, line in _input_lines(path, InvalidConfig):
+            try:
+                if line.lower().startswith("conflicts"):
+                    head, _, rhs = line.partition("=")
+                    name = head.split()[1].strip()
+                    idx = int(name.lstrip("T"))
+                    members = frozenset(
+                        int(v.strip().lstrip("T")) for v in rhs.split(",") if v.strip()
+                    )
+                    if idx in overrides:
+                        raise ValueError(f"duplicate conflicts for T{idx}")
+                    overrides[idx] = members
+                elif line.startswith("T"):
+                    parts = line.split()
+                    idx = int(parts[0].lstrip("T"))
+                    if idx in arms:
+                        raise ValueError(f"duplicate T{idx}")
+                    fields = {}
+                    for key, value in (kv.split("=", 1) for kv in parts[1:]):
+                        if key not in ("enter", "exit", "p"):
+                            raise ValueError(f"unknown field {key!r}")
+                        if key in fields:
+                            raise ValueError(f"duplicate field {key!r}")
+                        fields[key] = value
+                    p_raw = fields.get("p", "NA")
+                    p = None if p_raw.upper() in ("NA", "?", "NONE") else float(p_raw)
+                    if p is not None and not 0.0 <= p <= 1.0:
+                        raise ValueError(f"p-value {p} outside [0, 1]")
+                    enter, exit_ = float(fields["enter"]), float(fields["exit"])
+                    if not math.isfinite(enter):
+                        raise ValueError(f"enter time {enter} is not finite")
+                    if not exit_ >= enter:
+                        raise ValueError(f"exit time {exit_} is before enter time {enter}")
+                    arms[idx] = StudyHypothesis(
+                        index=idx, name=parts[0], enter=enter, exit=exit_, p=p
+                    )
+                else:
+                    key, _, rhs = line.partition("=")
+                    key = key.strip().lower()
+                    if key == "lambda":
+                        key = "lam"
+                    if key not in ("alpha", "tau", "lam", "q"):
+                        raise ValueError(f"unknown key {key!r}")
+                    if key in defaults:
+                        raise ValueError(f"duplicate key {key!r}")
+                    defaults[key] = float(rhs.strip())
+            except (ValueError, KeyError, IndexError) as exc:
+                raise InvalidConfig(f"{path}:{lineno}: {exc}") from None
         if sorted(arms) != list(range(1, len(arms) + 1)):
             raise InvalidConfig("hypothesis indices must be consecutive from T1")
         hyps = [arms[k] for k in range(1, len(arms) + 1)]

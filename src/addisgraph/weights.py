@@ -39,6 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
+from .core import _input_lines
 from .errors import (
     DegenerateRenormalization,
     DomainError,
@@ -245,10 +246,10 @@ def renorm_table(spec: GammaSpec, lags, n: int) -> np.ndarray:
 class CustomTable(WeightRule):
     """Explicit finite weight table, loadable from a text format.
 
-    File format: a header line ``# weight-table v1`` followed by one line per
-    entry: ``j i weight`` (whitespace separated).  Non-finite or negative
-    weights, a source ``j`` below 1 or a target ``i`` not after it, and rows
-    whose mass exceeds one are rejected.
+    File format (read by :func:`.core._input_lines`): the header
+    ``# weight-table v1`` on line 1, then one ``j i weight`` line per entry.
+    Non-finite or negative weights, a source ``j`` below 1 or a target ``i``
+    not after it, and rows whose mass exceeds one are rejected.
     """
 
     HEADER = "# weight-table v1"
@@ -276,22 +277,15 @@ class CustomTable(WeightRule):
     @classmethod
     def load(cls, path) -> "CustomTable":
         entries = {}
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != cls.HEADER:
-                raise InvalidSpec(f"unexpected weight-table header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    j_s, i_s, w_s = line.split()
-                    key, w = (int(j_s), int(i_s)), float(w_s)
-                except ValueError:
-                    raise InvalidSpec(f"{path}:{lineno}: not 'j i weight': {line!r}") from None
-                if key in entries:
-                    raise InvalidSpec(f"{path}:{lineno}: duplicate entry {key}")
-                entries[key] = w
+        for lineno, line in _input_lines(path, InvalidSpec, header=cls.HEADER):
+            try:
+                j_s, i_s, w_s = line.split()
+                key, w = (int(j_s), int(i_s)), float(w_s)
+            except ValueError:
+                raise InvalidSpec(f"{path}:{lineno}: not 'j i weight': {line!r}") from None
+            if key in entries:
+                raise InvalidSpec(f"{path}:{lineno}: duplicate entry {key}")
+            entries[key] = w
         return cls(entries)
 
     def dump(self, path) -> None:

@@ -128,6 +128,7 @@ BAD_SNAPSHOTS = {
                        "malformed snapshot event ['P', 1, '0.5']: "),
     "number-for-conflicts": (json.dumps({**SNAP, "events": [["L", 1, 0.8, 0.16, 5]]}),
                              "malformed snapshot event ['L', 1, 0.8, 0.16, 5]: "),
+    "not-utf-8": (json.dumps(SNAP).encode().replace(b"basel", b"bas\xffel"), "snapshot is not JSON"),
 }
 
 
@@ -144,7 +145,7 @@ def test_restore_refuses_a_malformed_snapshot(text, what):
 @pytest.mark.parametrize("text, what", BAD_SNAPSHOTS.values(), ids=BAD_SNAPSHOTS.keys())
 def test_cli_resume_refuses_a_malformed_snapshot(tmp_path, capsys, text, what):
     snap = tmp_path / "snap.json"
-    snap.write_text(text)
+    snap.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["stream", "--resume", str(snap)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {what}") and captured.err.count("\n") == 1
@@ -152,16 +153,28 @@ def test_cli_resume_refuses_a_malformed_snapshot(tmp_path, capsys, text, what):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["stream", "--resume"], ["simulate", "--grid"], ["replay", "--study"]],
-    ids=["stream", "simulate", "replay"],
+    "args, content",
+    [
+        (["stream", "--resume"], None),
+        (["simulate", "--grid"], None),
+        (["replay", "--study"], None),
+        (["simulate", "--grid"], b"n = 10\ntrials = 5 # \xff\n"),
+        (["replay", "--study"], b"T1 enter=1 exit=2 p=0.5\nT2 enter=2 exit=3 p=0.\xff\n"),
+    ],
+    ids=["stream", "simulate", "replay", "simulate-not-utf-8", "replay-not-utf-8"],
 )
-def test_cli_reports_a_missing_file(tmp_path, capsys, args):
-    missing = tmp_path / "missing"
-    assert main([*args, str(missing)]) == 2
+def test_cli_reports_a_missing_file(tmp_path, capsys, args, content):
+    """A file that is missing, or holds a byte that is not UTF-8 (on line 2
+    here), is one ``error:`` line naming it, and exit status 2."""
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    assert main([*args, str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and str(missing) in captured.err
+    assert captured.err.startswith("error: ") and str(path) in captured.err
     assert captured.err.count("\n") == 1 and not captured.out
+    if content is not None:
+        assert captured.err == f"error: {path}:2: not UTF-8\n"
 
 
 def _conflict_script(n, seed):

@@ -123,14 +123,16 @@ def test_bad_study_file_reports_line(tmp_path):
             3,
             "duplicate T2",
         ),
+        (b"T1 enter=1 exit=4 p=0.5\nT2 enter=2 exit=5 p=0.5 # \xff\n", 2, "not UTF-8"),
     ],
 )
 def test_study_file_refuses_a_repeated_or_unknown_entry(tmp_path, text, lineno, what):
     """A default set twice, a field repeated on a ``T`` line, an unknown
     field, a second ``conflicts`` line for one arm or a second line for one
-    arm is refused with its line, not resolved by the last value."""
+    arm is refused with its line, not resolved by the last value; so is a
+    line holding a byte that is not UTF-8, even in its comment."""
     path = tmp_path / "bad.study"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(InvalidConfig, match=f"^{re.escape(f'{path}:{lineno}: {what}')}$"):
         ReplayStudy.parse(path)
 

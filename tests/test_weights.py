@@ -242,6 +242,37 @@ def test_custom_table_load_names_the_line_it_cannot_read(tmp_path, line):
         CustomTable.load(path)
 
 
+def test_custom_table_load_reads_comments_as_every_input_file_does(tmp_path):
+    """A comment may follow an entry, as in grid and study files."""
+    path = tmp_path / "w.table"
+    path.write_text(f"{CustomTable.HEADER}\n1 2 0.5  # note\n  # aside\n\n1 3 0.25#\n")
+    assert CustomTable.load(path).entries == {(1, 2): 0.5, (1, 3): 0.25}
+
+
+@pytest.mark.parametrize(
+    "text, got",
+    [("", ""), ("1 2 0.5\n", "1 2 0.5"), ("# weight-table v2\n", "# weight-table v2"),
+     (f"\n{CustomTable.HEADER}\n", "")],
+)
+def test_custom_table_load_names_line_1_for_a_wrong_header(tmp_path, text, got):
+    path = tmp_path / "w.table"
+    path.write_text(text)
+    where = re.escape(f"{path}:1: expected the header {CustomTable.HEADER!r}, got {got!r}")
+    with pytest.raises(InvalidSpec, match=f"^{where}$"):
+        CustomTable.load(path)
+
+
+@given(weights=st.lists(st.floats(0.0, 0.25, exclude_min=True), min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_custom_table_dump_and_load_round_trip_exactly(tmp_path_factory, weights):
+    """Entries come back with every bit, in the table's order of sources and
+    targets, whatever order they were entered in."""
+    entries = {(1 + k % 3, 5 + k): w for k, w in enumerate(weights)}
+    path = tmp_path_factory.mktemp("table") / "w.table"
+    CustomTable(dict(reversed(entries.items()))).dump(path)
+    assert list(CustomTable.load(path).entries.items()) == sorted(entries.items())
+
+
 def test_custom_table_load_refuses_a_repeated_entry(tmp_path):
     """A second line for one (j, i) is refused with its line, not resolved
     by the last value."""
