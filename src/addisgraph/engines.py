@@ -31,10 +31,14 @@ contiguous suffix ``{lo .. i-1}`` is held as ``range(lo, i)`` and checked
 in O(1), and the graph kinds pass that range on to the renormaliser, which
 zeroes the window as a slice; the engine adds only the refusal of non-suffix
 sets by the kinds that need lags, ``graph-conf-u`` and the closed kinds.
-``engine.ledger`` is a read-only ledger view of these rows.  The versioned
-snapshot is the configuration plus the accepted calls in arrival order,
-rebuilt from the records; restore replays them, so behavior after a
-round-trip is bit-identical by construction.
+``engine.ledger`` is a read-only ledger view of these rows.  The snapshot
+(version 2) is the configuration plus the two records as columns: per
+index its tau and lambda (null where it equals the configured one) and its
+conflict set (the int ``lo`` for a window ``range(lo, i)``, else the sorted
+list); per observation its index, p-value and issued count.  Restore merges
+them back into the accepted calls in arrival order and replays those, so
+behavior after a round-trip is bit-identical by construction; a version-1
+file, which lists the calls themselves, still restores.
 """
 
 from __future__ import annotations
@@ -102,7 +106,8 @@ class FwerEngine:
         self._pending: set[int] = set()  # issued, not yet observed
         # Per index: X_i (range(lo, i) when it is a contiguous suffix, else a
         # frozenset), the issued level, and tau and lambda as given, which the
-        # snapshot writes back unchanged.
+        # snapshot writes back unchanged, or as null when equal to the
+        # configured value.
         self._sets: list[range | frozenset[int]] = []
         self._levels: list[float] = []
         self._taus: list[float] = []
@@ -252,38 +257,34 @@ class FwerEngine:
 
     # -- snapshot / restore -------------------------------------------------
 
-    def _events(self) -> list[list]:
-        """Every accepted call in arrival order, rebuilt from the rows: the
-        levels come in index order, and each observation after as many of
-        them as had been issued when it arrived."""
-        sets, taus, lams = self._sets, self._taus, self._lams
-
-        def level_event(k):
-            x = sets[k]
-            return ["L", k + 1, taus[k], lams[k], list(x) if type(x) is range else sorted(x)]
-
-        events = []
-        k = 0
-        for i, p, m in zip(self._seen_index, self._seen_p, self._seen_issued):
-            events.extend(level_event(j) for j in range(k, m))
-            k = m  # nondecreasing over the observations
-            events.append(["P", i, p])
-        events.extend(level_event(j) for j in range(k, self.issued))
-        return events
-
     def snapshot(self) -> dict:
+        """The configuration and the per-index and per-observation records
+        as columns (version 2).  A tau or lambda equal to the configured
+        one is written as null, which a restore passes on as None: the
+        same value, whether the request gave it or left it out."""
         if self.gamma.kind == "custom":
             raise InvalidConfig("snapshots support named gamma specs only")
+        extra = self._extra_config()
+        tau, lam = self.tau, self.lam
         snap = {
-            "version": 1,
+            "version": 2,
             "kind": self.kind,
             "alpha": self.alpha,
-            "tau": self.tau,
-            "lambda": self.lam,
+            "tau": tau,
+            "lambda": lam,
             "gamma": self.gamma.name,
-            "events": self._events(),
+            "levels": {
+                "tau": [None if t == tau else t for t in self._taus],
+                "lambda": [None if t == lam else t for t in self._lams],
+                "conflicts": [x.start if type(x) is range else sorted(x) for x in self._sets],
+            },
+            "observations": {
+                "index": self._seen_index.tolist(),
+                "p": list(self._seen_p),
+                "issued": self._seen_issued.tolist(),
+            },
         }
-        snap.update(self._extra_config())
+        snap.update(extra)
         return snap
 
     def _extra_config(self) -> dict:
@@ -295,7 +296,9 @@ class FwerEngine:
     @staticmethod
     def restore(snap: dict | str | bytes) -> "FwerEngine":
         """Rebuild an engine from :meth:`snapshot` output (or its JSON, str or
-        bytes); a snapshot of the wrong shape raises ``InvalidConfig``."""
+        bytes), of version 2 or 1; a snapshot of the wrong shape raises
+        ``InvalidConfig`` before any call is replayed, and every replayed
+        call goes through the engine's own checks."""
         if isinstance(snap, (str, bytes)):
             try:
                 snap = json.loads(snap)
@@ -303,18 +306,23 @@ class FwerEngine:
                 raise InvalidConfig(f"snapshot is not JSON: {exc}") from None
         if not isinstance(snap, dict):
             raise InvalidConfig("snapshot must be a JSON object")
-        if snap.get("version") != 1:
-            raise InvalidConfig(f"unsupported snapshot version {snap.get('version')!r}")
+        version = snap.get("version")
+        if type(version) is not int or version not in _RECORDS:
+            raise InvalidConfig(f"unsupported snapshot version {version!r}")
         cfg = dict(snap)
         cfg.pop("version")
         try:
-            events = cfg.pop("events")
+            records = [cfg.pop(key) for key in _RECORDS[version]]
             kind = cfg.pop("kind")
             cfg["lam"] = cfg.pop("lambda")
         except KeyError as exc:
             raise InvalidConfig(f"snapshot lacks {exc}") from None
-        if not isinstance(events, list):
-            raise InvalidConfig("snapshot events must be a list")
+        if version == 1:
+            events = records[0]
+            if not isinstance(events, list):
+                raise InvalidConfig("snapshot events must be a list")
+        else:
+            events = _v2_events(*records)
         try:
             engine = make_engine(kind, **cfg)
         except TypeError as exc:  # an unknown key, or a value of the wrong type
@@ -331,6 +339,61 @@ class FwerEngine:
             except TypeError as exc:  # a field of the wrong type
                 raise InvalidConfig(f"malformed snapshot event {ev!r}: {exc}") from None
         return engine
+
+
+# the keys that hold the accepted calls, per snapshot version
+_RECORDS = {1: ("events",), 2: ("levels", "observations")}
+_COLUMNS = {"levels": ("tau", "lambda", "conflicts"), "observations": ("index", "p", "issued")}
+
+
+def _columns(name: str, obj) -> list[list]:
+    """The columns of the version-2 object ``name``: lists of one length."""
+    keys = _COLUMNS[name]
+    if not isinstance(obj, dict) or obj.keys() != set(keys):
+        raise InvalidConfig(f"snapshot {name} must be an object of the lists {', '.join(keys)}")
+    cols = [obj[key] for key in keys]
+    for key, col in zip(keys, cols):
+        if not isinstance(col, list):
+            raise InvalidConfig(f"snapshot {name}.{key} must be a list")
+    if len({len(col) for col in cols}) > 1:
+        lengths = ", ".join(f"{key} {len(col)}" for key, col in zip(keys, cols))
+        raise InvalidConfig(f"snapshot {name} columns differ in length: {lengths}")
+    return cols
+
+
+def _v2_events(levels, observations) -> list[list]:
+    """The accepted calls of a version-2 snapshot in arrival order, as
+    version-1 events: the levels in index order, each observation after as
+    many of them as had been issued when it arrived.  The columns are
+    checked first."""
+    taus, lams, sets = _columns("levels", levels)
+    index, ps, issued = _columns("observations", observations)
+    n = len(sets)
+    for k, x in enumerate(sets, start=1):
+        if type(x) is not list and (type(x) is not int or not 1 <= x <= k):
+            raise InvalidConfig(
+                f"snapshot conflicts of {k} must be a list or a window start in 1..{k}, got {x!r}"
+            )
+    last = 0
+    for m in issued:
+        if type(m) is not int or not last <= m <= n:
+            raise InvalidConfig(
+                f"snapshot issued counts must be nondecreasing integers from 0 to the level "
+                f"count {n}; got {m!r} after {last}"
+            )
+        last = m
+
+    def level(k):
+        x = sets[k]
+        return ["L", k + 1, taus[k], lams[k], range(x, k + 1) if type(x) is int else x]
+
+    events, k = [], 0
+    for i, p, m in zip(index, ps, issued):
+        events.extend(map(level, range(k, m)))
+        k = m
+        events.append(["P", i, p])
+    events.extend(map(level, range(k, n)))
+    return events
 
 
 class RowLedger(Sequence):

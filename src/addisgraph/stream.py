@@ -10,6 +10,10 @@ Requests (one per line):
   Response: ``DECISION <id> reject|accept S=<0|1> C=<0|1>``.
 * ``SAVE <path>`` — write a resumable snapshot, atomically: the file at
   ``<path>`` is either the previous snapshot or the new one, never a part.
+  The file is version-2 JSON: the engine configuration plus its records as
+  columns, per index (tau, lambda, conflicts) and per observation (index,
+  p-value, issued count); see :meth:`.engines.FwerEngine.snapshot`.
+  ``--resume`` also reads the version-1 files that list the calls.
   Response: ``SAVED <path>``, or ``ERR save-failed`` when it cannot be
   written.
 
@@ -24,7 +28,7 @@ import re
 from pathlib import Path
 
 from .engines import FwerEngine
-from .errors import AddisGraphError, ProtocolError
+from .errors import AddisGraphError, InvalidConfig, ProtocolError
 
 
 class StreamSession:
@@ -147,7 +151,13 @@ class StreamSession:
 
     @classmethod
     def from_snapshot(cls, path, full_precision: bool = False) -> "StreamSession":
-        engine = FwerEngine.restore(Path(path).read_bytes())  # decoded, or refused, by restore
+        """The session saved at ``path``.  A file that ``FwerEngine.restore``
+        refuses, for its shape or by an engine check during the replay, is
+        ``InvalidConfig("<path>: <why>")``."""
+        try:
+            engine = FwerEngine.restore(Path(path).read_bytes())  # decoded by restore
+        except AddisGraphError as exc:
+            raise InvalidConfig(f"{path}: {exc}") from None
         return cls(engine, full_precision=full_precision)
 
 

@@ -1,15 +1,17 @@
 """Every input surface fails cleanly.
 
-Grid, study, weight-table and snapshot files, stream lines and command
-lines, each mutated from a valid seed input, are either accepted or refused
-with an ``AddisGraphError``: the CLI exits 2 with one ``error:`` line, and a
-stream answers ``ERR`` and changes nothing.  A mutation is one to three
+Grid, study, weight-table and snapshot files (version 2, and version 1,
+which a resume still reads), stream lines and command lines, each mutated
+from a valid seed input, are either accepted or refused with an
+``AddisGraphError``: the CLI exits 2 with one ``error:`` line, and a stream
+answers ``ERR`` and changes nothing.  A mutation is one to three
 edits (a span deleted, a short run inserted, or a span replaced), made to
 the text or to its raw bytes.  The examples are derandomized, so every run
 tests the same inputs.
 """
 
 import io
+import json
 import os
 import re
 import sys
@@ -30,6 +32,7 @@ from addisgraph import (
     replay_study,
 )
 from addisgraph.cli import main
+from addisgraph.engines import FwerEngine
 from addisgraph.errors import InvalidConfig, InvalidSpec
 
 GATE = settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -42,14 +45,23 @@ SEEDS = {  # the ``seeds`` fixture adds a dumped table and a graph-conf snapshot
     "grid": "procedure = spending-local, graph-conf\nn = 10\nb = 1, 2  # batch sizes\n"
             "trials = 3\nseed = 1\n",
     "study": STUDY.replace("p=NA", "p=0.5"),
+    # the version-1 snapshot of a graph-conf session after SCRIPT, as the
+    # package wrote it before version 2
+    "snapshot-v1": '{"version": 1, "kind": "graph-conf", "alpha": 0.2, "tau": 0.8, '
+                   '"lambda": 0.16, "gamma": "basel", "events": [["L", 1, 0.8, 0.16, []], '
+                   '["P", 1, 0.01], ["L", 2, 0.8, 0.16, [1]], ["L", 3, 0.9, 0.2, [1, 2]], '
+                   '["P", 2, 0.6], ["P", 3, 0.3], ["L", 4, 0.8, 0.16, [3]], ["P", 4, 0.02], '
+                   '["L", 5, 0.8, 0.16, []]], "adjust": "renormalize"}',
 }
 READERS = {
     "grid": parse_grid_file,
     "study": lambda path: replay_study(ReplayStudy.parse(path)),
     "table": CustomTable.load,
     "snapshot": StreamSession.from_snapshot,
+    "snapshot-v1": StreamSession.from_snapshot,
 }
-NAMES = {"grid": "grid.cfg", "study": "recovery.study", "table": "w.table", "snapshot": "snap.json"}
+NAMES = {"grid": "grid.cfg", "study": "recovery.study", "table": "w.table", "snapshot": "snap.json",
+         "snapshot-v1": "snap-v1.json"}
 
 # structural characters, drawn often, beside any other character
 STRUCTURE = "=#,.-+ \t\n0123456789eEinfaTPL[]{}\":"
@@ -79,6 +91,9 @@ def seeds(tmp_path_factory):
     for line in SCRIPT:
         assert not StreamSession(engine).handle(line).startswith("ERR")
     texts = {**SEEDS, "table": (where / "w.table").read_text(), "snapshot": engine.snapshot_json()}
+    # both snapshot seeds hold the same session, in version 2 and version 1
+    assert json.loads(texts["snapshot"])["version"] == 2
+    assert FwerEngine.restore(texts["snapshot-v1"]).snapshot_json() == texts["snapshot"]
     return texts, where
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from addisgraph.cli import main
 from addisgraph.engines import ENGINE_KINDS, FwerEngine, GraphConf, make_engine
-from addisgraph.errors import InvalidConfig
+from addisgraph.errors import InvalidConfig, UnknownIndex
 from addisgraph.extensions import FdrGraph
 from addisgraph.stream import StreamSession, run_session
 
@@ -110,11 +110,29 @@ def test_snapshot_resume_equivalence(tmp_path):
     assert part1 + part2 == full_out
 
 
-# a graph-conf snapshot after one level and its observation
+# a graph-conf snapshot after one level and its observation, in version 1
 SNAP = {
     "version": 1, "kind": "graph-conf", "alpha": 0.2, "tau": 0.8, "lambda": 0.16,
     "gamma": "basel", "events": [["L", 1, 0.8, 0.16, []], ["P", 1, 0.5]], "adjust": "renormalize",
 }
+# the same session in version 2, and after a second level with a window {1}
+SNAP2 = {
+    "version": 2, "kind": "graph-conf", "alpha": 0.2, "tau": 0.8, "lambda": 0.16,
+    "gamma": "basel", "levels": {"tau": [None], "lambda": [None], "conflicts": [1]},
+    "observations": {"index": [1], "p": [0.5], "issued": [1]}, "adjust": "renormalize",
+}
+LEVELS2 = {"tau": [None, None], "lambda": [None, None], "conflicts": [1, 1]}
+
+
+def _v2(levels=None, **observations):
+    """SNAP2 with its level and observation columns replaced as given."""
+    return json.dumps({
+        **SNAP2,
+        "levels": {**SNAP2["levels"], **(levels or {})},
+        "observations": {**SNAP2["observations"], **observations},
+    })
+
+
 BAD_SNAPSHOTS = {
     "not-json": ("{not json", "snapshot is not JSON"),
     "a-list": (json.dumps([SNAP]), "snapshot must be a JSON object"),
@@ -129,11 +147,51 @@ BAD_SNAPSHOTS = {
     "number-for-conflicts": (json.dumps({**SNAP, "events": [["L", 1, 0.8, 0.16, 5]]}),
                              "malformed snapshot event ['L', 1, 0.8, 0.16, 5]: "),
     "not-utf-8": (json.dumps(SNAP).encode().replace(b"basel", b"bas\xffel"), "snapshot is not JSON"),
+    "version-3": (json.dumps({**SNAP2, "version": 3}), "unsupported snapshot version 3"),
+    "v2-with-events": (json.dumps({**SNAP2, "events": []}), "snapshot configuration: "),
+    "v2-no-levels": (json.dumps({k: v for k, v in SNAP2.items() if k != "levels"}),
+                     "snapshot lacks 'levels'"),
+    "v2-no-observations": (json.dumps({k: v for k, v in SNAP2.items() if k != "observations"}),
+                           "snapshot lacks 'observations'"),
+    "v2-levels-not-an-object": (json.dumps({**SNAP2, "levels": [[None], [None], [1]]}),
+                                "snapshot levels must be an object of the lists tau, lambda, "
+                                "conflicts"),
+    "v2-missing-column": (json.dumps({**SNAP2, "observations": {"index": [1], "p": [0.5]}}),
+                          "snapshot observations must be an object of the lists index, p, issued"),
+    "v2-column-not-a-list": (_v2(p=0.5), "snapshot observations.p must be a list"),
+    "v2-level-columns-differ": (_v2({"tau": [None, 0.5]}),
+                                "snapshot levels columns differ in length: tau 2, lambda 1, "
+                                "conflicts 1"),
+    "v2-observation-columns-differ": (_v2(issued=[1, 1]),
+                                      "snapshot observations columns differ in length: index 1, "
+                                      "p 1, issued 2"),
+    "v2-issued-decreases": (_v2(LEVELS2, index=[1, 2], p=[0.5, 0.5], issued=[2, 1]),
+                            "snapshot issued counts must be nondecreasing integers from 0 to the "
+                            "level count 2; got 1 after 2"),
+    "v2-issued-past-the-levels": (_v2(issued=[2]),
+                                  "snapshot issued counts must be nondecreasing integers from 0 "
+                                  "to the level count 1; got 2 after 0"),
+    "v2-true-for-conflicts": (_v2({"conflicts": [True]}),
+                              "snapshot conflicts of 1 must be a list or a window start in 1..1, "
+                              "got True"),
+    "v2-string-for-conflicts": (_v2({"conflicts": ["3"]}),
+                                "snapshot conflicts of 1 must be a list or a window start in 1..1, "
+                                "got '3'"),
+    "v2-window-past-its-index": (_v2(LEVELS2 | {"conflicts": [1, 3]}, issued=[2]),
+                                 "snapshot conflicts of 2 must be a list or a window start in "
+                                 "1..2, got 3"),
+    "v2-string-p-value": (_v2(p=["0.5"]), "malformed snapshot event ['P', 1, '0.5']: "),
 }
 
 
 def test_snapshot_fixture_restores():
-    assert FwerEngine.restore(json.dumps(SNAP)).snapshot() == SNAP
+    """The version-1 and version-2 texts of one session restore to an
+    engine whose snapshot is the version-2 one."""
+    for snap in (SNAP, SNAP2):
+        assert FwerEngine.restore(json.dumps(snap)).snapshot() == SNAP2
+    engine = FwerEngine.restore(json.dumps(SNAP2))
+    engine.level(2, conflicts=[1])
+    assert engine.snapshot() == {**SNAP2, "levels": LEVELS2}
 
 
 @pytest.mark.parametrize("text, what", BAD_SNAPSHOTS.values(), ids=BAD_SNAPSHOTS.keys())
@@ -148,8 +206,19 @@ def test_cli_resume_refuses_a_malformed_snapshot(tmp_path, capsys, text, what):
     snap.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["stream", "--resume", str(snap)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {what}") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {snap}: {what}") and captured.err.count("\n") == 1
     assert not captured.out
+
+
+def test_resume_names_the_file_when_an_engine_check_refuses_the_replay(tmp_path):
+    """A snapshot of the right shape whose replay an engine check refuses
+    (a p-value for an index with no level) is also refused naming the file."""
+    snap = tmp_path / "snap.json"
+    snap.write_text(_v2(index=[2]))
+    with pytest.raises(UnknownIndex, match="^no level issued for index 2$"):
+        FwerEngine.restore(snap.read_bytes())
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(str(snap))}: no level issued for index 2$"):
+        StreamSession.from_snapshot(snap)
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,10 @@ accepted lines must then agree bit for bit, in their snapshots and in every
 reply to a common continuation.  Beside it: the replies to malformed
 ``conflicts=`` fields, the snapshot bytes after a fixed script and the
 replies of a delay-10 session that levels while earlier p-values are
-pending, pinned as strings and digests, and the budget certificates of the
-engine's ledger against a ledger built entry by entry.
+pending, pinned as strings and digests, the version-1 files of the fixed
+script (kept in ``snapshots_v1/``), which must restore to the live session,
+and the budget certificates of the engine's ledger against a ledger built
+entry by entry.
 """
 
 import hashlib
@@ -324,39 +326,58 @@ CLOSED_SCRIPT = [
     "P 8 0.5",
 ]
 
-# sha256 of snapshot_json() after SCRIPT, per kind; the digest of the replies
+# sha256 of the version-2 snapshot_json() after SCRIPT, per kind; the digest
+# of the replies
 SNAPSHOT_SHA256 = {
     "closed-graph": (
-        "0f943532a0bd9e0c3d95e4d255e37eba63a718fd3290a7db3f0f1b6fbd024200",
+        "e6c0d8edb2904a52d1d252bc84cc184a91fe55365cd057dc01658c1de5aef6ca",
         "f150caf27be20cb71b2cf2c172ed85c1e7b01ffe9c79d42431dc23713a0bd1f3",
     ),
     "closed-spending": (
-        "bc178d5e7cb3c5d5675a7f7c1863a03734bf1fa6e02dd8b710bbc5e5020756a5",
+        "451c713c40c99602786d3ea2aee633134824f1870c956e07954770d8179f4708",
         "9178af92d4f7cc230c0d9fc2ac9deb3171cc67883166a754b1e2e248238e2a8e",
     ),
     "fdr-graph": (
-        "3aa861b7cdd5b4e071910a97c296d18a87d32f3b2aa671de3b3ea5816d44eba0",
+        "dc76ba75e0083cf09dd99aa07159bfcf36a62552a7dd4ea27a59290e8c10d2b1",
         "c384878b5e1ced907761367626dcea01d1c1652c89973f509214716430ae24ff",
     ),
     "graph-conf": (
-        "25541953278bb2d92d079c1b59275195570c70571756f36c55c1dcf8ab7b6b17",
+        "575a2d2aa4e41a8d026d5d33d65a418bb9a59ae10ba54cb157f01eb588017022",
         "a11df5351dbebcc0602c53dca96c359412de38202671b80f26c2a41b709f7345",
     ),
     "graph-conf-u": (
-        "5a00e1364404ce234511093736dc5ae4fcdd3846dd02f64e6813f2a8e3968c29",
+        "b7420a4845551774628a712f7c5e144992f5e092201b8c8f6efa774587a4a497",
         "eeb47c53cdec37c9385b228c4015cb56d1954ea98dc319d1ec6c2d9c27b176c6",
     ),
     "spending-local": (
-        "caf0d1392a2f0ddd30ff0a1a710c1d007d5e37934239b385865fc64eee8df6bd",
+        "84739de81900de77280a0978b4c52770187430eb05fb2e02460986d0f573dc35",
         "050270d40ffbcf25967d3e54ab35e11b3c94e062f71c2f04456e810e77810455",
     ),
 }
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_snapshot_bytes_after_a_fixed_script(kind):
+# sha256 of the version-1 snapshot_json() after SCRIPT, per kind, as the
+# package wrote it before version 2; the texts are in V1_DIR
+V1_SNAPSHOT_SHA256 = {
+    "closed-graph": "0f943532a0bd9e0c3d95e4d255e37eba63a718fd3290a7db3f0f1b6fbd024200",
+    "closed-spending": "bc178d5e7cb3c5d5675a7f7c1863a03734bf1fa6e02dd8b710bbc5e5020756a5",
+    "fdr-graph": "3aa861b7cdd5b4e071910a97c296d18a87d32f3b2aa671de3b3ea5816d44eba0",
+    "graph-conf": "25541953278bb2d92d079c1b59275195570c70571756f36c55c1dcf8ab7b6b17",
+    "graph-conf-u": "5a00e1364404ce234511093736dc5ae4fcdd3846dd02f64e6813f2a8e3968c29",
+    "spending-local": "caf0d1392a2f0ddd30ff0a1a710c1d007d5e37934239b385865fc64eee8df6bd",
+}
+V1_DIR = Path(__file__).resolve().parent / "snapshots_v1"
+
+
+def _scripted(kind: str) -> tuple[StreamSession, list[str]]:
     session = StreamSession(make_engine(kind), full_precision=True)
     replies = [session.handle(line) for line in (CLOSED_SCRIPT if kind in CLOSED else SCRIPT)]
+    return session, replies
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_snapshot_bytes_after_a_fixed_script(kind):
+    session, replies = _scripted(kind)
     assert any(r.startswith("ERR") for r in replies)
     text = session.engine.snapshot_json()
     digests = (
@@ -364,6 +385,20 @@ def test_snapshot_bytes_after_a_fixed_script(kind):
         hashlib.sha256("\n".join(replies).encode()).hexdigest(),
     )
     assert digests == SNAPSHOT_SHA256[kind]
+    assert FwerEngine.restore(text).snapshot_json() == text
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_version_1_snapshot_restores_to_the_live_session(kind):
+    """The version-1 file of the fixed script restores to the live engine:
+    the same ledger, the same version-2 snapshot and the same next level."""
+    text = (V1_DIR / f"{kind}.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == V1_SNAPSHOT_SHA256[kind]
+    live, _ = _scripted(kind)
+    restored = StreamSession(FwerEngine.restore(text), full_precision=True)
+    assert restored.engine.ledger.entries == live.engine.ledger.entries
+    assert restored.engine.snapshot_json() == live.engine.snapshot_json()
+    assert restored.handle("H 9 conflicts=8") == live.handle("H 9 conflicts=8")
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +459,7 @@ def test_ledger_certifies_like_a_trajectory_ledger(kind, p, lag, alpha):
 
 def test_structure_lag_view_matches_explicit_conflicts():
     """An engine given a lag-form structure's sets issues the levels of one
-    given the same sets as explicit lists, and records the same events."""
+    given the same sets as explicit lists, and takes the same snapshot."""
     lags = [0, 1, 2, 2, 1, 2, 3, 3, 0, 1]
     structure = ConflictStructure.from_lags(lags)
     p = np.random.default_rng(5).uniform(size=len(lags))
@@ -438,7 +473,7 @@ def test_structure_lag_view_matches_explicit_conflicts():
                     b.observe(j, float(p[j - 1]))
             want = b.level(i, conflicts=list(range(i - lags[i - 1], i)))
             assert a.level(i, conflicts=structure.conflict_set(i)) == want
-        assert a.snapshot()["events"] == b.snapshot()["events"]
+        assert a.snapshot() == b.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -472,32 +507,32 @@ def _late_session_lines(kind: str, p_row) -> list[str]:
     return lines
 
 
-# sha256 of the full-precision replies and of snapshot_json() at the end,
-# per kind, for the session of _late_session_lines
+# sha256 of the full-precision replies and of the version-2 snapshot_json()
+# at the end, per kind, for the session of _late_session_lines
 LATE_SESSION_SHA256 = {
     "closed-graph": (
         "733c355700b42b8a40226c56a4de083f41370811a42b32e6486245a65760e528",
-        "7a30b1e78e3e6b241e9bd7a4dc876ae740f9d67cf8762f32bac0bcdd9b0c921f",
+        "e5a46dba287eb2558785a4895248d0c7e58e1955ffdda9c4fc4ba69c15bc372b",
     ),
     "closed-spending": (
         "3b974ee8c7a713c2a0134183301a521760b9099370b753c1efc8d86ad8705a53",
-        "d62d25801647ca6db12f49787ed5089b9b401fab10eae898228bad04e773ea4c",
+        "409a114fc05967ea469e4092550979c9bf27cc2c706a2745da8963e5d8993db3",
     ),
     "fdr-graph": (
         "3dff78a9789744213b5d4a433a91309630ec2b9005b880e01e30a28433f2d752",
-        "9f6021c2d763d3438bf91b6c2c593e33b7cc52984170db884a89e01269839327",
+        "42f4a8a897cb69c53ecd29a9fc6a0ba7b252fb41fe23963d16af5bab020139ae",
     ),
     "graph-conf": (
         "28200938520245c7f320f8d66c44e444511036344bd9f00c261c8de5ca7ef1fe",
-        "74d824c4ff256e0022a43adbdb60ba73b9a61d1f5896d737149c51be3e28f800",
+        "8061eb3d95a053cb5745aac575eb7495f17b9ab37012ab17c32b825d6f232490",
     ),
     "graph-conf-u": (
         "f2b864e6b9028cba8af50a8e14f212241743876e3f5e6f85aaeffa37e17f3375",
-        "8b2a60478127c56b79628445e6ce46f7e36c5235bee7e741c91a69ad0c0736ef",
+        "7c497fb8fef7c4a7873320fdf8c03267fa4174218b480bb9ef04fb3bd0b2eddf",
     ),
     "spending-local": (
         "7acf378d6e954f7306497c9bc7493a10fd8e39d04e311d94979b0bc6431eb8e0",
-        "446953e91e04e4120c0c4d49f1b595015bcf1cbcba420387f4bf31bba4cbfc04",
+        "308448b8dceee0bde1e2806051999170ca013b59eccdf946abab4dafe1485695",
     ),
 }
 
