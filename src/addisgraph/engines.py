@@ -552,8 +552,9 @@ class GraphConfU(FwerEngine):
     conflicting pairs through the blockers' own rows; on every trajectory the
     issued level dominates the local-spending level at the same index.  The
     reroute table is never formed: levels come from the held-mass kernel
-    :class:`.weights.HeldMass` with one trial, the kernel the runner
-    :func:`.sim.levels_graph_conf_u` drives with many.
+    :class:`.weights.HeldMass` driven with no trial axis (``trials=None``),
+    the kernel the runner :func:`.sim.levels_graph_conf_u` drives with the
+    trial axis first.
     """
 
     kind = "graph-conf-u"
@@ -562,7 +563,7 @@ class GraphConfU(FwerEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.gamma.require_nonincreasing()
-        self._held = HeldMass(self.gamma, self.alpha)
+        self._held = HeldMass(self.gamma, self.alpha, trials=None)
 
     @property
     def _cols(self):
@@ -575,14 +576,15 @@ class GraphConfU(FwerEngine):
         self._require_observed(c)
         held = self._held
         for m in range(held.final + 1, c):
-            held.hold(m, m - len(self._sets[m - 1]), self._u[m - 1 : m])
-        return (tau_i - lam_i) * held.level(i, c)[0]
+            held.hold(m, m - len(self._sets[m - 1]), self._u[m - 1])
+        return (tau_i - lam_i) * held.level(i, c).item()
 
 
 class ClosedEngine(FwerEngine):
-    """A closed kind's kernel with one trial (the closed runners drive it with
-    many).  Levels need feedback for every predecessor, even conflicting
-    ones: the closure argument, not measurability, carries them."""
+    """A closed kind's kernel driven with no trial axis (``trials=None``;
+    the closed runners drive it with the trial axis first).  Levels need
+    feedback for every predecessor, even conflicting ones: the closure
+    argument, not measurability, carries them."""
 
     needs_lags = True
 
@@ -606,10 +608,10 @@ class ClosedSpending(ClosedEngine):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._closure = ClosureCounter()
+        self._closure = ClosureCounter(trials=None)
 
     def _compute_level(self, i, x, tau_i, lam_i):
-        t = int(self._absorbed(i).counter(i, len(x))[0])
+        t = self._absorbed(i).counter(i, len(x)).item()
         return self.alpha * (tau_i - lam_i) * self.gamma.value(t)
 
 
@@ -627,7 +629,7 @@ class ClosedGraph(ClosedEngine):
 
     def __init__(self, *args, rule: WeightRule | None = None, **kwargs):
         super().__init__(*args, **kwargs)
-        self._closure = Closure(self.alpha)
+        self._closure = Closure(self.alpha, trials=None)
         self.base_rule = rule if rule is not None else ShiftedGamma(self.gamma)
         self._custom_rule = rule is not None
 
@@ -639,7 +641,7 @@ class ClosedGraph(ClosedEngine):
     def _compute_level(self, i, x, tau_i, lam_i):
         closure = self._absorbed(i)
         at = closure.level(i, i - len(x), self.gamma.value(i), self.base_rule.column(i))
-        return (tau_i - lam_i) * at[0]
+        return (tau_i - lam_i) * at.item()
 
 
 # extensions.py, which the package always imports, adds FdrGraph

@@ -23,10 +23,15 @@ a row with ``D_j <= MASS_TOL`` is degenerate and gets zero weights.  Both
 :func:`renorm_table` (the runners, shifted gamma and lag-form conflicts)
 call it, so their weights agree bit for bit.
 
-Each shared kernel keeps the trial axis first, and a live engine drives it
-with one trial: :class:`HeldMass` (``graph-conf-u``), :class:`ClosureCounter`
-(``closed-spending``), :class:`Closure` (``closed-graph``) and
-:class:`JointTail` (``adaptive-graph-corr``).
+The runners drive each shared kernel with the trial axis first.  A live
+engine drives :class:`HeldMass` (``graph-conf-u``), :class:`ClosureCounter`
+(``closed-spending``) and :class:`Closure` (``closed-graph``) with no trial
+axis (``trials=None``), so its per-index bookkeeping reads and writes
+numpy scalars, and :class:`JointTail` (``adaptive-graph-corr``) with one
+trial.  The same code serves both, through ``...`` indexing and index-major
+views; the two reductions, ``HeldMass._carry`` and ``Closure.level``, give a
+lone trajectory the (1, k) operands a trial row has, as a product over a
+bare vector may sum in another order.
 """
 
 from __future__ import annotations
@@ -327,27 +332,34 @@ class HeldMass:
     t_m - m - 2 and at_m for every index, and the counter ``t`` of the next
     index to hold.  ``level(i, c)`` may run once z_1 .. z_{c-1} are final;
     ``hold(m, c_m, u_m)`` makes z_m final and must follow ``level(m, c_m)``
-    and ``hold(m - 1, ...)``.  A live engine is the case of one trial.
+    and ``hold(m - 1, ...)``.  A runner passes ``trials=T``; a live engine
+    passes ``trials=None``, one trajectory with no trial axis, whose
+    counter, entries and levels are scalars.  The state is trial-major, the
+    layout of each carry's gather; ``hold`` and ``level`` reach index m's
+    entries through the transpose, ``.T[m - 1]``, a row of T trials or one
+    scalar.
     """
 
-    def __init__(self, spec: GammaSpec, alpha: float, trials: int = 1, capacity: int = 64):
+    def __init__(self, spec: GammaSpec, alpha: float, trials: int | None = 1,
+                 capacity: int = 64):
         self.spec = spec
         self.alpha = alpha
-        self.t = np.ones(trials, dtype=np.int64)
+        self.shape = () if trials is None else (trials,)
+        self.t = np.ones(self.shape, dtype=np.int64)[()]  # a scalar without the axis
         self.final = 0  # z_1 .. z_final are final
-        self.state = np.zeros((3, trials, 0))
-        self.off = np.zeros((trials, 0), dtype=np.int64)
+        self.state = np.zeros((3, *self.shape, 0))
+        self.off = np.zeros((*self.shape, 0), dtype=np.int64)
         self._reserve(capacity)
 
     def _reserve(self, n: int) -> None:
-        old = self.off.shape[1]
+        old = self.off.shape[-1]
         if n <= old:
             return
         cap = max(n, 2 * old)
-        state = np.zeros((3, self.t.size, cap))
+        state = np.zeros((3, *self.shape, cap))
         state[..., :old] = self.state
-        off = np.zeros((self.t.size, cap), dtype=np.int64)
-        off[:, :old] = self.off
+        off = np.zeros((*self.shape, cap), dtype=np.int64)
+        off[..., :old] = self.off
         self.state, self.off = state, off
         self.z, self.head, self.at = state
         # g[m, i] = step[t_m - m + i - 2] / gamma_{t_m}, step[k-1] = gamma_k - gamma_{k+1};
@@ -355,26 +367,31 @@ class HeldMass:
         self._gl = self.spec.values(cap)
         self._step = self._gl[:-1] - self._gl[1:]
 
-    def _carry(self, lo: int, hi: int, i: int) -> np.ndarray:
+    def _carry(self, lo: int, hi: int, i: int) -> np.ndarray | float:
         """sum of g[m, i] z_m over the sources m = lo+1 .. hi, per trial."""
-        g = self._step[self.off[:, lo:hi] + i] / self.head[:, lo:hi]
-        return np.einsum("tm,tm->t", g, self.z[:, lo:hi])
+        g = self._step[self.off[..., lo:hi] + i] / self.head[..., lo:hi]
+        z = self.z[..., lo:hi]
+        if self.shape:
+            return np.einsum("tm,tm->t", g, z)
+        # one trajectory: the (1, k) operands of a trial row, as einsum may
+        # sum two bare vectors in another order
+        return np.einsum("tm,tm->t", g[None], z[None])[0]
 
-    def level(self, i: int, c: int) -> np.ndarray:
+    def level(self, i: int, c: int) -> np.ndarray | float:
         """at_i for target i whose first conflicting index is c."""
         self._reserve(i)
         at = self.alpha * self._gl[i - 1] + self._carry(0, c - 1, i)
-        self.at[:, i - 1] = at
+        self.at.T[i - 1] = at
         return at
 
-    def hold(self, m: int, c: int, u: np.ndarray) -> None:
+    def hold(self, m: int, c: int, u: np.ndarray | float) -> None:
         """Make z_m final, given m's first conflicting index c and U_m (one
         value per trial), and advance t."""
         t = self.t
-        self.off[:, m - 1] = t - (m + 2)
-        self.head[:, m - 1] = self._gl[t - 1]
-        self.z[:, m - 1] = u * self.at[:, m - 1] + self._carry(c - 1, m - 1, m)
-        t += u == 0
+        self.off.T[m - 1] = t - (m + 2)
+        self.head.T[m - 1] = self._gl[t - 1]
+        self.z.T[m - 1] = u * self.at.T[m - 1] + self._carry(c - 1, m - 1, m)
+        self.t += u == 0  # in place on the trial axis
         self.final = m
 
 
@@ -385,20 +402,22 @@ class ClosureCounter:
     One block, grown on demand, holds the prefix sums of R and of
     S - max(R, C) over 1 .. k in row k, a contiguous row of T trials, so
     ``absorb`` and ``counter`` touch whole rows.  ``counter`` for target i
-    needs 1 .. i-1 absorbed; ``final`` is the last absorbed index.  A live
-    engine is the case of one trial.
+    needs 1 .. i-1 absorbed; ``final`` is the last absorbed index.  A runner
+    passes ``trials=T``; a live engine passes ``trials=None``, one
+    trajectory with no trial axis, whose rows are scalars.
     """
 
-    def __init__(self, trials: int = 1, capacity: int = 64):
+    def __init__(self, trials: int | None = 1, capacity: int = 64):
         self.final = 0
-        self.state = np.zeros((2, 0, trials))
+        self.shape = () if trials is None else (trials,)
+        self.state = np.zeros((2, 0, *self.shape))
         self._reserve(capacity)
 
     def _reserve(self, n: int) -> None:
-        _, old, trials = self.state.shape
+        old = self.state.shape[1]
         if n < old:
             return
-        state = np.zeros((2, max(n + 1, 2 * old), trials))
+        state = np.zeros((2, max(n + 1, 2 * old), *self.shape))
         state[:, :old] = self.state
         self.state = state
         self.sum_r, self.sum_smax = state
@@ -410,7 +429,7 @@ class ClosureCounter:
         self.sum_smax[j] = self.sum_smax[j - 1] + s - np.maximum(r, c)
         self.final = j
 
-    def counter(self, i: int, lag: int) -> np.ndarray:
+    def counter(self, i: int, lag: int) -> np.ndarray | np.int64:
         """t_i = 1 + sum_{c_i <= j < i} (1 - R_j) + sum_{j < c_i} (S_j - max(R_j, C_j))."""
         r, k = self.sum_r, i - lag - 1
         return (1 + (lag - (r[i - 1] - r[k])) + self.sum_smax[k]).astype(np.int64)
@@ -420,7 +439,9 @@ class Closure:
     """Closed graph's levels, trial axis first: a rejected predecessor
     forwards its level at_i, inside the conflict window c_i = i - L_i .. i-1
     too.  ``level`` for target i needs 1 .. i-1 absorbed; ``final`` is the
-    last absorbed index.  A live engine is the case of one trial.
+    last absorbed index.  A runner passes ``trials=T``; a live engine passes
+    ``trials=None``, one trajectory with no trial axis, whose at, R, up and
+    mass entries are scalars.
 
     One block, grown on demand, holds at_j, R_j and up_j = max(R_j, C_j) -
     S_j + 1 index-major (j's contiguous row of T trials at j - 1), so
@@ -436,23 +457,24 @@ class Closure:
     1 .. ``edge`` - 1 to up_j at_j, so each level is one product over a slice.
     """
 
-    def __init__(self, alpha: float, trials: int = 1, capacity: int = 64):
+    def __init__(self, alpha: float, trials: int | None = 1, capacity: int = 64):
         self.alpha = alpha
         self.final = 0
         self.filled = 0  # mass of 1 .. filled is set
         self.edge = 1  # mass of 1 .. edge-1 is up_j at_j
-        self.state = np.zeros((4, 0, trials))
-        self.mass = np.zeros((trials, 0))
+        self.shape = () if trials is None else (trials,)
+        self.state = np.zeros((4, 0, *self.shape))
+        self.mass = np.zeros((*self.shape, 0))
         self._reserve(capacity)
 
     def _reserve(self, n: int) -> None:
-        _, old, trials = self.state.shape
+        old = self.state.shape[1]
         if n < old:
             return
-        state = np.zeros((4, max(n + 1, 2 * old), trials))
+        state = np.zeros((4, max(n + 1, 2 * old), *self.shape))
         state[:3, :old] = self.state[:3]
-        mass = state[3].reshape(trials, -1)
-        mass[:, :old] = self.mass
+        mass = state[3].reshape(*self.shape, -1)
+        mass[..., :old] = self.mass
         self.state, self.mass = state, mass
         self.at, self.r, self.up = state[:3]
 
@@ -463,7 +485,7 @@ class Closure:
         self.up[j - 1] = np.maximum(r, c) - s + 1.0
         self.final = j
 
-    def level(self, i: int, c: int, gamma_i: float, col: np.ndarray) -> np.ndarray:
+    def level(self, i: int, c: int, gamma_i: float, col: np.ndarray) -> np.ndarray | float:
         """at_i = alpha gamma_i + sum_j g[j, i] at_j (up_j for j < c, R_j for
         j >= c), with ``col`` = g[1 .. i-1, i]; stored and returned per trial.
 
@@ -478,10 +500,14 @@ class Closure:
         self._reserve(i)
         start = c - 1 if repeat else max(self.filled, c - 1)
         crossed, fresh = slice(self.edge - 1, c - 1), slice(start, i - 1)
-        self.mass[:, crossed] = (self.up[crossed] * self.at[crossed]).T
-        self.mass[:, fresh] = (self.r[fresh] * self.at[fresh]).T
+        self.mass[..., crossed] = (self.up[crossed] * self.at[crossed]).T
+        self.mass[..., fresh] = (self.r[fresh] * self.at[fresh]).T
         self.edge, self.filled = c, i - 1
-        at = self.alpha * gamma_i + self.mass[:, : i - 1] @ col
+        mass = self.mass[..., : i - 1]
+        if self.shape:
+            at = self.alpha * gamma_i + mass @ col
+        else:  # one trajectory: the (1, k) @ (k,) product of a trial row
+            at = self.alpha * gamma_i + (mass[None] @ col)[0]
         self.at[i - 1] = at
         return at
 

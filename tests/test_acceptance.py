@@ -257,7 +257,11 @@ def test_09_alpha_c_quadrature_vs_monte_carlo():
             k = len(levels)
             z0 = rng.standard_normal(n)
             eps = rng.standard_normal((n, k + 1))
-            pvals = ndtr(-(np.sqrt(rho) * z0[:, None] + np.sqrt(1 - rho) * eps))
+            # ndtr(-(sqrt(rho) z0 + sqrt(1 - rho) eps)), built in place
+            eps *= np.sqrt(1 - rho)
+            z0 *= np.sqrt(rho)
+            eps += z0[:, None]
+            pvals = ndtr(np.negative(eps, out=eps), out=eps)
             est, se = alpha_c_monte_carlo(0.05, levels, pvals[:, :k], pvals[:, k])
             quad = alpha_c_gaussian(0.05, levels, rho)
             assert abs(quad - est) <= 3 * se + 1e-12, (rho, levels)

@@ -43,8 +43,11 @@ CORR_ENGINE_DIGEST = "289590b9ccaf81e1cdd1dc7a925ead120fffb86910018f57b8f0045c0f
 def _mc_draws(rng, rho, k, n):
     z0 = rng.standard_normal(n)
     eps = rng.standard_normal((n, k))
-    z = np.sqrt(rho) * z0[:, None] + np.sqrt(1 - rho) * eps
-    return ndtr(-z)  # one-sided z-test p-values
+    # one-sided z-test p-values ndtr(-(sqrt(rho) z0 + sqrt(1 - rho) eps)), built in place
+    eps *= np.sqrt(1 - rho)
+    z0 *= np.sqrt(rho)
+    eps += z0[:, None]
+    return ndtr(np.negative(eps, out=eps), out=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ live engine, ``restore(snapshot)`` and a fresh session fed only the
 accepted lines must then agree bit for bit, in their snapshots and in every
 reply to a common continuation.  Beside it: the replies to malformed
 ``conflicts=`` fields, the snapshot bytes after a fixed script and the
-replies of a delay-10 session that levels while earlier p-values are
-pending, pinned as strings and digests, the version-1 files of the fixed
-script (kept in ``snapshots_v1/``), which must restore to the live session,
-and the budget certificates of the engine's ledger against a ledger built
-entry by entry.
+replies of delay-10 sessions (at three seeds) that level while earlier
+p-values are pending, pinned as strings and digests, the version-1 files of
+the fixed script (kept in ``snapshots_v1/``), which must restore to the live
+session, and the budget certificates of the engine's ledger against a ledger
+built entry by entry.
 """
 
 import hashlib
@@ -568,3 +568,47 @@ def test_replies_of_a_delay_10_session_are_pinned(kind):
                   check_fdr_condition(engine.ledger, engine.alpha))
     )
     assert reports == LATE_SESSION_REPORTS[kind]
+
+
+# sha256 of the full-precision replies of the session of _late_session_lines
+# at seeds 0 and 1, per kind: the request shape of the stream benchmark, whose
+# windows slide past pending p-values at every level
+LATE_SESSION_SEEDS = (0, 1)
+LATE_SESSION_REPLIES_SHA256 = {
+    "closed-graph": (
+        "fa76ada340419991438734fa2242ee56bb8f15cc8b99911ad7e0c3b9cab9a7a7",
+        "b90748e733933bed67a6c08766018bee9d847201ed267b4f869bc781610f38c7",
+    ),
+    "closed-spending": (
+        "907146eea984f99e9307f6d6c0ef9f5dc3b2cd83cba4a3fb8786bb15715fd8a0",
+        "36f4afe6ea21d7787e155b9c5d34bf09538149dfa16a864abca56c965fe71521",
+    ),
+    "fdr-graph": (
+        "234703eee6804a60f216f644c5cc6bef42b4f582b29ba2d4a105dbbd7128a344",
+        "6a435058112eb1814936307cfec6828959b6269b8c4da0b5e3b60ff01d77f0eb",
+    ),
+    "graph-conf": (
+        "c70f5551527160c8f588c57b4cdbbe56ee202152092928fdf9420e8c7f980dd4",
+        "5d4c580fbbb8f72af0d7c5853b4402145e5e8d61ce8459cdfe489d69e6325565",
+    ),
+    "graph-conf-u": (
+        "c212223f16496997ed193d34db5e593ba1bb8d74f00b0852a52002d8142bb214",
+        "c52e150ea151c56396b332628ece576896c54d9a916d6ea69d478b4acca087d2",
+    ),
+    "spending-local": (
+        "d30dbed3ee191117de46365491af11709013922ee4d0f94356e60dd7d3ea793a",
+        "c92229081b2691565b6e70c7dcba5bff0a4762a497ee6f807da714895074ab73",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", LATE_SESSION_SEEDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_replies_of_delay_10_sessions_at_two_more_seeds_are_pinned(kind, seed):
+    config = SimConfig(n=PIN_N, e=PIN_DELAY, pi_a=0.3, mu_n=-0.5, trials=len(KINDS), seed=seed)
+    p, _ = generate_data(config)
+    session = StreamSession(make_engine(kind), full_precision=True)
+    replies = [session.handle(line) for line in _late_session_lines(kind, p[KINDS.index(kind)])]
+    assert not any(r.startswith("ERR") for r in replies)
+    digest = hashlib.sha256("\n".join(replies).encode()).hexdigest()
+    assert digest == LATE_SESSION_REPLIES_SHA256[kind][LATE_SESSION_SEEDS.index(seed)]

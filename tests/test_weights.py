@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from addisgraph.core import ConflictStructure
+from addisgraph.engines import make_engine
 from addisgraph.errors import DegenerateRenormalization, InvalidSpec, NonMonotoneConflicts
 from addisgraph import weights
 from addisgraph.gammas import GammaSpec
@@ -399,6 +400,117 @@ def test_closure_grown_on_demand_matches_one_sized_up_front():
                 closure.absorb(i, s[i - 1], c[i - 1], r[i - 1])
         runs.append(np.array(out))
     assert np.array_equal(runs[0], runs[1])
+
+
+# ---------------------------------------------------------------------------
+# one trajectory without a trial axis
+
+
+@st.composite
+def _kernel_streams(draw):
+    """A stream of n targets: monotone window edges c_i, per index one
+    S/C/R/U draw for each of three trials, and for some targets a first
+    window edge in c_i .. i that is refused before the level that stands."""
+    n = draw(st.integers(1, 80))
+    edges, c = [], 1
+    for i in range(1, n + 1):
+        c = draw(st.integers(max(c, i - 12), i))
+        edges.append(c)
+    flags = st.lists(st.sampled_from([0.0, 1.0]), min_size=3, max_size=3)
+    scru = draw(st.lists(st.tuples(flags, flags, flags, flags), min_size=n, max_size=n))
+    refused = [
+        draw(st.one_of(st.none(), st.integers(edges[i - 1], i))) for i in range(1, n + 1)
+    ]
+    return edges, np.array(scru).transpose(1, 0, 2), refused
+
+
+def _drive(kernels, edges, scru, refused, trials):
+    """Drive each kernel through the stream: ``HeldMass`` in the engine's
+    order (hold what the window edge has passed, then level), the closed
+    kernels level or count, then absorb, each with the first ``trials``
+    trials' entries, or trial 0's without a trial axis (``trials=None``).
+    Returns each kernel's results in call order."""
+    held, closure, counter = kernels
+    s, c, r, u = (x[:, 0] if trials is None else x[:, :trials] for x in scru)
+    gam = BASEL.values(len(edges))
+    out = {"held": [], "closure": [], "counter": []}
+    for i, edge in enumerate(edges, start=1):
+        for m in range(held.final + 1, edge):
+            held.hold(m, edges[m - 1], u[m - 1])
+        out["held"].append(held.level(i, edge))
+        col = gam[: i - 1][::-1].copy()  # contiguous, as an engine's column is
+        if refused[i - 1] is not None:
+            out["closure"].append(closure.level(i, refused[i - 1], gam[i - 1], col))
+        out["closure"].append(closure.level(i, edge, gam[i - 1], col))
+        out["counter"].append(counter.counter(i, i - edge))
+        for kernel in (closure, counter):
+            kernel.absorb(i, s[i - 1], c[i - 1], r[i - 1])
+    return out
+
+
+def _state(kernels, n, row):
+    """What each kernel holds for targets 1 .. n, of trial ``row`` (None for
+    a kernel without a trial axis), as lists."""
+    held, closure, counter = kernels
+    at = () if row is None else (row,)
+    return {
+        "held": [a[(*at, slice(n))].tolist() for a in (*held.state, held.off)]
+        + [held.t[at].item()],
+        "closure": [a[(slice(n), *at)].tolist() for a in closure.state[:3]]
+        + [closure.mass[(*at, slice(n))].tolist()],
+        "counter": [a[(slice(n + 1), *at)].tolist() for a in counter.state],
+    }
+
+
+def _gemv_order_stream():
+    """A stream on which row 0 of the three-trial ``Closure`` sums its
+    16th level in another order: C_1 = 1 in trial 0, all else 0."""
+    scru = np.zeros((4, 16, 3))
+    scru[1, 0, 0] = 1.0
+    return [1] * 13 + [2, 3, 4], scru, [None] * 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=_kernel_streams(), capacities=st.tuples(*[st.sampled_from([2, 64])] * 2))
+@example(stream=_gemv_order_stream(), capacities=(2, 2))
+def test_a_kernel_without_a_trial_axis_follows_row_0_of_one_and_of_three(stream, capacities):
+    """``HeldMass``, ``Closure`` and ``ClosureCounter`` with ``trials=None``
+    give, at every call, the levels and counters of row 0 of a kernel fed
+    the same trajectory there, and hold the same at, z, gamma_{t_m},
+    offsets, counter t, R, up, mass and prefix sums, grown from capacity 2
+    or not: bit for bit beside one trial, the shape a live engine had, and
+    beside three trials, whose rows 1 and 2 carry other trajectories.  The
+    one exception is ``Closure`` at three trials: BLAS may sum row 0 of a
+    (3, k) @ (k,) product in another order than a (1, k) @ (k,) product,
+    so its levels, and the mass they feed, agree there to 1e-12, the
+    engine-vs-runner bound."""
+    edges, scru, refused = stream
+    runs = {}
+    for trials, capacity in ((None, capacities[0]), (1, capacities[1]), (3, capacities[1])):
+        kernels = (
+            HeldMass(BASEL, 0.2, trials=trials, capacity=capacity),
+            Closure(0.2, trials=trials, capacity=capacity),
+            ClosureCounter(trials=trials, capacity=capacity),
+        )
+        calls = _drive(kernels, edges, scru, refused, trials)
+        runs[trials] = calls, _state(kernels, len(edges), None if trials is None else 0)
+    calls, state = runs.pop(None)
+    assert all(np.ndim(x) == 0 for xs in calls.values() for x in xs)
+    for trials, (rows, row_state) in runs.items():
+        for name, lone in calls.items():
+            got = [x[0] for x in rows[name]]
+            if trials == 3 and name == "closure":
+                np.testing.assert_allclose(got, lone, rtol=1e-12, atol=0)
+                for a, b in zip(row_state[name], state[name]):
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+            else:
+                assert got == lone and row_state[name] == state[name], (trials, name)
+
+
+def test_live_engines_drive_their_kernels_without_a_trial_axis():
+    assert make_engine("graph-conf-u")._held.shape == ()
+    for kind in ("closed-spending", "closed-graph"):
+        assert make_engine(kind)._closure.shape == ()
 
 
 # ---------------------------------------------------------------------------
