@@ -345,6 +345,7 @@ class HeldMass:
         self.spec = spec
         self.alpha = alpha
         self.shape = () if trials is None else (trials,)
+        self._rows = None if trials is None else slice(None)  # trial rows, or one (1, ·) row
         self.t = np.ones(self.shape, dtype=np.int64)[()]  # a scalar without the axis
         self.final = 0  # z_1 .. z_final are final
         self.state = np.zeros((3, *self.shape, 0))
@@ -369,13 +370,11 @@ class HeldMass:
 
     def _carry(self, lo: int, hi: int, i: int) -> np.ndarray | float:
         """sum of g[m, i] z_m over the sources m = lo+1 .. hi, per trial."""
-        g = self._step[self.off[..., lo:hi] + i] / self.head[..., lo:hi]
-        z = self.z[..., lo:hi]
-        if self.shape:
-            return np.einsum("tm,tm->t", g, z)
-        # one trajectory: the (1, k) operands of a trial row, as einsum may
-        # sum two bare vectors in another order
-        return np.einsum("tm,tm->t", g[None], z[None])[0]
+        # one trajectory sums as a (1, k) trial row: einsum may sum two bare
+        # vectors in another order
+        rows = self._rows
+        g = self._step[self.off[rows, lo:hi] + i] / self.head[rows, lo:hi]
+        return np.einsum("tm,tm->t", g, self.z[rows, lo:hi]).reshape(self.shape)
 
     def level(self, i: int, c: int) -> np.ndarray | float:
         """at_i for target i whose first conflicting index is c."""
@@ -463,6 +462,7 @@ class Closure:
         self.filled = 0  # mass of 1 .. filled is set
         self.edge = 1  # mass of 1 .. edge-1 is up_j at_j
         self.shape = () if trials is None else (trials,)
+        self._rows = None if trials is None else slice(None)  # trial rows, or one (1, ·) row
         self.state = np.zeros((4, 0, *self.shape))
         self.mass = np.zeros((*self.shape, 0))
         self._reserve(capacity)
@@ -503,11 +503,8 @@ class Closure:
         self.mass[..., crossed] = (self.up[crossed] * self.at[crossed]).T
         self.mass[..., fresh] = (self.r[fresh] * self.at[fresh]).T
         self.edge, self.filled = c, i - 1
-        mass = self.mass[..., : i - 1]
-        if self.shape:
-            at = self.alpha * gamma_i + mass @ col
-        else:  # one trajectory: the (1, k) @ (k,) product of a trial row
-            at = self.alpha * gamma_i + (mass[None] @ col)[0]
+        # one trajectory takes the (1, k) @ (k,) product of a trial row
+        at = self.alpha * gamma_i + (self.mass[self._rows, : i - 1] @ col).reshape(self.shape)
         self.at[i - 1] = at
         return at
 

@@ -549,13 +549,20 @@ LATE_SESSION_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_replies_of_a_delay_10_session_are_pinned(kind):
-    config = SimConfig(n=PIN_N, e=PIN_DELAY, pi_a=0.3, mu_n=-0.5, trials=len(KINDS), seed=3)
+def _late_session(kind: str, seed: int) -> tuple[StreamSession, list[str]]:
+    """A full-precision session of _late_session_lines over ``kind``'s row of
+    the p-values drawn at ``seed``, and its replies, none of them an error."""
+    config = SimConfig(n=PIN_N, e=PIN_DELAY, pi_a=0.3, mu_n=-0.5, trials=len(KINDS), seed=seed)
     p, _ = generate_data(config)
     session = StreamSession(make_engine(kind), full_precision=True)
     replies = [session.handle(line) for line in _late_session_lines(kind, p[KINDS.index(kind)])]
     assert not any(r.startswith("ERR") for r in replies)
+    return session, replies
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_replies_of_a_delay_10_session_are_pinned(kind):
+    session, replies = _late_session(kind, seed=3)
     digests = (
         hashlib.sha256("\n".join(replies).encode()).hexdigest(),
         hashlib.sha256(session.engine.snapshot_json().encode()).hexdigest(),
@@ -605,10 +612,6 @@ LATE_SESSION_REPLIES_SHA256 = {
 @pytest.mark.parametrize("seed", LATE_SESSION_SEEDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_replies_of_delay_10_sessions_at_two_more_seeds_are_pinned(kind, seed):
-    config = SimConfig(n=PIN_N, e=PIN_DELAY, pi_a=0.3, mu_n=-0.5, trials=len(KINDS), seed=seed)
-    p, _ = generate_data(config)
-    session = StreamSession(make_engine(kind), full_precision=True)
-    replies = [session.handle(line) for line in _late_session_lines(kind, p[KINDS.index(kind)])]
-    assert not any(r.startswith("ERR") for r in replies)
+    _, replies = _late_session(kind, seed)
     digest = hashlib.sha256("\n".join(replies).encode()).hexdigest()
     assert digest == LATE_SESSION_REPLIES_SHA256[kind][LATE_SESSION_SEEDS.index(seed)]
