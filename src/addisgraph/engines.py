@@ -54,6 +54,7 @@ import numpy as np
 from .core import (
     Indicators,
     LedgerEntry,
+    TrajectoryLedger,
     check_gap,
     check_level,
     compute_indicators,
@@ -94,6 +95,8 @@ class FwerEngine:
         lam: float = 0.16,
         gamma: GammaSpec | str = "basel",
     ):
+        if not isinstance(gamma, (str, GammaSpec)):
+            raise InvalidConfig(f"gamma must be a spec name or a GammaSpec, got {gamma!r}")
         if not 0.0 < alpha < 1.0:
             raise InvalidConfig(f"alpha must lie in (0,1), got {alpha}")
         self.alpha = alpha
@@ -211,12 +214,6 @@ class FwerEngine:
             index=k + 1, level=self._levels[k], tau=self._taus[k], lam=self._lams[k],
             indicators=indicators,
         )
-
-    def _corr_rows(self) -> tuple[list, list, list]:
-        """The ledger's joint-tail levels, batches and lambdas: no batch and
-        no joint tail here."""
-        none = [None] * self.issued
-        return none, none, self._lams
 
     def _reserve(self, n: int) -> None:
         cap = self._state.shape[1]
@@ -402,7 +399,8 @@ class RowLedger(Sequence):
 
     Each :class:`.core.LedgerEntry` is built on access by the engine's
     ``_entry``, in O(1); :meth:`rows`, which the checkers read, is one
-    numpy slice of the engine's rows.
+    numpy slice of the engine's rows, and ``corr_rows`` is the ledger's,
+    read over those entries.
     """
 
     __slots__ = ("_engine",)
@@ -416,6 +414,10 @@ class RowLedger(Sequence):
 
     def __len__(self) -> int:
         return self._engine.issued
+
+    def __iter__(self):
+        e = self._engine
+        return map(e._entry, range(e.issued))
 
     def __getitem__(self, k):
         e = self._engine
@@ -449,11 +451,7 @@ class RowLedger(Sequence):
         s, c, r = e._state[:3, : e.issued].copy()
         return np.array(e._levels, dtype=np.float64), gap, s, c, r
 
-    def corr_rows(self) -> tuple[list, list, list]:
-        """Per index, its joint-tail level and its batch (each None where the
-        engine has none) and its lambda, read from the engine's lists as
-        :meth:`.core.TrajectoryLedger.corr_rows` gives them."""
-        return self._engine._corr_rows()
+    corr_rows = TrajectoryLedger.corr_rows
 
 
 class SpendingLocal(FwerEngine):

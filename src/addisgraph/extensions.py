@@ -154,11 +154,6 @@ class AdaptiveGraphCorr(GraphConf):
             entry.alpha_c = self._alpha_c[k]
         return entry
 
-    def _corr_rows(self):
-        n = self.issued
-        alpha_c = self._alpha_c + [None] * (n - len(self._alpha_c))
-        return alpha_c, self.structure.batch_of[:n], self._lams
-
     def level(self, i: int) -> float:
         n = self.structure.n
         if not 1 <= i <= n:
@@ -191,19 +186,6 @@ class AdaptiveGraphCorr(GraphConf):
                     self._carry[j - 1] = (self._levels[j - 1] - val) / (1.0 - self._lams[j - 1])
             self._frozen_batches += 1
         return decision
-
-
-def rejection_memory(rejections) -> np.ndarray:
-    """K flags from a rejection sequence: K_i = 1 iff some R_j = 1, j <= i-1.
-
-    Returns K_1 .. K_{n+1} for an input of length n (K stays 1 forever after
-    the first rejection).
-    """
-    r = np.asarray(list(rejections), dtype=np.int64)
-    k = np.zeros(r.size + 1, dtype=np.int64)
-    if r.size:
-        k[1:] = np.minimum(np.cumsum(r), 1)
-    return k
 
 
 class FdrGraph(FwerEngine):
@@ -291,11 +273,6 @@ class FdrGraph(FwerEngine):
 
     def _testing_level(self, propagated, lam_i):
         return min(propagated, lam_i)
-
-    @property
-    def k_flags(self) -> np.ndarray:
-        """K_1 .. K_{issued+1} from the currently observed rejections."""
-        return rejection_memory(self._r[: self.issued])  # R is zero until observed
 
 
 ENGINE_KINDS[FdrGraph.kind] = FdrGraph  # registered here: this module imports engines

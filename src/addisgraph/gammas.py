@@ -132,12 +132,10 @@ class GammaSpec:
             tail = self._tails[m] = _tail_sum(self, m)
         return tail
 
-    def is_nonincreasing(self, n: int = 1000) -> bool:
-        vals = self.values(n)
-        return bool(np.all(np.diff(vals) <= 0.0))
-
-    def require_nonincreasing(self, n: int = 1000) -> None:
-        if not self.is_nonincreasing(n):
+    def require_nonincreasing(self) -> None:
+        """Refuse a custom table that rises anywhere on its support; the
+        analytic kinds decrease by construction."""
+        if self.kind == "custom" and np.any(np.diff(self.table) > 0.0):
             raise NonMonotoneGamma(f"gamma spec {self.name} is not nonincreasing")
 
     @classmethod

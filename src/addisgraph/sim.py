@@ -118,18 +118,18 @@ class SimConfig:
 # data generation
 
 
-def _draw(config: SimConfig, trials, u, z0, eps) -> None:
-    """Row k of ``u``, ``z0`` and ``eps``: trial ``trials[k]``'s uniforms,
-    batch factors and noise, in stream order, from the Philox stream keyed
-    by (seed, trial).  One bit generator serves every row: before each trial
-    it is set to a fresh Philox's state re-keyed to (seed, trial), so the
-    draws are those of a new generator per trial."""
+def _draw(config: SimConfig, u, z0, eps) -> None:
+    """Row k of ``u``, ``z0`` and ``eps``: trial k's uniforms, batch factors
+    and noise, in stream order, from the Philox stream keyed by (seed, k).
+    One bit generator serves every row: before each trial it is set to a
+    fresh Philox's state re-keyed to (seed, k), so the draws are those of a
+    new generator per trial."""
     bg = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bg)
     fresh = bg.state
     key = fresh["state"]["key"]
-    for k, trial in enumerate(trials):
-        key[1] = trial
+    for k in range(len(u)):
+        key[1] = k
         bg.state = fresh
         rng.random(out=u[k])
         rng.standard_normal(out=z0[k])
@@ -146,34 +146,23 @@ def _pvalues(config: SimConfig, u, z0, eps) -> tuple[np.ndarray, np.ndarray]:
     return ndtr(np.negative(eps, out=eps), out=eps), labels
 
 
-def generate_trial(config: SimConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """P-values and truth labels for one trial (counter-based substream):
-    the one-trial case of ``generate_data``."""
-    p, labels = _generate(config, [trial_index])
-    return p[0], labels[0]
-
-
 def generate_data(
     config: SimConfig, *, _draws: _SharedDraws | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (trials, n) p-value and label matrices: the draws per trial,
-    the arithmetic once over the whole matrix (the rows of ``generate_trial``).
+    each row from its own Philox substream, and the arithmetic once over
+    the whole matrix.
 
     ``_draws`` is ``run_grid``'s: the draws of the config's (seed, trials,
     n, b), made by the first data set that reads them."""
-    if _draws is None:
-        return _generate(config, range(config.trials))
-    return _pvalues(config, *_draws.take(config))
+    draws = _drawn(config) if _draws is None else _draws.take(config)
+    return _pvalues(config, *draws)
 
 
-def _generate(config: SimConfig, trials) -> tuple[np.ndarray, np.ndarray]:
-    return _pvalues(config, *_drawn(config, trials))
-
-
-def _drawn(config: SimConfig, trials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t, n = len(trials), config.n
+def _drawn(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    t, n = config.trials, config.n
     u, z0, eps = np.empty((t, n)), np.empty((t, n // config.b)), np.empty((t, n))
-    _draw(config, trials, u, z0, eps)
+    _draw(config, u, z0, eps)
     return u, z0, eps
 
 
@@ -197,7 +186,7 @@ class _SharedDraws:
 
     def take(self, config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.arrays is None:
-            self.arrays = _drawn(config, range(config.trials))
+            self.arrays = _drawn(config)
         u, z0, eps = self.arrays
         self.uses -= 1
         if self.uses:
@@ -411,7 +400,6 @@ class MetricsRow:
     fdr: float
     fdr_se: float
     mfdr: float
-    power_trials: int = 0  # trials with at least one alternative
 
     @staticmethod
     def _fmt(x) -> str:
@@ -464,9 +452,7 @@ def metrics(rejected, labels, config: SimConfig) -> MetricsRow:
     # power fractions of the trials with an alternative, in trial order
     fracs = np.sum(rejected & labels, axis=1)[has_alt] / n_alt[has_alt]
     power, power_se = (float(np.mean(fracs)), _se(fracs)) if fracs.size else (None, None)
-    return MetricsRow(
-        config, fwer, fwer_se, pfer, power, power_se, fdr, _se(fdp), mfdr, int(fracs.size)
-    )
+    return MetricsRow(config, fwer, fwer_se, pfer, power, power_se, fdr, _se(fdp), mfdr)
 
 
 def _se(x: np.ndarray) -> float:  # standard error of the mean

@@ -161,13 +161,8 @@ class StreamSession:
         return cls(engine, full_precision=full_precision)
 
 
-def run_session(engine_or_session, lines, out) -> None:
+def run_session(session: StreamSession, lines, out) -> None:
     """Drive a session over an iterable of request lines, writing responses."""
-    session = (
-        engine_or_session
-        if isinstance(engine_or_session, StreamSession)
-        else StreamSession(engine_or_session)
-    )
     for line in lines:
         if line.strip().upper() in ("QUIT", "EXIT"):
             break

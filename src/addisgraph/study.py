@@ -71,13 +71,9 @@ class ReplayStudy:
     def n(self) -> int:
         return len(self.hypotheses)
 
-    @property
-    def has_p_values(self) -> bool:
-        return all(h.p is not None for h in self.hypotheses)
-
     def p_values(self) -> np.ndarray:
-        if not self.has_p_values:
-            missing = [h.name for h in self.hypotheses if h.p is None]
+        missing = [h.name for h in self.hypotheses if h.p is None]
+        if missing:
             raise MissingData(
                 f"study file has placeholder p-values for {missing}; "
                 "fill them in to replay"

@@ -1,15 +1,21 @@
-"""Shared fixtures: the main simulation sweeps, computed once per session.
+"""Shared fixtures: the main simulation sweeps, computed once per session,
+and two helpers: the stream driver of the engine tests and the joint null
+p-value draws of the Monte Carlo tests.
 
 The sweeps are memory-light summaries — per grid point we keep the metrics
 row, the worst budget prefix, and pointwise level-comparison margins, never
 the raw level arrays.
 """
 
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+import addisgraph
 from addisgraph.sim import (
     SimConfig,
     TrialSet,
@@ -17,6 +23,12 @@ from addisgraph.sim import (
     generate_data,
     max_budget_spend,
 )
+
+# pytest imports the package from src/ (pythonpath in pyproject.toml); the
+# tests' subprocesses do so through PYTHONPATH
+SRC = str(Path(addisgraph.__file__).resolve().parents[1])
+if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 FIG5_N = 100
 FIG5_GAMMAS = ("basel", "power:1.6", "logq")
@@ -32,6 +44,35 @@ FIG5_PROCEDURES = (
 # The graph-conf-u vs closed-spending power ordering is read on streams that
 # hold at least this many batches; see test_05_confu_power_vs_closed_spending.
 ORDERING_MIN_BATCHES = 10
+
+
+def drive(engine, p, lags, closed=False):
+    """Issue levels in order, observing everything the engine may use."""
+    n = len(p)
+    levels = np.empty(n)
+    seen = 0  # indices 1 .. seen are observed; horizons never fall under monotone lags
+    for i in range(1, n + 1):
+        lo = i - lags[i - 1]
+        horizon = i if closed else lo
+        while seen < horizon - 1:
+            seen += 1
+            engine.observe(seen, float(p[seen - 1]))
+        levels[i - 1] = engine.level(i, conflicts=range(lo, i))
+    for j in range(seen + 1, n + 1):
+        engine.observe(j, float(p[j - 1]))
+    return levels
+
+
+def mc_draws(rng, rho, k, n):
+    """n draws of k one-sided z-test p-values under the equicorrelated
+    Gaussian null, as an (n, k) array."""
+    z0 = rng.standard_normal(n)
+    eps = rng.standard_normal((n, k))
+    # ndtr(-(sqrt(rho) z0 + sqrt(1 - rho) eps)), built in place
+    eps *= np.sqrt(1 - rho)
+    z0 *= np.sqrt(rho)
+    eps += z0[:, None]
+    return ndtr(np.negative(eps, out=eps), out=eps)
 
 
 def ordering_horizon(b: int) -> int:

@@ -37,7 +37,7 @@ from addisgraph.sim import (
 )
 from addisgraph.study import ReplayStudy, replay_study
 from addisgraph.weights import IncrementalRenormalizer, ShiftedGamma
-from tests.conftest import FIG5_PROCEDURES
+from tests.conftest import FIG5_PROCEDURES, drive, mc_draws
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 BASEL = GammaSpec.parse("basel")
@@ -217,13 +217,7 @@ def test_07_closure_equivalence():
         rng = np.random.default_rng(seed)
         p = rng.uniform(size=n)
         expected = closure_oracle(n, lags, p)
-        eng = ClosedGraph()
-        got = np.empty(n)
-        for i in range(1, n + 1):
-            for j in range(1, i):
-                if eng.ledger.entries[j - 1].indicators is None:
-                    eng.observe(j, float(p[j - 1]))
-            got[i - 1] = eng.level(i, conflicts=range(i - lags[i - 1], i))
+        got = drive(ClosedGraph(), p, lags, closed=True)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -248,21 +242,14 @@ def test_08_improvement_inequality():
 
 
 def test_09_alpha_c_quadrature_vs_monte_carlo():
-    from scipy.special import ndtr
-
     rng = np.random.default_rng(42)
     n = 10**7
     for rho in (0.2, 0.5, 0.8):
         for levels in ([0.05], [0.1, 0.05], [0.2, 0.1, 0.05]):
             k = len(levels)
-            z0 = rng.standard_normal(n)
-            eps = rng.standard_normal((n, k + 1))
-            # ndtr(-(sqrt(rho) z0 + sqrt(1 - rho) eps)), built in place
-            eps *= np.sqrt(1 - rho)
-            z0 *= np.sqrt(rho)
-            eps += z0[:, None]
-            pvals = ndtr(np.negative(eps, out=eps), out=eps)
+            pvals = mc_draws(rng, rho, k + 1, n)
             est, se = alpha_c_monte_carlo(0.05, levels, pvals[:, :k], pvals[:, k])
+            del pvals  # released before the next case draws
             quad = alpha_c_gaussian(0.05, levels, rho)
             assert abs(quad - est) <= 3 * se + 1e-12, (rho, levels)
 

@@ -33,26 +33,10 @@ from addisgraph.errors import (
 )
 from addisgraph.gammas import GammaSpec
 from addisgraph.weights import CustomTable
+from tests.conftest import drive
 
 BASEL = GammaSpec.parse("basel")
 G1, G2, G3 = BASEL.value(1), BASEL.value(2), BASEL.value(3)
-
-
-def drive(engine, p, lags, closed=False):
-    """Issue levels in order, observing everything the engine may use."""
-    n = len(p)
-    levels = np.empty(n)
-    seen = 0  # indices 1 .. seen are observed; horizons never fall under monotone lags
-    for i in range(1, n + 1):
-        lo = i - lags[i - 1]
-        horizon = i if closed else lo
-        while seen < horizon - 1:
-            seen += 1
-            engine.observe(seen, float(p[seen - 1]))
-        levels[i - 1] = engine.level(i, conflicts=range(lo, i))
-    for j in range(seen + 1, n + 1):
-        engine.observe(j, float(p[j - 1]))
-    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +335,7 @@ def test_measurability_conflicting_pvalue_cannot_change_level():
             window = range(i - lags[i - 1], i)
             for j in window:
                 p[j - 1] = rng.uniform()
-            e = cls()
-            levels = np.empty(i)
-            for k in range(1, i + 1):
-                lo = k - lags[k - 1]
-                for j in range(1, lo):
-                    if e.ledger.entries[j - 1].indicators is None:
-                        e.observe(j, float(p[j - 1]))
-                levels[k - 1] = e.level(k, conflicts=range(lo, k))
+            levels = drive(cls(), p[:i], lags[:i])
             assert levels[i - 1] == pytest.approx(ref[i - 1], abs=0)
 
 

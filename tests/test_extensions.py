@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 import addisgraph
 from addisgraph import gammas
@@ -30,24 +29,14 @@ from addisgraph.extensions import (
     FdrGraph,
     alpha_c_gaussian,
     alpha_c_monte_carlo,
-    rejection_memory,
 )
 from addisgraph.gammas import GammaSpec
 from addisgraph.weights import MASS_TOL
+from tests.conftest import drive, mc_draws
 
 BASEL = GammaSpec.parse("basel")
 G1, G2, G3 = BASEL.value(1), BASEL.value(2), BASEL.value(3)
 CORR_ENGINE_DIGEST = "289590b9ccaf81e1cdd1dc7a925ead120fffb86910018f57b8f0045c0f7f2ffe"
-
-
-def _mc_draws(rng, rho, k, n):
-    z0 = rng.standard_normal(n)
-    eps = rng.standard_normal((n, k))
-    # one-sided z-test p-values ndtr(-(sqrt(rho) z0 + sqrt(1 - rho) eps)), built in place
-    eps *= np.sqrt(1 - rho)
-    z0 *= np.sqrt(rho)
-    eps += z0[:, None]
-    return ndtr(np.negative(eps, out=eps), out=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +72,9 @@ def test_alpha_c_quadrature_vs_monte_carlo():
     for rho in (0.2, 0.5, 0.8):
         for prior in ([0.05], [0.1, 0.05], [0.2, 0.1, 0.05]):
             k = len(prior)
-            pvals = _mc_draws(rng, rho, k + 1, n)
+            pvals = mc_draws(rng, rho, k + 1, n)
             est, se = alpha_c_monte_carlo(0.05, prior, pvals[:, :k], pvals[:, k])
+            del pvals  # released before the next case draws
             quad = alpha_c_gaussian(0.05, prior, rho)
             assert abs(quad - est) <= 3 * se + 1e-12
 
@@ -455,12 +445,6 @@ def test_a_joint_tail_above_its_level_issues_no_negative_level(monkeypatch):
 # rejection memory and the FDR engine
 
 
-def test_rejection_memory_examples():
-    assert rejection_memory([0, 0, 1, 0]).tolist() == [0, 0, 0, 1, 1]
-    assert rejection_memory([0, 0, 0]).tolist() == [0, 0, 0, 0]
-    assert rejection_memory([1, 0, 0]).tolist() == [0, 1, 1, 1]
-
-
 def test_fdr_first_level():
     e = FdrGraph()
     assert e.level(1) == pytest.approx(0.25 * 0.05 * G1, abs=1e-12)
@@ -495,7 +479,7 @@ def test_fdr_second_rejection_earns_alpha():
     reward_2 = G1 * 0.05  # alpha * K_2
     expected = 0.25 * (0.05 * G3 + carried + reward_1 + reward_2)
     assert e.level(3) == pytest.approx(expected, rel=1e-12)
-    assert e.k_flags[:3].tolist() == [0, 1, 1]
+    assert e._first_rejection == 1  # K_1 = 0, K_2 = K_3 = 1
 
 
 def test_fdr_invalid_w0():
@@ -510,20 +494,10 @@ def test_fdr_monotone_in_rejections():
     rng = np.random.default_rng(5)
     p = rng.uniform(0.3, 1.0, size=15)
 
-    def run(pvals):
-        e = FdrGraph()
-        out = []
-        for i in range(1, 16):
-            for j in range(1, i):
-                if e.ledger.entries[j - 1].indicators is None:
-                    e.observe(j, float(pvals[j - 1]))
-            out.append(e.level(i))
-        return np.array(out), e
-
-    base, _ = run(p)
+    base = drive(FdrGraph(), p, [0] * 15)
     boosted = p.copy()
     boosted[4] = 1e-6  # force a rejection (and candidacy) at index 5
-    after, _ = run(boosted)
+    after = drive(FdrGraph(), boosted, [0] * 15)
     assert np.all(after[5:] >= base[5:] - 1e-15)
 
 
@@ -533,16 +507,9 @@ def test_fdr_reward_accounting_bound():
     for _ in range(10):
         p = rng.uniform(size=50) ** 2
         e = FdrGraph()
-        for i in range(1, 51):
-            for j in range(1, i):
-                if e.ledger.entries[j - 1].indicators is None:
-                    e.observe(j, float(p[j - 1]))
-            e.level(i)
-        for j in range(1, 51):
-            if e.ledger.entries[j - 1].indicators is None:
-                e.observe(j, float(p[j - 1]))
+        drive(e, p, [0] * 50)
         r = np.array([en.indicators.r for en in e.ledger.entries])
-        k = rejection_memory(r)[:50]
+        k = np.minimum(np.cumsum(r) - r, 1)  # K_i = 1 once some j < i is rejected
         seed = 0.05 * np.cumsum(BASEL.values(50))
         rewards = np.cumsum(r * (0.05 * k))  # w0 = alpha: only alpha*K per rejection
         allowance = 0.05 * np.maximum(np.cumsum(r), 1.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from addisgraph import gammas
 from addisgraph.errors import InvalidSpec, NonMonotoneGamma
+from addisgraph.engines import GraphConfU
 from addisgraph.gammas import GammaSpec
 
 
@@ -88,10 +89,15 @@ def test_custom_spec_refuses_a_value_that_is_not_finite_and_nonnegative(bad):
 
 
 def test_custom_table_must_be_nonincreasing_when_required():
-    spec = GammaSpec(kind="custom", table=(0.1, 0.5, 0.2))
-    assert not spec.is_nonincreasing()
-    with pytest.raises(NonMonotoneGamma):
-        spec.require_nonincreasing()
+    """A rise anywhere on the table's support is refused, past its first
+    1000 values too, also by graph-conf-u, whose held-mass weights
+    gamma_k - gamma_{k+1} need it."""
+    for table in ((0.1, 0.5, 0.2), (1e-4,) * 1000 + (2e-4,) * 1000):
+        spec = GammaSpec(kind="custom", table=table)
+        with pytest.raises(NonMonotoneGamma):
+            spec.require_nonincreasing()
+        with pytest.raises(NonMonotoneGamma):
+            GraphConfU(gamma=spec)
 
 
 @given(m=st.integers(min_value=0, max_value=50), q=st.floats(0.2, 0.9))

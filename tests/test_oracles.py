@@ -14,6 +14,7 @@ from addisgraph.oracles import (
     improvement_weight_oracle,
 )
 from addisgraph.weights import CustomTable, lemma1_row, renorm_table
+from tests.conftest import drive
 
 BASEL = GammaSpec.parse("basel")
 
@@ -77,15 +78,7 @@ def test_engine_spend_equals_budget_function():
     for _ in range(10):
         p = rng.uniform(size=n)
         e = GraphConf()
-        for i in range(1, n + 1):
-            lo = i - lags[i - 1]
-            for j in range(1, lo):
-                if e.ledger.entries[j - 1].indicators is None:
-                    e.observe(j, float(p[j - 1]))
-            e.level(i, conflicts=range(lo, i))
-        for j in range(1, n + 1):
-            if e.ledger.entries[j - 1].indicators is None:
-                e.observe(j, float(p[j - 1]))
+        drive(e, p, lags)
         u = np.array([en.indicators.u for en in e.ledger.entries], dtype=float)
         weights = renorm_table(BASEL, np.asarray(lags), n)[1:, 1:]
         bf = BudgetFunction(n=n, gamma=BASEL.values(n), weights=weights, alpha=0.2)
@@ -112,12 +105,7 @@ def test_closure_matches_online_graph_without_lags():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = np.empty(5)
-        for i in range(1, 6):
-            for j in range(1, i):
-                if eng.ledger.entries[j - 1].indicators is None:
-                    eng.observe(j, float(p[j - 1]))
-            got[i - 1] = eng.level(i)
+        got = drive(eng, p, [0] * 5, closed=True)
     np.testing.assert_allclose(got, levels, rtol=1e-12)
 
 
@@ -128,14 +116,7 @@ def test_closure_equivalence_lag_one(seed):
     p = rng.uniform(size=n)
     lags = [0] + [1] * (n - 1)
     expected = closure_oracle(n, lags, p)
-    eng = ClosedGraph()
-    got = np.empty(n)
-    for i in range(1, n + 1):
-        lo = i - lags[i - 1]
-        for j in range(1, i):
-            if eng.ledger.entries[j - 1].indicators is None:
-                eng.observe(j, float(p[j - 1]))
-        got[i - 1] = eng.level(i, conflicts=range(lo, i))
+    got = drive(ClosedGraph(), p, lags, closed=True)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -158,13 +139,9 @@ def test_closed_graph_with_a_custom_table_matches_the_closure(seed):
         lags.append(int(rng.integers(0, lags[-1] + 2)))
     p = rng.uniform(size=n) ** 2
     expected = closure_oracle(n, lags, p, rule=table)
-    eng = ClosedGraph(rule=table)
-    got = np.empty(n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a level above lambda
-        for i in range(1, n + 1):
-            got[i - 1] = eng.level(i, conflicts=range(i - lags[i - 1], i))
-            eng.observe(i, float(p[i - 1]))
+        got = drive(ClosedGraph(rule=table), p, lags, closed=True)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -217,18 +194,8 @@ def test_tables_reconstruct_engine_levels():
     local, graph, _ = improvement_weight_oracle(n, lags, BASEL, u)
     gam = BASEL.values(n)
 
-    def run(engine):
-        out = np.empty(n)
-        for i in range(1, n + 1):
-            lo = i - lags[i - 1]
-            for j in range(1, lo):
-                if engine.ledger.entries[j - 1].indicators is None:
-                    engine.observe(j, float(p[j - 1]))
-            out[i - 1] = engine.level(i, conflicts=range(lo, i))
-        return out
-
-    spend_levels = run(SpendingLocal())
-    graph_levels = run(GraphConfU())
+    spend_levels = drive(SpendingLocal(), p, lags)
+    graph_levels = drive(GraphConfU(), p, lags)
     rec_spend = (tau - lam) * (alpha * gam + (u * alpha * gam) @ local)
     rec_graph = (tau - lam) * (alpha * gam + (u * alpha * gam) @ graph)
     np.testing.assert_allclose(rec_spend, spend_levels, rtol=1e-12)

@@ -39,7 +39,6 @@ from addisgraph.sim import (
     compute_levels,
     expand_grid,
     generate_data,
-    generate_trial,
     levels_adaptive_corr,
     levels_closed_graph,
     levels_fdr_graph,
@@ -143,29 +142,10 @@ def test_lag_profiles():
 
 def test_trial_determinism_and_substreams():
     cfg = SimConfig(n=50, b=5, trials=4, seed=9)
-    p1, l1 = generate_trial(cfg, 0)
-    p2, l2 = generate_trial(cfg, 0)
+    p1, _ = generate_data(cfg)
+    p2, _ = generate_data(cfg)
     np.testing.assert_array_equal(p1, p2)
-    p3, _ = generate_trial(cfg, 1)
-    assert not np.array_equal(p1, p3)
-
-
-@pytest.mark.parametrize(
-    "design",
-    [
-        {"n": 50, "b": 5},
-        {"n": 40, "b": 1, "rho": 0.9},
-        {"n": 30, "b": 30, "pi_a": 0.1, "mu_n": -1.0},
-    ],
-    ids=["b5", "b1", "one-batch"],
-)
-def test_generate_trial_is_row_of_generate_data(design):
-    """The whole-matrix arithmetic of ``generate_data`` gives each row's bits."""
-    cfg = SimConfig(trials=7, seed=9, **design)
-    p, labels = generate_data(cfg)
-    for t in range(cfg.trials):
-        pt, lt = generate_trial(cfg, t)
-        assert np.array_equal(pt, p[t]) and np.array_equal(lt, labels[t])
+    assert not np.array_equal(p1[0], p1[1])
 
 
 @pytest.mark.parametrize(
@@ -184,9 +164,8 @@ def test_draws_are_those_of_a_fresh_philox_per_trial(seed, trials):
         want = u < cfg.pi_a
         z = np.sqrt(1.0 - cfg.rho) * eps + np.sqrt(cfg.rho) * np.repeat(z0, cfg.b)
         want_p = ndtr(-(z + np.where(want, 3.0, cfg.mu_n)))
-        for got_p, got in (generate_trial(cfg, k), (p[k], labels[k])):
-            assert np.array_equal(got, want)
-            assert np.array_equal(got_p, want_p)
+        assert np.array_equal(labels[k], want)
+        assert np.array_equal(p[k], want_p)
 
 
 def test_data_statistics():
@@ -751,7 +730,7 @@ def test_power_excludes_trials_without_alternatives():
     levels = np.full((2, 2), 0.05)
     row = TrialSet(config=cfg, p=p, labels=labels, levels=levels).metrics()
     assert row.power == 1.0
-    assert row.power_trials == 1
+    assert row.power_se == 0.0  # one power fraction
 
 
 def test_metrics_match_per_trial_loop():
@@ -774,7 +753,7 @@ def test_metrics_match_per_trial_loop():
     assert row.mfdr == float(np.mean(v) / np.mean(np.maximum(r, 1.0)))
     assert row.power == float(np.mean(fracs))
     assert row.power_se == float(np.std(fracs, ddof=1) / np.sqrt(len(fracs)))
-    assert row.power_trials == len(fracs) < 40
+    assert len(fracs) < 40
 
 
 def test_max_budget_spend_matches_direct_sum():

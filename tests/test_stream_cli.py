@@ -122,6 +122,8 @@ SNAP2 = {
     "observations": {"index": [1], "p": [0.5], "issued": [1]}, "adjust": "renormalize",
 }
 LEVELS2 = {"tau": [None, None], "lambda": [None, None], "conflicts": [1, 1]}
+# the same calls to a graph-conf-u engine, which has no adjust key
+CONF_U2 = {k: v for k, v in SNAP2.items() if k != "adjust"} | {"kind": "graph-conf-u"}
 
 
 def _v2(levels=None, **observations):
@@ -181,6 +183,14 @@ BAD_SNAPSHOTS = {
                                  "snapshot conflicts of 2 must be a list or a window start in "
                                  "1..2, got 3"),
     "v2-string-p-value": (_v2(p=["0.5"]), "malformed snapshot event ['P', 1, '0.5']: "),
+    "gamma-number": (json.dumps({**SNAP2, "gamma": 5}),
+                     "gamma must be a spec name or a GammaSpec, got 5"),
+    "gamma-null": (json.dumps({**SNAP2, "gamma": None}),
+                   "gamma must be a spec name or a GammaSpec, got None"),
+    "gamma-list": (json.dumps({**CONF_U2, "gamma": ["basel"]}),
+                   "gamma must be a spec name or a GammaSpec, got ['basel']"),
+    "gamma-object": (json.dumps({**CONF_U2, "gamma": {"kind": "basel"}}),
+                     "gamma must be a spec name or a GammaSpec, got {'kind': 'basel'}"),
 }
 
 
@@ -386,7 +396,7 @@ def test_failed_save_keeps_previous_snapshot(tmp_path, monkeypatch):
 
 def test_run_session_stops_on_quit():
     out = io.StringIO()
-    run_session(GraphConf(), ["H 1", "QUIT", "H 2"], out)
+    run_session(StreamSession(GraphConf()), ["H 1", "QUIT", "H 2"], out)
     assert out.getvalue().splitlines() == ["LEVEL 1 0.0778147"]
 
 

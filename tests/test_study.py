@@ -37,7 +37,7 @@ def _with_p(tmp_path, p_values):
 
 def test_structure_file_parses(structure):
     assert structure.n == 12
-    assert not structure.has_p_values
+    assert all(h.p is None for h in structure.hypotheses)  # p=NA placeholders
     assert structure.defaults == {"alpha": 0.05, "tau": 0.8, "lam": 0.3}
 
 
