@@ -287,9 +287,14 @@ class TrajectoryLedger:
 
     def corr_rows(self) -> tuple[list, list, list]:
         """Per entry, its joint-tail level and its batch (each None where
-        unset) and its lambda, as :func:`check_corr_condition` reads them."""
-        es = self.entries
-        return [e.alpha_c for e in es], [e.batch for e in es], [e.lam for e in es]
+        unset) and its lambda, as :func:`check_corr_condition` reads them,
+        in one pass over the entries, which a view may build as it reads."""
+        alpha_c, batch, lam = [], [], []
+        for e in self.entries:
+            alpha_c.append(e.alpha_c)
+            batch.append(e.batch)
+            lam.append(e.lam)
+        return alpha_c, batch, lam
 
 
 def budget_path(level, gap, s, c) -> np.ndarray:

@@ -107,6 +107,8 @@ class FwerEngine:
         self.issued = 0
         self._warned_lambda = False
         self._pending: set[int] = set()  # issued, not yet observed
+        # no index below it is pending; it never moves back, as levels are issued in order
+        self._low = 1
         # Per index: X_i (range(lo, i) when it is a contiguous suffix, else a
         # frozenset), the issued level, and tau and lambda as given, which the
         # snapshot writes back unchanged, or as null when equal to the
@@ -176,11 +178,17 @@ class FwerEngine:
             raise DuplicateObservation(f"p-value for index {i} already reported")
         k = i - 1
         ind = compute_indicators(p, self._taus[k], self._lams[k], self._levels[k])
-        self._s[k] = ind.s
-        self._c[k] = ind.c
-        self._r[k] = ind.r
-        self._u[k] = u = ind.c - ind.s + 1
-        self._carry[k] = u * self._alpha_tilde[k]
+        # the rows of k are zero until now, so only the 1s are stored; U = C - S + 1
+        # and the carry U alpha_tilde are 1 and alpha_tilde where C = S
+        if ind.s:
+            self._s[k] = 1.0
+        if ind.c:
+            self._c[k] = 1.0
+        if ind.r:
+            self._r[k] = 1.0
+        if ind.c == ind.s:
+            self._u[k] = 1.0
+            self._carry[k] = self._alpha_tilde[k]
         self._pending.remove(i)
         self._seen_index.append(i)
         self._seen_p.append(p)
@@ -228,12 +236,16 @@ class FwerEngine:
 
         Only the least pending index is looked up when it is at least
         ``below``, or when ``exempt`` is a range that holds it and reaches
-        ``below``; otherwise every pending index is visited.
+        ``below``; otherwise every pending index is visited.  The lookup
+        moves ``_low`` up past the observed indices, in amortized O(1).
         """
         pending = self._pending
         if not pending:
             return
-        first = min(pending)
+        first = self._low
+        while first not in pending:
+            first += 1
+        self._low = first
         if first >= below or (
             type(exempt) is range and exempt.start <= first and below <= exempt.stop
         ):
@@ -472,11 +484,12 @@ class SpendingLocal(FwerEngine):
 
     def _compute_level(self, i, x, tau_i, lam_i):
         self._require_observed(i, x)
+        # U is 0/1, so its sum over the window is a count of its nonzeros
         if type(x) is range:
-            held = self._u[x.start - 1 : i - 1].sum()
+            held = np.count_nonzero(self._u[x.start - 1 : i - 1])
         else:
-            held = self._u[np.fromiter(x, np.intp, len(x)) - 1].sum()
-        t = 1 + self._net + len(self._pending) + int(held)
+            held = np.count_nonzero(self._u[np.fromiter(x, np.intp, len(x)) - 1])
+        t = 1 + self._net + len(self._pending) + held
         return self.alpha * (tau_i - lam_i) * self.gamma.value(t)
 
     def _observed(self, i, ind):
@@ -591,7 +604,8 @@ class ClosedEngine(FwerEngine):
         self._require_observed(i)
         closure = self._closure
         for j in range(closure.final + 1, i):
-            closure.absorb(j, self._s[j - 1], self._c[j - 1], self._r[j - 1])
+            r = self._r[j - 1]
+            closure.absorb(j, self._s[j - 1], max(r, self._c[j - 1]), r)
         return closure
 
 

@@ -211,14 +211,17 @@ def _indicator_u(p, tau, lam):
 
 
 def levels_spending_local(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
+    """Spending levels alpha (tau - lambda) gamma_t, t_i = 1 + L_i + sum of
+    S - C over 1 .. i - L_i - 1, counted in integers: S - C is the 0/1 row
+    lambda < p <= tau."""
     n = p.shape[1]
     gam = spec.values(2 * n + 2)
-    s, c = _indicator_arrays(p, tau, lam)
-    cs = np.zeros((p.shape[0], n + 1))  # cs[:, k]: sum of S - C over 1 .. k
-    np.cumsum(s - c, axis=1, out=cs[:, 1:])
+    cs = np.zeros((p.shape[0], n + 1), dtype=np.int64)  # cs[:, k]: sum of S - C over 1 .. k
+    np.cumsum((p <= tau) & ~(p <= lam), axis=1, out=cs[:, 1:])
     i = np.arange(1, n + 1)
-    t = (1 + lags + cs[:, i - lags - 1]).astype(np.int64)
-    return alpha * (tau - lam) * gam[t - 1]
+    t0 = cs[:, i - lags - 1]
+    t0 += lags  # t_i - 1, the 0-based position of gamma_{t_i}
+    return alpha * (tau - lam) * gam[t0]
 
 
 def levels_graph_conf(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
@@ -251,17 +254,19 @@ def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
 
 def levels_closed_spending(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
     """Closure-principle spending levels by :class:`.weights.ClosureCounter`,
-    fed index-major rows (one contiguous row of trials per index)."""
+    fed index-major 0/1 rows (one contiguous row of trials per index), so
+    its int64 counter is summed from bools."""
     ttr, n = p.shape
     gam = spec.values(2 * n + 2)
     pt = np.ascontiguousarray(p.T)
-    s, c = _indicator_arrays(pt, tau, lam)
+    s, c = pt <= tau, pt <= lam
     levels = np.empty((n, ttr))
     closure = ClosureCounter(trials=ttr, capacity=n)
     for i in range(1, n + 1):
         t = closure.counter(i, int(lags[i - 1]))
         levels[i - 1] = alpha * (tau - lam) * gam[t - 1]
-        closure.absorb(i, s[i - 1], c[i - 1], pt[i - 1] <= levels[i - 1])
+        r = pt[i - 1] <= levels[i - 1]
+        closure.absorb(i, s[i - 1], np.maximum(r, c[i - 1]), r)
     return levels.T
 
 
@@ -276,7 +281,8 @@ def levels_closed_graph(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
     closure = Closure(alpha, trials=ttr, capacity=n)
     for i in range(1, n + 1):
         at = closure.level(i, i - int(lags[i - 1]), gam[i - 1], rev[n - i + 1 :])
-        closure.absorb(i, s[i - 1], c[i - 1], pt[i - 1] <= (tau - lam) * at)
+        r = pt[i - 1] <= (tau - lam) * at
+        closure.absorb(i, s[i - 1], np.maximum(r, c[i - 1]), r)
     return (tau - lam) * closure.at[:n].T
 
 

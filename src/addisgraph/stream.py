@@ -93,12 +93,17 @@ class StreamSession:
         return i
 
     @classmethod
-    def _indices(cls, val: str) -> list[int]:
-        """The comma-separated indices of ``val``, empty tokens skipped: one
-        ``int`` pass, and the per-token :meth:`_index` only to report a bad one."""
+    def _indices(cls, val: str) -> list[int] | range:
+        """The comma-separated indices of ``val``, empty tokens skipped, as a
+        ``range`` when they count up by one from at least 1, the window that
+        the engine then checks in O(1): one ``int`` pass, and the per-token
+        :meth:`_index` only to report a bad one."""
         try:
             indices = list(map(int, val.split(",")))
-            if indices and min(indices) >= 1:
+            lo, hi = indices[0], indices[0] + len(indices)
+            if lo >= 1 and indices == list(range(lo, hi)):
+                return range(lo, hi)
+            if min(indices) >= 1:
                 return indices
         except ValueError:
             pass

@@ -31,7 +31,13 @@ numpy scalars, and :class:`JointTail` (``adaptive-graph-corr``) with one
 trial.  The same code serves both, through ``...`` indexing and index-major
 views; the two reductions, ``HeldMass._carry`` and ``Closure.level``, give a
 lone trajectory the (1, k) operands a trial row has, as a product over a
-bare vector may sum in another order.
+bare vector may sum in another order, and read its one entry out of the
+(1,) result, a numpy scalar, as the trial row is read whole.  The closed kernels' ``absorb`` takes
+m_j = max(R_j, C_j) from its caller, which holds R_j and C_j: a runner's
+one ``np.maximum`` pass over the row, an engine's builtin ``max`` of two
+scalars, so neither kernel branches on the trial axis nor pays a ufunc call
+per scalar index.  :class:`ClosureCounter` keeps its prefix sums in int64,
+so its counter indexes the gamma table as it is summed.
 """
 
 from __future__ import annotations
@@ -346,6 +352,7 @@ class HeldMass:
         self.alpha = alpha
         self.shape = () if trials is None else (trials,)
         self._rows = None if trials is None else slice(None)  # trial rows, or one (1, ·) row
+        self._out = 0 if trials is None else slice(None)  # a product's trial row, or its one entry
         self.t = np.ones(self.shape, dtype=np.int64)[()]  # a scalar without the axis
         self.final = 0  # z_1 .. z_final are final
         self.state = np.zeros((3, *self.shape, 0))
@@ -374,7 +381,7 @@ class HeldMass:
         # vectors in another order
         rows = self._rows
         g = self._step[self.off[rows, lo:hi] + i] / self.head[rows, lo:hi]
-        return np.einsum("tm,tm->t", g, self.z[rows, lo:hi]).reshape(self.shape)
+        return np.einsum("tm,tm->t", g, self.z[rows, lo:hi])[self._out]
 
     def level(self, i: int, c: int) -> np.ndarray | float:
         """at_i for target i whose first conflicting index is c."""
@@ -398,40 +405,43 @@ class ClosureCounter:
     """Closed spending's counter, trial axis first: a rejected predecessor
     refunds its level, inside the conflict window c_i = i - L_i .. i-1 too.
 
-    One block, grown on demand, holds the prefix sums of R and of
+    One int64 block, grown on demand, holds the prefix sums of R and of
     S - max(R, C) over 1 .. k in row k, a contiguous row of T trials, so
-    ``absorb`` and ``counter`` touch whole rows.  ``counter`` for target i
-    needs 1 .. i-1 absorbed; ``final`` is the last absorbed index.  A runner
-    passes ``trials=T``; a live engine passes ``trials=None``, one
-    trajectory with no trial axis, whose rows are scalars.
+    ``absorb`` and ``counter`` touch whole rows and the counter is an
+    integer as it is summed.  ``counter`` for target i needs 1 .. i-1
+    absorbed; ``final`` is the last absorbed index.  A runner passes
+    ``trials=T``; a live engine passes ``trials=None``, one trajectory with
+    no trial axis, whose rows are scalars.
     """
 
     def __init__(self, trials: int | None = 1, capacity: int = 64):
         self.final = 0
         self.shape = () if trials is None else (trials,)
-        self.state = np.zeros((2, 0, *self.shape))
+        self.state = np.zeros((2, 0, *self.shape), dtype=np.int64)
         self._reserve(capacity)
 
     def _reserve(self, n: int) -> None:
         old = self.state.shape[1]
         if n < old:
             return
-        state = np.zeros((2, max(n + 1, 2 * old), *self.shape))
+        state = np.zeros((2, max(n + 1, 2 * old), *self.shape), dtype=np.int64)
         state[:, :old] = self.state
         self.state = state
         self.sum_r, self.sum_smax = state
 
-    def absorb(self, j: int, s, c, r) -> None:
-        """Record S_j, C_j and R_j (one value per trial); j = final + 1."""
+    def absorb(self, j: int, s, m, r) -> None:
+        """Record S_j, m_j = max(R_j, C_j) and R_j (one 0/1 value per trial,
+        m_j from the caller, which holds R_j and C_j); j = final + 1."""
         self._reserve(j)
         self.sum_r[j] = self.sum_r[j - 1] + r
-        self.sum_smax[j] = self.sum_smax[j - 1] + s - np.maximum(r, c)
+        self.sum_smax[j] = self.sum_smax[j - 1] + s - m
         self.final = j
 
     def counter(self, i: int, lag: int) -> np.ndarray | np.int64:
-        """t_i = 1 + sum_{c_i <= j < i} (1 - R_j) + sum_{j < c_i} (S_j - max(R_j, C_j))."""
+        """t_i = 1 + sum_{c_i <= j < i} (1 - R_j) + sum_{j < c_i} (S_j - max(R_j, C_j)),
+        int64 per trial."""
         r, k = self.sum_r, i - lag - 1
-        return (1 + (lag - (r[i - 1] - r[k])) + self.sum_smax[k]).astype(np.int64)
+        return 1 + (lag - (r[i - 1] - r[k])) + self.sum_smax[k]
 
 
 class Closure:
@@ -442,10 +452,11 @@ class Closure:
     ``trials=None``, one trajectory with no trial axis, whose at, R, up and
     mass entries are scalars.
 
-    One block, grown on demand, holds at_j, R_j and up_j = max(R_j, C_j) -
-    S_j + 1 index-major (j's contiguous row of T trials at j - 1), so
-    ``absorb`` touches whole rows, and as its last row, read as (T,
-    capacity), the trial-major mass, the operand of each level's product.
+    One block, grown on demand, holds at_j, R_j and up_j = m_j - S_j + 1,
+    m_j = max(R_j, C_j) as ``absorb``'s caller gives it, index-major (j's
+    contiguous row of T trials at j - 1), so ``absorb`` touches whole rows,
+    and as its last row, read as (T, capacity), the trial-major mass, the
+    operand of each level's product.
     One block, not rows and mass apart, also keeps a sweep's largest freed
     allocation large enough that glibc does not trim and fault back the heap
     between grid points.
@@ -463,6 +474,7 @@ class Closure:
         self.edge = 1  # mass of 1 .. edge-1 is up_j at_j
         self.shape = () if trials is None else (trials,)
         self._rows = None if trials is None else slice(None)  # trial rows, or one (1, ·) row
+        self._out = 0 if trials is None else slice(None)  # a product's trial row, or its one entry
         self.state = np.zeros((4, 0, *self.shape))
         self.mass = np.zeros((*self.shape, 0))
         self._reserve(capacity)
@@ -478,11 +490,12 @@ class Closure:
         self.state, self.mass = state, mass
         self.at, self.r, self.up = state[:3]
 
-    def absorb(self, j: int, s, c, r) -> None:
-        """Record S_j, C_j and R_j (one value per trial); j = final + 1."""
+    def absorb(self, j: int, s, m, r) -> None:
+        """Record S_j, m_j = max(R_j, C_j) and R_j (one 0/1 value per trial,
+        m_j from the caller, which holds R_j and C_j); j = final + 1."""
         self._reserve(j)
         self.r[j - 1] = r
-        self.up[j - 1] = np.maximum(r, c) - s + 1.0
+        self.up[j - 1] = m - s + 1.0
         self.final = j
 
     def level(self, i: int, c: int, gamma_i: float, col: np.ndarray) -> np.ndarray | float:
@@ -504,7 +517,7 @@ class Closure:
         self.mass[..., fresh] = (self.r[fresh] * self.at[fresh]).T
         self.edge, self.filled = c, i - 1
         # one trajectory takes the (1, k) @ (k,) product of a trial row
-        at = self.alpha * gamma_i + (self.mass[self._rows, : i - 1] @ col).reshape(self.shape)
+        at = self.alpha * gamma_i + (self.mass[self._rows, : i - 1] @ col)[self._out]
         self.at[i - 1] = at
         return at
 

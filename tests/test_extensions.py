@@ -156,6 +156,30 @@ def test_corr_model_refuses_what_the_engine_cannot_run(lam, structure):
         CorrModel(structure=structure, lam=lam, rho=0.5)
 
 
+def test_corr_rows_builds_each_ledger_entry_once(monkeypatch):
+    """A live engine's ledger builds an entry on each access, so one
+    ``corr_rows()`` call reads each entry once: ``_entry`` runs ``issued``
+    times, here with the last batch open, its two issued p-values pending."""
+    e = _corr_engine([5] * 8)
+    p = np.random.default_rng(7).uniform(size=40) ** 2
+    for i in range(1, 38):
+        e.level(i)
+        if i <= 35:
+            e.observe(i, float(p[i - 1]))
+    calls = []
+    entry = e._entry
+
+    def counted(k):
+        calls.append(k)
+        return entry(k)
+
+    monkeypatch.setattr(e, "_entry", counted)
+    alpha_c, batch, lam = e.ledger.corr_rows()
+    assert sorted(calls) == list(range(e.issued)) and e.issued == 37
+    assert len(alpha_c) == len(batch) == len(lam) == 37
+    assert alpha_c[34] is not None and alpha_c[35] is None and batch[36] == 8
+
+
 def test_engine_edges_raise_package_errors():
     """A level past the model's hypotheses is a DomainError, and a snapshot is
     refused, as for a custom gamma: the format has no place for the model."""

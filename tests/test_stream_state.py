@@ -483,7 +483,7 @@ PIN_N = 200
 PIN_DELAY = 10
 
 
-def _late_session_lines(kind: str, p_row) -> list[str]:
+def _late_session_lines(kind: str, p_row, n: int = PIN_N) -> list[str]:
     """Requests of a delay-10 session, each ``P`` sent as late as allowed.
 
     ``H i`` declares the window ``{i-10 .. i-1}``.  An open kind needs the
@@ -492,7 +492,7 @@ def _late_session_lines(kind: str, p_row) -> list[str]:
     ``P i`` follows ``H i`` at once.
     """
     lines, sent = [], 0
-    for i in range(1, PIN_N + 1):
+    for i in range(1, n + 1):
         lo = max(1, i - PIN_DELAY)
         if kind not in CLOSED:
             while sent < lo - 1:
@@ -503,7 +503,7 @@ def _late_session_lines(kind: str, p_row) -> list[str]:
         if kind in CLOSED:
             sent = i
             lines.append(f"P {i} {float(p_row[i - 1])!r}")
-    lines.extend(f"P {j} {float(p_row[j - 1])!r}" for j in range(sent + 1, PIN_N + 1))
+    lines.extend(f"P {j} {float(p_row[j - 1])!r}" for j in range(sent + 1, n + 1))
     return lines
 
 
@@ -615,3 +615,43 @@ def test_replies_of_delay_10_sessions_at_two_more_seeds_are_pinned(kind, seed):
     _, replies = _late_session(kind, seed)
     digest = hashlib.sha256("\n".join(replies).encode()).hexdigest()
     assert digest == LATE_SESSION_REPLIES_SHA256[kind][LATE_SESSION_SEEDS.index(seed)]
+
+
+# sha256 per kind over the full-precision replies of _late_session_lines at
+# n = 800 for seeds 0..23, each session's replies joined by newlines and ended
+# by one, in seed order: the 144 sessions of the stream benchmark, which gives
+# the kth kind of BENCH_KINDS row k of each seed's draw.  Recorded on the
+# engines as they stood before the closed kernels took max(R, C) from their
+# callers and kept integer counters, before the open kinds counted U with
+# count_nonzero, before observe stored only the indicators that are 1, and
+# before the stream passed a contiguous conflicts= field on as a range.
+BENCH_N = 800
+BENCH_SEEDS = range(24)
+BENCH_KINDS = (
+    "spending-local", "graph-conf", "graph-conf-u", "closed-spending", "closed-graph", "fdr-graph",
+)
+BENCH_REPLIES_SHA256 = {
+    "spending-local": "b971fbd9b1e6871cdbf11d78f6dd9ee21f474c02d8d83527e6e60880bdc1f23b",
+    "graph-conf": "2ad60382a8e8bdbae6f82ba18574b16c9eb708b0b0be7484c82ec038b24b4b88",
+    "graph-conf-u": "f685c033d39e7e289e5dc3c3634d5b1952fe5010ccc1a33c3eb589fe28e99a40",
+    "closed-spending": "964c5a5aa2653f62d77161bd5ca5a6046f7f1ade557cf852cd9c83090b5a6898",
+    "closed-graph": "fc8aacb03995ca7c4c4626550bf5b1de22bd672803f013dd3553ce926a0eb73a",
+    "fdr-graph": "07ca08a62d77df80bcf5f4dfd7c0b229f23e8f7f69a58a43f22ac938c895edcb",
+}
+
+
+@pytest.mark.parametrize("kind", BENCH_KINDS)
+def test_replies_of_the_benchmark_sessions_are_pinned(kind):
+    assert sorted(BENCH_KINDS) == KINDS
+    digest = hashlib.sha256()
+    for seed in BENCH_SEEDS:
+        config = SimConfig(
+            n=BENCH_N, e=PIN_DELAY, pi_a=0.3, mu_n=-0.5, trials=len(BENCH_KINDS), seed=seed
+        )
+        p, _ = generate_data(config)
+        session = StreamSession(make_engine(kind), full_precision=True)
+        lines = _late_session_lines(kind, p[BENCH_KINDS.index(kind)], n=BENCH_N)
+        replies = [session.handle(line) for line in lines]
+        assert not any(r.startswith("ERR") for r in replies)
+        digest.update(("\n".join(replies) + "\n").encode())
+    assert digest.hexdigest() == BENCH_REPLIES_SHA256[kind]

@@ -368,7 +368,7 @@ def test_closure_level_refuses_a_window_edge_moving_back():
     for closure in kernels:
         for i, c in windows[:-1]:
             closure.level(i, c, gam[i - 1], gam[: i - 1][::-1])
-            closure.absorb(i, 1.0, 0.0, float(i % 2))
+            closure.absorb(i, 1.0, float(i % 2), float(i % 2))
     with pytest.raises(NonMonotoneConflicts) as err:
         kernels[0].level(5, 2, gam[4], gam[:4][::-1])
     assert err.value.triple == (2, 4, 5)
@@ -397,7 +397,7 @@ def test_closure_grown_on_demand_matches_one_sized_up_front():
             out.append(graph.level(i, i - lag, gam[i - 1], gam[: i - 1][::-1]))
             out.append(spending.counter(i, lag))
             for closure in (graph, spending):
-                closure.absorb(i, s[i - 1], c[i - 1], r[i - 1])
+                closure.absorb(i, s[i - 1], np.maximum(r[i - 1], c[i - 1]), r[i - 1])
         runs.append(np.array(out))
     assert np.array_equal(runs[0], runs[1])
 
@@ -428,8 +428,9 @@ def _drive(kernels, edges, scru, refused, trials):
     """Drive each kernel through the stream: ``HeldMass`` in the engine's
     order (hold what the window edge has passed, then level), the closed
     kernels level or count, then absorb, each with the first ``trials``
-    trials' entries, or trial 0's without a trial axis (``trials=None``).
-    Returns each kernel's results in call order."""
+    trials' entries, or trial 0's without a trial axis (``trials=None``),
+    and max(R, C) as their callers take it: a runner's ``np.maximum``, an
+    engine's builtin ``max``.  Returns each kernel's results in call order."""
     held, closure, counter = kernels
     s, c, r, u = (x[:, 0] if trials is None else x[:, :trials] for x in scru)
     gam = BASEL.values(len(edges))
@@ -443,8 +444,9 @@ def _drive(kernels, edges, scru, refused, trials):
             out["closure"].append(closure.level(i, refused[i - 1], gam[i - 1], col))
         out["closure"].append(closure.level(i, edge, gam[i - 1], col))
         out["counter"].append(counter.counter(i, i - edge))
+        m = np.maximum(r[i - 1], c[i - 1]) if trials else max(r[i - 1], c[i - 1])
         for kernel in (closure, counter):
-            kernel.absorb(i, s[i - 1], c[i - 1], r[i - 1])
+            kernel.absorb(i, s[i - 1], m, r[i - 1])
     return out
 
 
@@ -505,6 +507,79 @@ def test_a_kernel_without_a_trial_axis_follows_row_0_of_one_and_of_three(stream,
                     np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
             else:
                 assert got == lone and row_state[name] == state[name], (trials, name)
+
+
+class _FloatCounter(ClosureCounter):
+    """``ClosureCounter`` in its float formulation: float prefix sums, the
+    max(R, C) taken inside ``absorb`` and the counter cast to int64 at the end."""
+
+    def _reserve(self, n):
+        old = self.state.shape[1]
+        if n < old:
+            return
+        state = np.zeros((2, max(n + 1, 2 * old), *self.shape))
+        state[:, :old] = self.state
+        self.state = state
+        self.sum_r, self.sum_smax = state
+
+    def absorb(self, j, s, c, r):
+        self._reserve(j)
+        self.sum_r[j] = self.sum_r[j - 1] + r
+        self.sum_smax[j] = self.sum_smax[j - 1] + s - np.maximum(r, c)
+        self.final = j
+
+    def counter(self, i, lag):
+        r, k = self.sum_r, i - lag - 1
+        return (1 + (lag - (r[i - 1] - r[k])) + self.sum_smax[k]).astype(np.int64)
+
+
+class _MaxInsideClosure(Closure):
+    """``Closure`` with the max(R, C) taken inside ``absorb``."""
+
+    def absorb(self, j, s, c, r):
+        self._reserve(j)
+        self.r[j - 1] = r
+        self.up[j - 1] = np.maximum(r, c) - s + 1.0
+        self.final = j
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=_kernel_streams(), trials=st.sampled_from([None, 1, 3]), bools=st.booleans())
+def test_closed_kernels_fed_the_callers_max_match_the_float_formulation(stream, trials, bools):
+    """``Closure`` and ``ClosureCounter`` fed max(R, C) by their caller (an
+    engine's builtin ``max`` without a trial axis, a runner's ``np.maximum``
+    with one) give, at every call, the levels and counters of the
+    formulation that took ``np.maximum`` inside ``absorb`` and summed the
+    counter in floats, and end holding the same rows, bit for bit, at
+    ``trials=None``, 1 and 3.  The counter is int64, fed float rows or, as
+    the closed-spending runner feeds it, bool rows, and both ``gam[t - 1]``
+    and ``GammaSpec.value`` read it as they read the float formulation's."""
+    edges, scru, _ = stream
+    s, c, r, _ = (x[:, 0] if trials is None else x[:, :trials] for x in scru)
+    n = len(edges)
+    gam = BASEL.values(2 * n + 2)
+    closure, counter = Closure(0.2, trials=trials, capacity=2), ClosureCounter(trials, 2)
+    ref_closure, ref_counter = _MaxInsideClosure(0.2, trials=trials, capacity=2), _FloatCounter(
+        trials, 2
+    )
+    cs, cc, cr = (x > 0.0 for x in (s, c, r)) if bools else (s, c, r)
+    peak = max if trials is None else np.maximum
+    for i, edge in enumerate(edges, start=1):
+        col = gam[: i - 1][::-1].copy()
+        at = closure.level(i, edge, gam[i - 1], col)
+        ref_at = ref_closure.level(i, edge, gam[i - 1], col)
+        assert np.asarray(at).tobytes() == np.asarray(ref_at).tobytes()
+        t, ref_t = counter.counter(i, i - edge), ref_counter.counter(i, i - edge)
+        assert t.dtype == np.int64 and np.array_equal(t, ref_t)
+        assert np.array_equal(gam[t - 1], gam[ref_t - 1])
+        if trials is None and t >= 1:  # the drawn flags need not make a valid trajectory
+            assert BASEL.value(t) == BASEL.value(int(ref_t))
+        closure.absorb(i, s[i - 1], peak(r[i - 1], c[i - 1]), r[i - 1])
+        ref_closure.absorb(i, s[i - 1], c[i - 1], r[i - 1])
+        counter.absorb(i, cs[i - 1], peak(cr[i - 1], cc[i - 1]), cr[i - 1])
+        ref_counter.absorb(i, s[i - 1], c[i - 1], r[i - 1])
+    assert closure.state.tobytes() == ref_closure.state.tobytes()
+    assert counter.state.dtype == np.int64 and np.array_equal(counter.state, ref_counter.state)
 
 
 def test_live_engines_drive_their_kernels_without_a_trial_axis():
