@@ -288,7 +288,7 @@ class TrajectoryLedger:
     def corr_rows(self) -> tuple[list, list, list]:
         """Per entry, its joint-tail level and its batch (each None where
         unset) and its lambda, as :func:`check_corr_condition` reads them,
-        in one pass over the entries, which a view may build as it reads."""
+        in one pass over the entries."""
         alpha_c, batch, lam = [], [], []
         for e in self.entries:
             alpha_c.append(e.alpha_c)

@@ -54,7 +54,6 @@ import numpy as np
 from .core import (
     Indicators,
     LedgerEntry,
-    TrajectoryLedger,
     check_gap,
     check_level,
     compute_indicators,
@@ -222,6 +221,13 @@ class FwerEngine:
             index=k + 1, level=self._levels[k], tau=self._taus[k], lam=self._lams[k],
             indicators=indicators,
         )
+
+    def _corr_rows(self) -> tuple[list, list, list]:
+        """The ledger's :meth:`.core.TrajectoryLedger.corr_rows`, read from
+        the engine's records: no joint-tail level or batch, and each issued
+        index's lambda."""
+        k = self.issued
+        return [None] * k, [None] * k, self._lams.copy()
 
     def _reserve(self, n: int) -> None:
         cap = self._state.shape[1]
@@ -410,9 +416,9 @@ class RowLedger(Sequence):
     which is also its own sequence of entries.
 
     Each :class:`.core.LedgerEntry` is built on access by the engine's
-    ``_entry``, in O(1); :meth:`rows`, which the checkers read, is one
-    numpy slice of the engine's rows, and ``corr_rows`` is the ledger's,
-    read over those entries.
+    ``_entry``, in O(1); the checkers read :meth:`rows`, one numpy slice of
+    the engine's rows, and :meth:`corr_rows`, the engine's own records,
+    without building an entry.
     """
 
     __slots__ = ("_engine",)
@@ -463,7 +469,11 @@ class RowLedger(Sequence):
         s, c, r = e._state[:3, : e.issued].copy()
         return np.array(e._levels, dtype=np.float64), gap, s, c, r
 
-    corr_rows = TrajectoryLedger.corr_rows
+    def corr_rows(self) -> tuple[list, list, list]:
+        """Per index, its joint-tail level and its batch (each None where
+        unset) and its lambda, as the entries hold them, read from the
+        engine's records."""
+        return self._engine._corr_rows()
 
 
 class SpendingLocal(FwerEngine):

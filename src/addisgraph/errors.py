@@ -68,10 +68,6 @@ class HorizonTooLarge(AddisGraphError):
     """An enumeration oracle was asked for a horizon beyond its guard."""
 
 
-class ModelUnavailable(AddisGraphError):
-    """No joint null model is available for a joint-tail computation."""
-
-
 class InvalidW0(AddisGraphError):
     """The FDR starting wealth is outside (0, alpha]."""
 

@@ -31,7 +31,6 @@ from .errors import (
     InvalidConfig,
     InvalidW0,
     MissingIndicator,
-    ModelUnavailable,
 )
 from .gammas import GammaSpec
 from .weights import IncrementalRenormalizer, JointTail, ShiftedGamma, corr_nodes
@@ -44,26 +43,6 @@ def alpha_c_gaussian(level_j: float, prior_levels, rho: float) -> float:
     levels = np.append(np.asarray(list(prior_levels), dtype=np.float64), level_j)
     keep = np.ones(levels.size, dtype=bool)
     return float(JointTail(rho).batch(levels[None], keep[None])[0, -1])
-
-
-def alpha_c_monte_carlo(
-    level_j: float, prior_levels, draws_prior: np.ndarray, draws_j: np.ndarray
-) -> tuple[float, float]:
-    """Monte Carlo joint tail from joint null p-value draws, with its SE: the
-    check the tests hold the quadrature of :func:`alpha_c_gaussian` to."""
-    prior = np.asarray(list(prior_levels), dtype=np.float64)
-    draws_prior = np.atleast_2d(np.asarray(draws_prior, dtype=np.float64))
-    draws_j = np.asarray(draws_j, dtype=np.float64)
-    n = draws_j.size
-    if n == 0:
-        raise ModelUnavailable("no joint null draws supplied")
-    if prior.size:
-        hit = np.all(draws_prior > prior[None, :], axis=1) & (draws_j <= level_j)
-    else:
-        hit = draws_j <= level_j
-    est = float(np.mean(hit))
-    se = float(np.sqrt(est * (1.0 - est) / n))
-    return est, se
 
 
 @dataclass
@@ -153,6 +132,11 @@ class AdaptiveGraphCorr(GraphConf):
         if k < len(self._alpha_c):
             entry.alpha_c = self._alpha_c[k]
         return entry
+
+    def _corr_rows(self):
+        k = self.issued
+        alpha_c = self._alpha_c + [None] * (k - len(self._alpha_c))
+        return alpha_c, list(self.structure.batch_of[:k]), self._lams.copy()
 
     def level(self, i: int) -> float:
         n = self.structure.n

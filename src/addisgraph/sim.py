@@ -138,11 +138,16 @@ def _draw(config: SimConfig, u, z0, eps) -> None:
 
 def _pvalues(config: SimConfig, u, z0, eps) -> tuple[np.ndarray, np.ndarray]:
     """P-values (written over ``eps``) and truth labels from the draws,
-    elementwise over any leading axes."""
+    elementwise over any leading axes.  Batch k's factor z0[..., k] is
+    added to its b members through a (..., n / b, b) view of ``eps``, which
+    is contiguous."""
     labels = u < config.pi_a
     eps *= np.sqrt(1.0 - config.rho)
-    eps += np.sqrt(config.rho) * np.repeat(z0, config.b, axis=-1)
-    eps += np.where(labels, ALT_SHIFT, config.mu_n)
+    batches = eps.reshape(*eps.shape[:-1], -1, config.b)
+    batches += np.sqrt(config.rho) * z0[..., None]
+    # the mean shift, ALT_SHIFT or mu_N: adding the other's 0.0 moves no bit
+    eps += labels * ALT_SHIFT
+    eps += ~labels * config.mu_n
     return ndtr(np.negative(eps, out=eps), out=eps), labels
 
 
@@ -199,15 +204,10 @@ class _SharedDraws:
 # vectorized level runners (trial axis first)
 
 
-def _indicator_arrays(p, tau, lam):
-    """S and C as floats."""
-    return (p <= tau).astype(np.float64), (p <= lam).astype(np.float64)
-
-
 def _indicator_u(p, tau, lam):
-    """U = C - S + 1 as floats; S and C are dropped on return."""
-    s, c = _indicator_arrays(p, tau, lam)
-    return c - s + 1.0
+    """U = C - S + 1 as floats: 0 where lambda < p <= tau, else 1 (C implies
+    S, as lambda < tau)."""
+    return (~((lam < p) & (p <= tau))).astype(np.float64)
 
 
 def levels_spending_local(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
@@ -226,17 +226,19 @@ def levels_spending_local(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarr
 
 def levels_graph_conf(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
     """Shifted-gamma graph levels; ``ua[:, j]`` = U_j at_j, the mass source j
-    forwards, is stored once at_j is set, so a level is one product over it."""
-    n = p.shape[1]
+    forwards, is stored once at_j is set, so a level is one product over it.
+    Each at_i is written into an index-major row."""
+    ttr, n = p.shape
     gam = spec.values(n)
     w = renorm_table(spec, lags, n)
-    u = _indicator_u(p, tau, lam)
-    at = np.empty((p.shape[0], n))
-    ua = np.empty_like(at)
+    u = _indicator_u(np.ascontiguousarray(p.T), tau, lam)
+    at = np.empty((n, ttr))
+    ua = np.empty((ttr, n))
     for i0 in range(n):
-        at[:, i0] = alpha * gam[i0] + ua[:, :i0] @ w[1 : i0 + 1, i0 + 1]
-        ua[:, i0] = u[:, i0] * at[:, i0]
-    return (tau - lam) * at
+        a = np.matmul(ua[:, :i0], w[1 : i0 + 1, i0 + 1], out=at[i0])
+        a += alpha * gam[i0]
+        np.multiply(u[i0], a, out=ua[:, i0])
+    return np.multiply(at, tau - lam, out=at).T
 
 
 def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
@@ -255,59 +257,69 @@ def levels_graph_conf_u(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray
 def levels_closed_spending(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
     """Closure-principle spending levels by :class:`.weights.ClosureCounter`,
     fed index-major 0/1 rows (one contiguous row of trials per index), so
-    its int64 counter is summed from bools."""
+    its int64 counter is summed from bools.  A level is a gather at the
+    counter t from ``step``, where step[t] = (alpha (tau - lambda)) gamma_t,
+    the product the level formula takes, formed once per gamma value."""
     ttr, n = p.shape
-    gam = spec.values(2 * n + 2)
+    step = np.empty(2 * n + 3)
+    step[0] = np.nan  # t >= 1
+    step[1:] = (alpha * (tau - lam)) * spec.values(2 * n + 2)
     pt = np.ascontiguousarray(p.T)
     s, c = pt <= tau, pt <= lam
     levels = np.empty((n, ttr))
     closure = ClosureCounter(trials=ttr, capacity=n)
     for i in range(1, n + 1):
-        t = closure.counter(i, int(lags[i - 1]))
-        levels[i - 1] = alpha * (tau - lam) * gam[t - 1]
-        r = pt[i - 1] <= levels[i - 1]
+        level = np.take(step, closure.counter(i, int(lags[i - 1])), out=levels[i - 1])
+        r = pt[i - 1] <= level
         closure.absorb(i, s[i - 1], np.maximum(r, c[i - 1]), r)
     return levels.T
 
 
 def levels_closed_graph(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
     """Closure-principle graph levels by :class:`.weights.Closure`, g[j, i] = gamma_{i-j},
-    fed index-major rows."""
+    fed index-major rows: S and C as bools, R and max(R, C) as floats."""
     ttr, n = p.shape
     gam = spec.values(n)
     rev = gam[::-1].copy()  # rev[n-i+1:] = gamma_{i-1} .. gamma_1 = g[1 .. i-1, i]
     pt = np.ascontiguousarray(p.T)
-    s, c = _indicator_arrays(pt, tau, lam)
+    s, c = pt <= tau, pt <= lam
     closure = Closure(alpha, trials=ttr, capacity=n)
+    level, r, m = np.empty(ttr), np.empty(ttr), np.empty(ttr)
     for i in range(1, n + 1):
         at = closure.level(i, i - int(lags[i - 1]), gam[i - 1], rev[n - i + 1 :])
-        r = pt[i - 1] <= (tau - lam) * at
-        closure.absorb(i, s[i - 1], np.maximum(r, c[i - 1]), r)
+        np.less_equal(pt[i - 1], np.multiply(at, tau - lam, out=level), out=r)
+        closure.absorb(i, s[i - 1], np.maximum(r, c[i - 1], out=m), r)
     return (tau - lam) * closure.at[:n].T
 
 
 def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:
     """FDR graph levels; the masses U_j at_j and R_j reward_j that source j
-    forwards are stored once set, so a level is two products over them."""
+    forwards are stored once set, so a level is two products over them.
+    Levels are written into index-major rows.  The reward coefficient is a
+    row over the trials: alpha - w0 until a trial's first rejection, alpha
+    from it on, so R_j reward_j is R_j times the row at j."""
     ttr, n = p.shape
     gam = spec.values(n)
     w = renorm_table(spec, np.minimum(e, np.arange(n)), n)
-    u = _indicator_u(p, tau, lam)
-    levels = np.empty((ttr, n))
+    pt = np.ascontiguousarray(p.T)
+    u = _indicator_u(pt, tau, lam)
+    levels = np.empty((n, ttr))
     ua = np.empty((ttr, n))
     rr = np.empty((ttr, n))
-    k_flag = np.zeros(ttr)
+    reward = np.full(ttr, alpha - w0)
+    r = np.empty(ttr)
     for i0 in range(n):
         col = w[1 : i0 + 1, i0 + 1]
-        at_hat = w0 * gam[i0] + ua[:, :i0] @ col
+        at_hat = ua[:, :i0] @ col
+        at_hat += w0 * gam[i0]
         at_hat += rr[:, :i0] @ col
-        levels[:, i0] = np.minimum((tau - lam) * at_hat, lam)
-        ua[:, i0] = u[:, i0] * at_hat
-        r = p[:, i0] <= levels[:, i0]
-        # reward coefficient once rejected: alpha after the first rejection, alpha - w0 before
-        rr[:, i0] = r * (alpha * k_flag + (alpha - w0) * (1.0 - k_flag))
-        k_flag = np.maximum(k_flag, r)
-    return levels
+        level = np.multiply(at_hat, tau - lam, out=levels[i0])
+        np.minimum(level, lam, out=level)
+        np.multiply(u[i0], at_hat, out=ua[:, i0])
+        np.less_equal(pt[i0], level, out=r)  # R_i as 0.0 / 1.0
+        np.multiply(r, reward, out=rr[:, i0])
+        np.maximum(reward, r * alpha, out=reward)  # alpha from the first rejection on
+    return levels.T
 
 
 def levels_adaptive_corr(
@@ -385,7 +397,8 @@ def max_budget_spend(p, levels, tau: float, lam: float) -> np.ndarray:
     alpha_j/(tau-lam) (S_j - C_j); error control requires this to stay at or
     below the overall alpha.
     """
-    s, c = _indicator_arrays(np.atleast_2d(p), tau, lam)
+    p = np.atleast_2d(p)
+    s, c = (p <= tau).astype(np.float64), (p <= lam).astype(np.float64)
     return np.max(budget_path(np.atleast_2d(levels), tau - lam, s, c), axis=1)
 
 
@@ -445,18 +458,20 @@ def metrics(rejected, labels, config: SimConfig) -> MetricsRow:
     t = rejected.shape[0]
     if not t:
         raise EmptyOutcomeSet("metrics need at least one trial outcome")
-    v = np.sum(rejected & ~labels, axis=1).astype(np.float64)
-    r = np.sum(rejected, axis=1).astype(np.float64)
+    r = np.sum(rejected, axis=1)  # int64 counts per trial
+    tp = np.sum(rejected & labels, axis=1)
+    v = (r - tp).astype(np.float64)
     fwer = float(np.mean(v > 0))
     fwer_se = float(np.sqrt(fwer * (1.0 - fwer) / t))
     pfer = float(np.mean(v))
-    fdp = v / np.maximum(r, 1.0)
+    r1 = np.maximum(r, 1.0)
+    fdp = v / r1
     fdr = float(np.mean(fdp))
-    mfdr = float(np.mean(v) / np.mean(np.maximum(r, 1.0)))
+    mfdr = float(pfer / np.mean(r1))
     n_alt = np.sum(labels, axis=1)
     has_alt = n_alt > 0
     # power fractions of the trials with an alternative, in trial order
-    fracs = np.sum(rejected & labels, axis=1)[has_alt] / n_alt[has_alt]
+    fracs = tp[has_alt] / n_alt[has_alt]
     power, power_se = (float(np.mean(fracs)), _se(fracs)) if fracs.size else (None, None)
     return MetricsRow(config, fwer, fwer_se, pfer, power, power_se, fdr, _se(fdp), mfdr)
 

@@ -1,6 +1,6 @@
 """Shared fixtures: the main simulation sweeps, computed once per session,
-and two helpers: the stream driver of the engine tests and the joint null
-p-value draws of the Monte Carlo tests.
+and three helpers: the stream driver of the engine tests, and the joint
+null p-value draws and the joint-tail estimate of the Monte Carlo tests.
 
 The sweeps are memory-light summaries — per grid point we keep the metrics
 row, the worst budget prefix, and pointwise level-comparison margins, never
@@ -73,6 +73,27 @@ def mc_draws(rng, rho, k, n):
     z0 *= np.sqrt(rho)
     eps += z0[:, None]
     return ndtr(np.negative(eps, out=eps), out=eps)
+
+
+def alpha_c_monte_carlo(
+    level_j: float, prior_levels, draws_prior, draws_j
+) -> tuple[float, float]:
+    """Monte Carlo joint tail P(all prior P_k > alpha_k, P_j <= alpha_j) from
+    joint null p-value draws, with its SE: the check the tests hold the
+    quadrature of :func:`addisgraph.extensions.alpha_c_gaussian` to."""
+    prior = np.asarray(list(prior_levels), dtype=np.float64)
+    draws_prior = np.atleast_2d(np.asarray(draws_prior, dtype=np.float64))
+    draws_j = np.asarray(draws_j, dtype=np.float64)
+    n = draws_j.size
+    if n == 0:
+        raise ValueError("no joint null draws supplied")
+    if prior.size:
+        hit = np.all(draws_prior > prior[None, :], axis=1) & (draws_j <= level_j)
+    else:
+        hit = draws_j <= level_j
+    est = float(np.mean(hit))
+    se = float(np.sqrt(est * (1.0 - est) / n))
+    return est, se
 
 
 def ordering_horizon(b: int) -> int:

@@ -18,7 +18,7 @@ from addisgraph.core import (
     compute_indicators,
     check_fwer_condition,
 )
-from addisgraph.extensions import alpha_c_gaussian, alpha_c_monte_carlo
+from addisgraph.extensions import alpha_c_gaussian
 from addisgraph.gammas import GammaSpec
 from addisgraph.oracles import (
     BudgetFunction,
@@ -37,7 +37,7 @@ from addisgraph.sim import (
 )
 from addisgraph.study import ReplayStudy, replay_study
 from addisgraph.weights import IncrementalRenormalizer, ShiftedGamma
-from tests.conftest import FIG5_PROCEDURES, drive, mc_draws
+from tests.conftest import FIG5_PROCEDURES, alpha_c_monte_carlo, drive, mc_draws
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 BASEL = GammaSpec.parse("basel")

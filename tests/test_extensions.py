@@ -21,18 +21,16 @@ from addisgraph.errors import (
     InvalidW0,
     MissingAlphaC,
     MissingIndicator,
-    ModelUnavailable,
 )
 from addisgraph.extensions import (
     AdaptiveGraphCorr,
     CorrModel,
     FdrGraph,
     alpha_c_gaussian,
-    alpha_c_monte_carlo,
 )
 from addisgraph.gammas import GammaSpec
 from addisgraph.weights import MASS_TOL
-from tests.conftest import drive, mc_draws
+from tests.conftest import alpha_c_monte_carlo, drive, mc_draws
 
 BASEL = GammaSpec.parse("basel")
 G1, G2, G3 = BASEL.value(1), BASEL.value(2), BASEL.value(3)
@@ -84,7 +82,7 @@ def test_known_value_rho_half():
 
 
 def test_monte_carlo_requires_draws():
-    with pytest.raises(ModelUnavailable):
+    with pytest.raises(ValueError):
         alpha_c_monte_carlo(0.05, [0.05], np.empty((0, 1)), np.empty(0))
 
 
@@ -156,16 +154,23 @@ def test_corr_model_refuses_what_the_engine_cannot_run(lam, structure):
         CorrModel(structure=structure, lam=lam, rho=0.5)
 
 
+def _rows_through_entries(ledger) -> tuple[list, list, list]:
+    entries = list(ledger)
+    return [x.alpha_c for x in entries], [x.batch for x in entries], [x.lam for x in entries]
+
+
 def test_corr_rows_builds_each_ledger_entry_once(monkeypatch):
     """A live engine's ledger builds an entry on each access, so one
-    ``corr_rows()`` call reads each entry once: ``_entry`` runs ``issued``
-    times, here with the last batch open, its two issued p-values pending."""
+    ``corr_rows()`` call must build no entry twice: it reads the engine's
+    own records and builds none, here with the last batch open, its two
+    issued p-values pending.  The rows equal those read through the entries."""
     e = _corr_engine([5] * 8)
     p = np.random.default_rng(7).uniform(size=40) ** 2
     for i in range(1, 38):
         e.level(i)
         if i <= 35:
             e.observe(i, float(p[i - 1]))
+    expected = _rows_through_entries(e.ledger)
     calls = []
     entry = e._entry
 
@@ -175,9 +180,23 @@ def test_corr_rows_builds_each_ledger_entry_once(monkeypatch):
 
     monkeypatch.setattr(e, "_entry", counted)
     alpha_c, batch, lam = e.ledger.corr_rows()
-    assert sorted(calls) == list(range(e.issued)) and e.issued == 37
-    assert len(alpha_c) == len(batch) == len(lam) == 37
+    assert calls == [] and e.issued == 37
+    assert (alpha_c, batch, lam) == expected
     assert alpha_c[34] is not None and alpha_c[35] is None and batch[36] == 8
+
+
+def test_corr_rows_of_a_plain_engine_are_read_from_its_rows():
+    """An engine without a correlation model annotates no joint-tail level
+    and no batch; its rows equal those read through the entries, per-index
+    lambdas included."""
+    e = GraphConf(alpha=0.2, tau=0.8, lam=0.16)
+    for i, lam in enumerate((0.16, 0.1, 0.2, 0.16), start=1):
+        e.level(i, lam=lam)
+        if i < 4:
+            e.observe(i, 0.05 * i)
+    alpha_c, batch, lam = e.ledger.corr_rows()
+    assert (alpha_c, batch, lam) == _rows_through_entries(e.ledger)
+    assert alpha_c == batch == [None] * 4 and lam == [0.16, 0.1, 0.2, 0.16]
 
 
 def test_engine_edges_raise_package_errors():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
@@ -421,6 +422,43 @@ def test_stored_mass_runners_are_bit_identical_to_per_level_products(
             assert np.array_equal(got, _fdr_graph_per_level(p, e, alpha, tau, lam, w0, spec))
 
 
+def _closed_spending_by_scaling(p, lags, alpha, tau, lam, spec):
+    """The closed-spending runner scaling gamma at the counter at every level."""
+    ttr, n = p.shape
+    gam = spec.values(2 * n + 2)
+    pt = np.ascontiguousarray(p.T)
+    s, c = pt <= tau, pt <= lam
+    levels = np.empty((n, ttr))
+    closure = weights.ClosureCounter(trials=ttr, capacity=n)
+    for i in range(1, n + 1):
+        t = closure.counter(i, int(lags[i - 1]))
+        levels[i - 1] = alpha * (tau - lam) * gam[t - 1]
+        r = pt[i - 1] <= levels[i - 1]
+        closure.absorb(i, s[i - 1], np.maximum(r, c[i - 1]), r)
+    return levels.T
+
+
+@pytest.mark.parametrize("b", [1, 5, 20])
+def test_runners_are_bit_identical_to_the_references_at_the_sweep_shape(b):
+    """At the main sweep's shape (T = 1000, n = 100) the runners equal the
+    per-level forms bit for bit: a BLAS product may sum a row in an order
+    that depends on the row count, which small shapes do not reach."""
+    cfg = SimConfig(n=100, b=b, pi_a=0.5, trials=1000, seed=37)
+    p, _ = generate_data(cfg)
+    lags = cfg.lags()
+    alpha, tau, lam = cfg.alpha, cfg.tau, cfg.lam
+    for runner, reference in (
+        (levels_graph_conf, _graph_conf_per_level),
+        (levels_closed_graph, _closed_graph_per_level),
+        (sim.levels_closed_spending, _closed_spending_by_scaling),
+    ):
+        got = runner(p, lags, alpha, tau, lam, BASEL)
+        assert np.array_equal(got, reference(p, lags, alpha, tau, lam, BASEL)), runner.__name__
+    for w0 in (alpha, alpha / 2):
+        got = levels_fdr_graph(p, 0, alpha, tau, lam, w0, BASEL)
+        assert np.array_equal(got, _fdr_graph_per_level(p, 0, alpha, tau, lam, w0, BASEL))
+
+
 def _confu_levels_from_table(p_row, lags, alpha, tau, lam, spec):
     """graph-conf-u levels of one trial from the oracle's graph-side table of
     seed-mass proportions: at_i = alpha gamma_i + sum_j U_j alpha gamma_j g+[j, i]."""
@@ -754,6 +792,44 @@ def test_metrics_match_per_trial_loop():
     assert row.power == float(np.mean(fracs))
     assert row.power_se == float(np.std(fracs, ddof=1) / np.sqrt(len(fracs)))
     assert len(fracs) < 40
+
+
+def _metrics_by_float_counts(rejected, labels, config):
+    """metrics with V and R summed per trial and cast to float, and the true
+    rejections summed apart."""
+    t = rejected.shape[0]
+    v = np.sum(rejected & ~labels, axis=1).astype(np.float64)
+    r = np.sum(rejected, axis=1).astype(np.float64)
+    fwer = float(np.mean(v > 0))
+    fwer_se = float(np.sqrt(fwer * (1.0 - fwer) / t))
+    pfer = float(np.mean(v))
+    fdp = v / np.maximum(r, 1.0)
+    fdr = float(np.mean(fdp))
+    mfdr = float(np.mean(v) / np.mean(np.maximum(r, 1.0)))
+    n_alt = np.sum(labels, axis=1)
+    has_alt = n_alt > 0
+    fracs = np.sum(rejected & labels, axis=1)[has_alt] / n_alt[has_alt]
+    power, power_se = (float(np.mean(fracs)), sim._se(fracs)) if fracs.size else (None, None)
+    return sim.MetricsRow(config, fwer, fwer_se, pfer, power, power_se, fdr, sim._se(fdp), mfdr)
+
+
+@given(
+    shape=st.tuples(st.integers(1, 60), st.integers(1, 30)),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_metrics_csv_equals_the_float_count_formulation(shape, data):
+    """The integer counts with V = R - TP give the CSV row of the float
+    counts, as equal strings; the first trial has no alternative and the
+    last no rejection."""
+    rejected = data.draw(hnp.arrays(np.bool_, shape))
+    labels = data.draw(hnp.arrays(np.bool_, shape))
+    labels[0] = False
+    rejected[-1] = False
+    cfg = SimConfig(n=shape[1], trials=shape[0], seed=1)
+    assert metrics(rejected, labels, cfg).to_csv() == (
+        _metrics_by_float_counts(rejected, labels, cfg).to_csv()
+    )
 
 
 def test_max_budget_spend_matches_direct_sum():
