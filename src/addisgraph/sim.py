@@ -19,15 +19,19 @@ re-keys it per trial, resetting it to the state a freshly built
 ``Philox(key=[seed, trial_index])`` has, so the streams are those of a new
 generator per trial, at a fraction of the cost.  The draws depend on the
 seed, the trials, n and b alone; rho, pi_A and mu_N enter only the
-p-value arithmetic.  So ``run_grid`` draws once per (seed, trials, n, b)
-and derives each data set of that key from the same draws by the same
-arithmetic, which changes no bit.
+p-value arithmetic.  So ``run_grid`` draws once per (seed, trials, n, b),
+a draw group, and its data sets share one statistic per rho and, per
+(rho, mu_N) that more than one data set reads, one alternative and one
+null p-value row, each formed by the operations a lone data set applies
+to its alternatives and nulls; a data set picks its p-values from the two
+rows by its labels, which changes no bit.
 """
 
 from __future__ import annotations
 
 import io
-from collections import deque
+import threading
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -123,10 +127,16 @@ def _draw(config: SimConfig, u, z0, eps) -> None:
     and noise, in stream order, from the Philox stream keyed by (seed, k).
     One bit generator serves every row: before each trial it is set to a
     fresh Philox's state re-keyed to (seed, k), so the draws are those of a
-    new generator per trial."""
+    new generator per trial.  The state is held as plain ints and lists,
+    which the setter parses in well under half the time of numpy arrays."""
     bg = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bg)
-    fresh = bg.state
+    state = bg.state
+    fresh = {
+        **state,
+        "state": {name: row.tolist() for name, row in state["state"].items()},
+        "buffer": state["buffer"].tolist(),
+    }
     key = fresh["state"]["key"]
     for k in range(len(u)):
         key[1] = k
@@ -136,34 +146,6 @@ def _draw(config: SimConfig, u, z0, eps) -> None:
         rng.standard_normal(out=eps[k])
 
 
-def _pvalues(config: SimConfig, u, z0, eps) -> tuple[np.ndarray, np.ndarray]:
-    """P-values (written over ``eps``) and truth labels from the draws,
-    elementwise over any leading axes.  Batch k's factor z0[..., k] is
-    added to its b members through a (..., n / b, b) view of ``eps``, which
-    is contiguous."""
-    labels = u < config.pi_a
-    eps *= np.sqrt(1.0 - config.rho)
-    batches = eps.reshape(*eps.shape[:-1], -1, config.b)
-    batches += np.sqrt(config.rho) * z0[..., None]
-    # the mean shift, ALT_SHIFT or mu_N: adding the other's 0.0 moves no bit
-    eps += labels * ALT_SHIFT
-    eps += ~labels * config.mu_n
-    return ndtr(np.negative(eps, out=eps), out=eps), labels
-
-
-def generate_data(
-    config: SimConfig, *, _draws: _SharedDraws | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (trials, n) p-value and label matrices: the draws per trial,
-    each row from its own Philox substream, and the arithmetic once over
-    the whole matrix.
-
-    ``_draws`` is ``run_grid``'s: the draws of the config's (seed, trials,
-    n, b), made by the first data set that reads them."""
-    draws = _drawn(config) if _draws is None else _draws.take(config)
-    return _pvalues(config, *draws)
-
-
 def _drawn(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t, n = config.trials, config.n
     u, z0, eps = np.empty((t, n)), np.empty((t, n // config.b)), np.empty((t, n))
@@ -171,37 +153,137 @@ def _drawn(config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, z0, eps
 
 
-class _SharedDraws:
-    """The draws ``u, z0, eps`` of one (seed, trials, n, b), read by ``uses``
-    data sets and drawn by the first; ``run_grid`` makes one per draw group,
-    when the group starts.  ``_pvalues`` writes over ``eps``, so each data
-    set but the last works on a copy of it; the last takes ``eps`` itself
-    and the draws are dropped, as ``generate_data`` alone does.  That keeps
-    the allocations of one draw per data set: copying for every data set too
-    and freeing the draws afterwards made several times the page faults of a
-    grid, and slowed the levels that followed.  Dropping each group's data
-    sets before the next group is built costs faults of its own, as glibc
-    returns the pages and the next group faults them back: on the
-    benchmark's ``sweep-many`` grid, ~6 400-7 000 minor faults a run
-    against ~4 200 with every data set held to the end, at the same speed."""
+def _statistic(config: SimConfig, z0, eps, out=None) -> np.ndarray:
+    """The test statistics sqrt(1 - rho) eps + sqrt(rho) z0, written to
+    ``out`` (which may be ``eps``).  Batch k's factor z0[:, k] is added to
+    its b members through a (trials, n / b, b) view, which is contiguous."""
+    x = np.multiply(eps, np.sqrt(1.0 - config.rho), out=out)
+    batches = x.reshape(len(x), -1, config.b)
+    batches += np.sqrt(config.rho) * z0[..., None]
+    return x
 
-    def __init__(self, uses: int):
-        self.uses = uses
-        self.arrays = None
 
-    def take(self, config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.arrays is None:
-            self.arrays = _drawn(config)
-        u, z0, eps = self.arrays
-        self.uses -= 1
-        if self.uses:
-            return u, z0, eps.copy()
-        self.arrays = None
-        return u, z0, eps
+def _pvalues(config: SimConfig, x, labels) -> np.ndarray:
+    """P-values of the statistics ``x``, written over it: the mean shift,
+    ALT_SHIFT or mu_N, is added as both terms, the other's 0.0 moving no bit."""
+    x += labels * ALT_SHIFT
+    x += ~labels * config.mu_n
+    return ndtr(np.negative(x, out=x), out=x)
+
+
+def _pvalue_rows(config: SimConfig, x, last: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The alternative and the null p-value row of the statistics ``x``, by
+    ``_pvalues``'s operations on an alternative, (x + ALT_SHIFT) + 0.0 mu_N,
+    and on a null, (x + 0.0) + mu_N; the null row is written over ``x`` when
+    this is ``x``'s ``last`` reader."""
+    alt = x + ALT_SHIFT
+    alt += 0.0 * config.mu_n
+    null = np.add(x, 0.0, out=x if last else None)
+    null += config.mu_n
+    for row in (alt, null):
+        ndtr(np.negative(row, out=row), out=row)
+    return alt, null
+
+
+def generate_data(
+    config: SimConfig, *, _draws: _DrawGroup | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (trials, n) p-value and label matrices: the draws per trial,
+    each row from its own Philox substream, and the arithmetic once over
+    the whole matrix.
+
+    ``_draws`` is ``run_grid``'s: the draw group of the config's (seed,
+    trials, n, b), which draws at its first data set."""
+    if _draws is not None:
+        return _draws.take(config)
+    u, z0, eps = _drawn(config)
+    labels = u < config.pi_a
+    return _pvalues(config, _statistic(config, z0, eps, out=eps), labels), labels
+
+
+class _DrawGroup:
+    """The data sets of one (seed, trials, n, b), one per config given,
+    built by ``take`` in any order from one draw ``u, z0, eps``.
+
+    Each rho's statistic is formed at its first data set; each (rho, mu_N)
+    read by two or more data sets gets an alternative and a null p-value
+    row, and a data set's p-values are the alternative row where its label
+    is set and the null row elsewhere.  A (rho, mu_N) read once goes
+    through ``_pvalues`` alone, so it pays one ``ndtr`` pass, not two.  The
+    last reader of an array writes over it and the group drops it: the
+    last rho formed takes ``eps``, the last (rho, mu_N) of a rho takes its
+    statistic and the last data set of a (rho, mu_N) takes the null row.
+    The label rows, one per pi_A, are built as the group draws, and the
+    uniforms are dropped then."""
+
+    def __init__(self, configs):
+        configs = list(configs)
+        self.pi_a = {c.pi_a for c in configs}
+        self.left = Counter((c.rho, c.mu_n) for c in configs)  # data sets still to build
+        self.readers = Counter(rho for rho, _ in self.left)  # (rho, mu_N) still to form per rho
+        self.unformed = len(self.readers)  # rho whose statistic is still to form
+        self.labels = self.z0 = self.eps = None
+        self.stats: dict = {}  # rho -> statistic
+        self.rows: dict = {}  # (rho, mu_N) -> alternative and null p-value rows
+
+    def take(self, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+        if self.labels is None:  # the first data set draws
+            u, self.z0, self.eps = _drawn(config)
+            self.labels = {pi_a: u < pi_a for pi_a in self.pi_a}
+        labels = self.labels[config.pi_a]
+        key = (config.rho, config.mu_n)
+        if key not in self.rows:
+            x, last = self._statistic(config)
+            if self.left[key] == 1:
+                return _pvalues(config, x if last else x.copy(), labels), labels
+            self.rows[key] = _pvalue_rows(config, x, last)
+        self.left[key] -= 1
+        if self.left[key]:
+            return np.where(labels, *self.rows[key]), labels
+        alt, null = self.rows.pop(key)
+        np.putmask(null, labels, alt)
+        return null, labels
+
+    def _statistic(self, config: SimConfig) -> tuple[np.ndarray, bool]:
+        """The statistic of ``config.rho`` for one more (rho, mu_N), and
+        whether this is its last reader."""
+        rho = config.rho
+        x = self.stats.get(rho)
+        if x is None:
+            self.unformed -= 1
+            out = None if self.unformed else self.eps
+            x = self.stats[rho] = _statistic(config, self.z0, self.eps, out=out)
+            if not self.unformed:
+                self.z0 = self.eps = None
+        self.readers[rho] -= 1
+        if self.readers[rho]:
+            return x, False
+        del self.stats[rho]
+        return x, True
 
 
 # ---------------------------------------------------------------------------
 # vectorized level runners (trial axis first)
+
+
+_table_lock = threading.Lock()
+_table: tuple | None = None  # (key, table) of the last weight table built
+
+
+def _weight_table(spec: GammaSpec, lags, n: int) -> np.ndarray:
+    """``renorm_table(spec, lags, n)``, read-only, from a one-entry memo, so
+    consecutive grid points of one (gamma, lags, n) build it once.  The old
+    table is dropped before a new one is built: at most one is held."""
+    global _table
+    lags = np.asarray(lags)
+    key = (spec, n, lags.dtype.str, lags.tobytes())
+    with _table_lock:
+        if _table is None or _table[0] != key:
+            _table = None
+            table = renorm_table(spec, lags, n)
+            table.flags.writeable = False
+            _table = (key, table)
+        return _table[1]
 
 
 def _indicator_u(p, tau, lam):
@@ -230,7 +312,7 @@ def levels_graph_conf(p, lags, alpha, tau, lam, spec: GammaSpec) -> np.ndarray:
     Each at_i is written into an index-major row."""
     ttr, n = p.shape
     gam = spec.values(n)
-    w = renorm_table(spec, lags, n)
+    w = _weight_table(spec, lags, n)
     u = _indicator_u(np.ascontiguousarray(p.T), tau, lam)
     at = np.empty((n, ttr))
     ua = np.empty((ttr, n))
@@ -300,7 +382,7 @@ def levels_fdr_graph(p, e, alpha, tau, lam, w0, spec: GammaSpec) -> np.ndarray:
     from it on, so R_j reward_j is R_j times the row at j."""
     ttr, n = p.shape
     gam = spec.values(n)
-    w = renorm_table(spec, np.minimum(e, np.arange(n)), n)
+    w = _weight_table(spec, np.minimum(e, np.arange(n)), n)
     pt = np.ascontiguousarray(p.T)
     u = _indicator_u(pt, tau, lam)
     levels = np.empty((n, ttr))
@@ -339,7 +421,7 @@ def levels_adaptive_corr(
     ttr, n = p.shape
     gam = spec.values(n)
     lags = (np.arange(1, n + 1) - 1) % b
-    w = renorm_table(spec, lags, n)
+    w = _weight_table(spec, lags, n)
     keep = p > lam
     tail = JointTail(rho, ttr, nodes)
 
@@ -455,11 +537,12 @@ class MetricsRow:
 def metrics(rejected, labels, config: SimConfig) -> MetricsRow:
     """Aggregate (trials, n) rejection and truth matrices into the standard
     metrics with their SEs."""
-    t = rejected.shape[0]
+    t, n = rejected.shape
     if not t:
         raise EmptyOutcomeSet("metrics need at least one trial outcome")
-    r = np.sum(rejected, axis=1)  # int64 counts per trial
-    tp = np.sum(rejected & labels, axis=1)
+    count = np.uint16 if n < 2**16 else np.int64  # a per-trial count is at most n
+    r = np.sum(rejected, axis=1, dtype=count)
+    tp = np.sum(rejected & labels, axis=1, dtype=count)
     v = (r - tp).astype(np.float64)
     fwer = float(np.mean(v > 0))
     fwer_se = float(np.sqrt(fwer * (1.0 - fwer) / t))
@@ -468,7 +551,7 @@ def metrics(rejected, labels, config: SimConfig) -> MetricsRow:
     fdp = v / r1
     fdr = float(np.mean(fdp))
     mfdr = float(pfer / np.mean(r1))
-    n_alt = np.sum(labels, axis=1)
+    n_alt = np.sum(labels, axis=1, dtype=count)
     has_alt = n_alt > 0
     # power fractions of the trials with an alternative, in trial order
     fracs = tp[has_alt] / n_alt[has_alt]
@@ -584,14 +667,16 @@ def run_grid(configs, csv_path=None, threads: int = 1) -> list[MetricsRow]:
 
     The grid runs one draw group at a time: a group is the points of one
     (seed, trials, n, b), whose data sets share one draw and differ only in
-    the p-value arithmetic (``_SharedDraws``).  A group's data sets are
-    built when it starts, its points run in input order, and the data sets
-    are dropped before the next group is built, so the grid holds one
-    group's data, not all of it.  With ``threads > 1`` the points run on a
-    pool and at most ``threads`` groups are held: the next group is built
-    only once the oldest one's points have all finished.  Each point is a
-    pure function of its config and its data, so no output bit depends on
-    the order or the thread count.
+    the p-value arithmetic (``_DrawGroup``): they share one statistic per
+    rho and, per (rho, mu_N) read by more than one of them, one alternative
+    and one null p-value row, from which each picks its p-values by its
+    labels.  A group's data sets are built when it starts, its points run
+    in input order, and the data sets are dropped before the next group is
+    built, so the grid holds one group's data, not all of it.  With
+    ``threads > 1`` the points run on a pool and at most ``threads`` groups
+    are held: the next group is built only once the oldest one's points
+    have all finished.  Each point is a pure function of its config and its
+    data, so no output bit depends on the order or the thread count.
     """
     configs = list(configs)
     groups: dict = {}  # (seed, trials, n, b) -> its (position, config) pairs, in input order
@@ -604,8 +689,8 @@ def run_grid(configs, csv_path=None, threads: int = 1) -> list[MetricsRow]:
         first = {}
         for _, c in points:
             first.setdefault(_data_key(c), c)
-        draws = _SharedDraws(len(first))
-        data = {key: generate_data(c, _draws=draws) for key, c in first.items()}
+        group = _DrawGroup(first.values())
+        data = {key: generate_data(c, _draws=group) for key, c in first.items()}
         return [(k, c, data[_data_key(c)]) for k, c in points]
 
     def run_one(c: SimConfig, data) -> MetricsRow:

@@ -2,7 +2,9 @@ import hashlib
 import importlib
 import io
 import json
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -722,6 +724,91 @@ def test_quadrature_rule_is_cached_and_read_only():
         assert a.shape == (64,) and not a.flags.writeable
 
 
+def test_runners_read_one_memoised_read_only_weight_table(monkeypatch):
+    """The graph runners read ``renorm_table``'s table, read-only, from a
+    one-entry memo: consecutive points of one (gamma, lags, n) build it
+    once, another key builds again, and the old table is dropped before a
+    new one is built, so no more than one is held."""
+    build, memo = sim.renorm_table, sim._weight_table
+    built, received = [], []
+
+    def counted(spec, lags, n):
+        assert sim._table is None  # no table is held while one is built
+        built.append(n)
+        return build(spec, lags, n)
+
+    def spied(spec, lags, n):
+        received.append(memo(spec, lags, n))
+        return received[-1]
+
+    monkeypatch.setattr(sim, "_table", None)
+    monkeypatch.setattr(sim, "renorm_table", counted)
+    monkeypatch.setattr(sim, "_weight_table", spied)
+    cfg = SimConfig(procedure="graph-conf", n=30, b=5, trials=4, seed=3)
+    p, _ = generate_data(cfg)
+    compute_levels(cfg, p)
+    compute_levels(replace(cfg, procedure="adaptive-graph-corr"), p)  # the same lags
+    assert len(built) == 1 and received[0] is received[1]
+    table = received.pop()
+    assert (table == renorm_table(BASEL, cfg.lags(), cfg.n)).all()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1, 2] = 0.0
+    held = weakref.ref(table)
+    del table
+    received.clear()
+    compute_levels(replace(cfg, procedure="fdr-graph"), p)  # e = 0: all-zero lags
+    assert len(built) == 2 and held() is None
+    assert (received[0] == renorm_table(BASEL, np.zeros(cfg.n, dtype=np.int64), cfg.n)).all()
+    compute_levels(cfg, p)
+    assert len(built) == 3
+
+
+def test_weight_table_memo_under_contending_threads(monkeypatch):
+    """Eight threads ask for three keys in turn, with a short switch
+    interval and a builder that sleeps: each gets its own key's table, and
+    no two builds overlap, so the memo never holds or makes two tables."""
+    n = 12
+    keys = [np.zeros(n, dtype=np.int64), np.arange(n) % 3, np.arange(n) % 4]
+    want = [renorm_table(BASEL, lags, n) for lags in keys]
+    build, lock, building, most = sim.renorm_table, threading.Lock(), [0], [0]
+    wrong, errors = [], []
+
+    def slow(spec, lags, n):
+        with lock:
+            building[0] += 1
+            most[0] = max(most[0], building[0])
+        time.sleep(1e-4)  # another thread runs meanwhile
+        with lock:
+            building[0] -= 1
+        return build(spec, lags, n)
+
+    def work(k):
+        try:
+            for step in range(100):
+                j = (k + step) % 3
+                if not np.array_equal(sim._weight_table(BASEL, keys[j], n), want[j]):
+                    wrong.append((k, step))
+        except Exception as exc:  # a thread's failure is reported by the test
+            errors.append(exc)
+
+    monkeypatch.setattr(sim, "_table", None)
+    monkeypatch.setattr(sim, "renorm_table", slow)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not wrong
+    assert most[0] == 1
+
+
 def test_adaptive_corr_runner_memory_has_no_member_axis():
     """No (T, b, nodes) quadrature array: 1000 x 20 x 512 doubles alone are 82 MB."""
     cfg = SimConfig(procedure="adaptive-graph-corr", n=200, b=20, trials=1000, seed=2)
@@ -830,6 +917,24 @@ def test_metrics_csv_equals_the_float_count_formulation(shape, data):
     assert metrics(rejected, labels, cfg).to_csv() == (
         _metrics_by_float_counts(rejected, labels, cfg).to_csv()
     )
+
+
+@pytest.mark.parametrize("n", [300, 70_000])
+def test_metrics_counts_past_the_narrow_accumulators(n):
+    """A trial's counts pass 255 (a uint8's range) at n = 300, and pass
+    65 535 at n = 70 000, where the counts are int64, not uint16: the row
+    is that of the int64 counts, and 0/1 integer matrices give it too."""
+    rng = np.random.default_rng(n)
+    labels = rng.random((6, n)) < 0.97
+    rejected = rng.random((6, n)) < 0.99
+    labels[0] = False
+    rejected[-1] = False
+    past = 2**8 - 1 if n == 300 else 2**16 - 1
+    assert (np.sum(rejected & labels, axis=1)[1:-1] > past).all()  # so R and the alternatives too
+    cfg = SimConfig(n=n, trials=6, seed=1)
+    row = metrics(rejected, labels, cfg)
+    assert row == _metrics_by_float_counts(rejected, labels, cfg)
+    assert metrics(rejected.astype(np.int8), labels.astype(np.int64), cfg) == row
 
 
 def test_max_budget_spend_matches_direct_sum():
@@ -962,6 +1067,35 @@ def test_run_grid_runs_interleaved_draw_groups_to_fresh_rows(monkeypatch, thread
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_draw_group_data_sets_are_those_drawn_alone(monkeypatch, threads):
+    """A draw group at b = 5: 12 data sets over two rho, two mu_N and three
+    pi_A (shared p-value rows per (rho, mu_N)) and, first, one that alone
+    reads its (rho, mu_N) (its p-values directly, from a copy of the
+    statistic); and a group of one data set at b = 2.  Every data set
+    ``run_grid`` builds has the p-values and labels of its config drawn
+    alone, bit for bit."""
+    base = SimConfig(procedure="spending-local", n=20, trials=40, seed=31)
+    configs = (
+        [replace(base, b=5, rho=0.3, mu_n=-1.0, pi_a=0.2)]
+        + expand_grid(replace(base, b=5), rho=[0.3, 0.6], mu_n=[-0.5, 0.0], pi_a=[0.1, 0.5, 0.9])
+        + [replace(base, b=2, pi_a=0.7)]
+    )
+    built, generate = [], sim.generate_data
+
+    def recorded(config, **kw):
+        data = generate(config, **kw)
+        built.append((config, data))
+        return data
+
+    monkeypatch.setattr(sim, "generate_data", recorded)
+    run_grid(configs, threads=threads)
+    assert len(built) == len(configs) and {c for c, _ in built} == set(configs)
+    for config, (p, labels) in built:
+        alone_p, alone_labels = generate(config)
+        assert np.array_equal(p, alone_p) and np.array_equal(labels, alone_labels)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_run_grid_holds_at_most_threads_draw_groups(monkeypatch, threads):
     """16 data sets in 4 draw groups of four, interleaved in input order; a
     grid that built every data set before the first point ran would hold
@@ -977,7 +1111,7 @@ def test_run_grid_holds_at_most_threads_draw_groups(monkeypatch, threads):
         b=[1, 2, 4, 5],
     )
     if threads > 1:
-        lock, alive, most = threading.Lock(), [0], [0]
+        lock, made, alive, most = threading.Lock(), [0], [0], [0]
         generate = sim.generate_data
 
         def dropped():
@@ -987,6 +1121,7 @@ def test_run_grid_holds_at_most_threads_draw_groups(monkeypatch, threads):
         def counted(config, **kw):
             p, labels = generate(config, **kw)
             with lock:
+                made[0] += 1
                 alive[0] += 1
                 most[0] = max(most[0], alive[0])
             weakref.finalize(p, dropped)
@@ -994,6 +1129,7 @@ def test_run_grid_holds_at_most_threads_draw_groups(monkeypatch, threads):
 
         monkeypatch.setattr(sim, "generate_data", counted)
         run_grid(configs, threads=threads)
+        assert made[0] == 16  # a grid that built its data sets another way would count none
         assert most[0] <= threads * 4
         assert alive[0] == 0
         return
